@@ -12,8 +12,7 @@ from .channel import (RngStream, random_codeword, random_matrix,
                       random_matrix_code, random_selfadjoint_qpoly,
                       random_symmetric_matrix)
 from .gabidulin import DecodeReport, GabCode, random_error, wb_decode
-from .gf import (BaseField, ExtField, FieldParams, field_from_json,
-                 field_from_params, field_to_json, make_field)
+from .gf import BaseField, ExtField, field_from_json, field_to_json, make_field
 from .linalg import LinearSolver, Matrix, congruence_diagonalize, moore_matrix
 from .qpoly import (NEG_INF, QPoly, annihilator, endo_matrix, interpolate,
                     matrix_of, matrix_to_qpoly, qpoly_kernel, qpoly_rank,
@@ -25,8 +24,7 @@ from .symdec import (HighRateDecoder, InvalidInstanceError, LowRateDecoder,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseField", "ExtField", "FieldParams", "make_field", "field_from_params",
-    "field_to_json", "field_from_json",
+    "BaseField", "ExtField", "make_field", "field_to_json", "field_from_json",
     "Matrix", "LinearSolver", "moore_matrix", "congruence_diagonalize",
     "SymSetup", "OrthonormalBasisError", "trace_form", "gram_matrix",
     "select_twist", "orthonormal_basis",

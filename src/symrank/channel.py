@@ -7,14 +7,15 @@ too, but its state is heavyweight to fork per trial).  Trials use
 ``fork(index)`` so they are independent of execution order.
 
 Error sampling: symmetric matrices of exact rank r come from M^T S M with M
-a random full-row-rank r x n matrix and S a random invertible symmetric
-r x r matrix (then the kernel of the product is exactly ker M, so the rank
-is r; it is verified anyway and resampled on the remote chance of a bug).
-Self-adjoint q-polynomials are symmetric matrices pulled back through the
-orthonormal-basis representation.  In characteristic 2 the M^T S M shape
-cannot reach symmetric matrices with zero diagonal (those are alternating),
-which is acceptable for simulation: the decoders are worst case, and the
-exhaustive small-parameter tests sweep ALL symmetric matrices.
+a uniform full-row-rank r x n matrix and S a uniform invertible symmetric
+r x r matrix.  The product has rank r and the row space of M, and the pairs
+(M, S) giving one product form a single GL_r orbit (M -> gM,
+S -> g^-T S g^-1), so every symmetric matrix of rank r is drawn with the
+same probability: the sample is exactly uniform, alternating matrices
+(zero diagonal, characteristic 2) included.  The rank is verified anyway
+and resampled on the remote chance of a bug.  Self-adjoint q-polynomials
+are symmetric matrices pulled back through the orthonormal-basis
+representation.
 """
 
 from __future__ import annotations

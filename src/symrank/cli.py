@@ -7,7 +7,8 @@ Subcommands:
   radius-table  theoretical relative decoding radius curves per rate
 
 Flags may come from --config (a JSON object with the same keys); explicitly
-given flags win.  Exit codes: 0 success, 1 decode failure, 2 ambiguity,
+given flags win.  Exit codes: 0 success, 1 decode failure (including an
+'incomplete' report, whose localiser walk was cut at its cap), 2 ambiguity,
 3 invalid configuration.
 """
 

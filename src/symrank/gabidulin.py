@@ -15,7 +15,8 @@ appear ordered by distance from Y:
   * at tp <= (n-k)//2 any single nonzero solution already yields the unique
     codeword within tp if one exists, so one kernel vector is tested;
   * past that bound all projective representatives of the kernel are walked
-    (capped), since distinct solutions can encode distinct codewords;
+    (capped; a cut walk reports 'incomplete'), since distinct solutions can
+    encode distinct codewords;
   * after a stage that produced candidates, the ladder stops as soon as
     min_distance - tp > t, which certifies no further codeword can sit
     within radius t.
@@ -89,7 +90,10 @@ class DecodeReport:
 
     status 'ok' carries the unique codeword and its error; 'ambiguous' lists
     every codeword found at minimal distance in ``candidates``; 'fail' means
-    nothing decodable within the requested radius.
+    nothing decodable within the requested radius; 'incomplete' means the
+    localiser walk was cut at its cap (``diagnostics["truncated"]``), so
+    ``candidates`` holds only what was found before the cut and may miss
+    codewords, the sent one included.
     """
 
     status: str
@@ -126,7 +130,8 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
 
     Guaranteed single answer for t <= (n-k)//2; beyond that every candidate
     is collected (projective kernel walk, deterministic order, capped at
-    ``max_candidates`` representatives per stage).
+    ``max_candidates`` localisers in all); a walk cut at the cap reports
+    'incomplete'.
     """
     if t < 0:
         raise ValueError("decoding radius t must be >= 0")
@@ -206,6 +211,9 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     }
     if s:
         found = [c.compose_monomial(s) for c in found]
+    if truncated:
+        return DecodeReport("incomplete", candidates=found,
+                            diagnostics=diagnostics)
     if not found:
         return DecodeReport("fail", diagnostics=diagnostics)
     if len(found) == 1:

@@ -24,8 +24,6 @@ given (p, e, n) always denotes the same concrete tower.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _is_prime(m: int) -> bool:
     if m < 2:
@@ -412,21 +410,6 @@ def _find_irreducible_fq(base: BaseField, n: int) -> tuple[int, ...]:
     raise ArithmeticError("no irreducible polynomial found (impossible)")
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Defining data of a tower: F_q = F_p[y]/(g), F_{q^n} = F_q[x]/(f).
-
-    g is a little-endian tuple of F_p coefficients (length e + 1, monic);
-    f is a little-endian tuple of packed F_q values (length n + 1, monic).
-    """
-
-    p: int
-    e: int
-    g: tuple[int, ...]
-    n: int
-    f: tuple[int, ...]
-
-
 class ExtField:
     """F_{q^n} = F_q[x]/(f) acting on packed integer elements in [0, q^n)."""
 
@@ -464,11 +447,6 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(q={self.q}, n={self.n})"
-
-    @property
-    def params(self) -> FieldParams:
-        return FieldParams(self.base.p, self.base.e, self.base.modulus,
-                           self.n, self.modulus)
 
     # -- raw polynomial arithmetic -------------------------------------------
 
@@ -639,10 +617,6 @@ def make_field(p: int, e: int, n: int, g=None, f=None,
     return ExtField(base, n, f, use_tables)
 
 
-def field_from_params(params: FieldParams, use_tables: bool | None = None) -> ExtField:
-    return make_field(params.p, params.e, params.n, params.g, params.f, use_tables)
-
-
 # ---------------------------------------------------------------------------
 # JSON forms: little-endian coefficient vectors, plain decimal ints per F_p
 # coefficient.  An F_q value is a list of e ints; an F_{q^n} value a list of
@@ -662,14 +636,6 @@ def field_from_json(doc: dict, use_tables: bool | None = None) -> ExtField:
     base = BaseField(int(doc["p"]), int(doc["e"]), tuple(doc["g"]))
     f = tuple(base.from_coeffs(c) for c in doc["f"])
     return ExtField(base, int(doc["n"]), f, use_tables)
-
-
-def base_to_json(base: BaseField, a: int) -> list[int]:
-    return list(base.coeffs(a))
-
-
-def base_from_json(base: BaseField, data) -> int:
-    return base.from_coeffs(data)
 
 
 def ext_to_json(field: ExtField, a: int) -> list[list[int]]:

@@ -6,7 +6,7 @@ immutable tuples of tuples of packed field elements.
 
 Besides the usual rank/kernel/solve/inverse kit there are two specialised
 pieces: ``LinearSolver`` factors a matrix once and answers many solve calls
-cheaply (the symmetric-error decoders live on this), and
+cheaply (the low-rate symmetric-error decoder lives on this), and
 ``congruence_diagonalize`` computes T with T^t G T diagonal for a symmetric
 Gram matrix G, in any characteristic.
 """
@@ -282,9 +282,6 @@ class LinearSolver:
         self.rank = len(pivots)
         # E rows: the row operations applied to I, so rref(A) = E A
         self._erows = [row[n:] for row in aug]
-        self._rrows = [row[:n] for row in aug]
-        pivot_set = {c for _, c in pivots}
-        self._free_cols = [c for c in range(n) if c not in pivot_set]
 
     def _project(self, b, row_idx: int):
         f = self.field
@@ -305,17 +302,6 @@ class LinearSolver:
         for (r, c) in self.pivots:
             x[c] = self._project(b, r)
         return tuple(x)
-
-    def kernel_basis(self) -> list[tuple]:
-        f = self.field
-        basis = []
-        for fc in self._free_cols:
-            vec = [f.zero] * self.ncols
-            vec[fc] = f.one
-            for (r, c) in self.pivots:
-                vec[c] = f.neg(self._rrows[r][fc])
-            basis.append(tuple(vec))
-        return basis
 
 
 def moore_matrix(field, elems, nrows: int | None = None) -> Matrix:

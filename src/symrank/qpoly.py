@@ -19,7 +19,7 @@ equivalently the unique Q with Tr(u a P(b)) = Tr(u Q(a) b) for all a, b.
 from __future__ import annotations
 
 from .gf import ExtField, ext_from_json, ext_to_json
-from .linalg import LinearSolver, Matrix
+from .linalg import Matrix
 
 NEG_INF = float("-inf")
 
@@ -261,18 +261,21 @@ def matrix_of(poly: QPoly, setup) -> Matrix:
 
 
 def matrix_to_qpoly(mat: Matrix, setup) -> QPoly:
-    """Inverse of matrix_of: the unique P with matrix_of(P, setup) = mat."""
+    """Inverse of matrix_of: the unique P with matrix_of(P, setup) = mat.
+
+    The trace-dual of the orthonormal basis b is u*b, so P(x) =
+    sum_j v_j Tr(u b_j x) with v_j the field element of column j, i.e.
+    p_l = sum_j v_j (u b_j)^(q^l).
+    """
     fld = setup.field
     n = fld.n
     if mat.nrows != n or mat.ncols != n:
         raise ValueError("matrix shape must be n x n")
-    solver = getattr(setup, "_moore_solver", None)
-    if solver is None:
-        rows = [[fld.frobenius(b, i) for i in range(n)] for b in setup.basis]
-        solver = LinearSolver(Matrix(fld, rows))
-        setup._moore_solver = solver
-    values = [setup.from_coords(mat.col(j)) for j in range(n)]
-    sol = solver.solve(values)
-    if sol is None:
-        raise ArithmeticError("orthonormal basis failed to interpolate (impossible)")
-    return QPoly(fld, sol)
+    coeffs = [fld.zero] * n
+    for j, b in enumerate(setup.basis):
+        v = setup.from_coords(mat.col(j))
+        if v:
+            w = fld.mul(setup.u, b)
+            for l in range(n):
+                coeffs[l] = fld.add(coeffs[l], fld.mul(v, fld.frobenius(w, l)))
+    return QPoly(fld, coeffs)

@@ -12,11 +12,17 @@ no radius argument at all.
 High rate (Gabidulin, n/2 < k < n): Phi|_C has a kernel, so a preimage C' of
 Phi(Y) is only determined up to C intersect Sym_u, a subspace contained in
 span{X^(q^(n-k)), ..., X^(q^k)}, which is the shifted code
-Gab_{2k-n+1} o X^(q^(n-k)).  The residual Y - C' = S + E is then decoded by
-``wb_decode`` at radius n-k, and candidates are filtered by self-adjointness
-of the implied error.  Below the boundary (rank <= n-k-1) the answer is
-provably unique; at rank exactly n-k two valid decompositions can coexist
-and the report says so.
+Gab_{2k-n+1} o X^(q^(n-k)).  One preimage has a closed form: with
+D = Phi(Y), Phi(C)_j = c_j - c_(n-j)^(q^j) u^(q^j - 1) and D* = -D, so
+c_j = D_j for 1 <= j < n-k and n/2 < j <= k, c_(n/2) = theta D_(n/2) with
+theta + theta^(q^(n/2)) = 1 when n is even, and every other c_j = 0.  No
+linear system is solved, and every word has a preimage.  The residual
+Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k, and
+candidates are filtered by self-adjointness of the implied error.  Below the
+boundary (rank <= n-k-1) the answer is provably unique; at rank exactly n-k
+two valid decompositions can coexist and the report says so.  When the
+localiser walk is cut at its cap the report is 'incomplete' with the
+survivors found so far, never 'ok' or 'ambiguous'.
 """
 
 from __future__ import annotations
@@ -129,7 +135,8 @@ class HighRateDecoder:
 
     Corrects every self-adjoint error of rank up to n-k-1 uniquely; at rank
     exactly n-k all valid decompositions are surfaced and the status is
-    'ambiguous' when there is more than one.
+    'ambiguous' when there is more than one, or 'incomplete' when the
+    localiser walk was cut before all of them could be found.
     """
 
     def __init__(self, setup: SymSetup, k: int):
@@ -146,34 +153,31 @@ class HighRateDecoder:
         self.code = GabCode(fld, k, 1)
         self.reduced = GabCode(fld, 2 * k - n + 1, n - k)
         self.radius = n - k
-        # Phi|_C over F_q: generators beta * X^(q^i), beta the polynomial basis
-        cols = []
-        for i in range(1, k + 1):
-            for l in range(n):
-                gen = QPoly.monomial(fld, i, fld.q**l)
-                cols.append(unfold(matrix_of(phi_qpoly(gen, setup.u), setup)))
-        system = Matrix(fld.base, [[col[r] for col in cols]
-                                   for r in range(n * n)])
-        self._solver = LinearSolver(system)
+        # theta + theta^(q^(n/2)) = 1 splits the self-paired middle degree
+        self._theta = None
+        if n % 2 == 0:
+            for a in fld.units():
+                den = fld.add(a, fld.frobenius(a, n // 2))
+                if den:
+                    self._theta = fld.div(a, den)
+                    break
 
-    def _preimage(self, received: QPoly) -> QPoly | None:
+    def _preimage(self, received: QPoly) -> QPoly:
+        """A codeword C' with Phi(C') = Phi(received) (module docstring)."""
         fld = self.setup.field
-        target = unfold(matrix_of(phi_qpoly(received, self.setup.u), self.setup))
-        sol = self._solver.solve(target)
-        if sol is None:
-            return None
-        n = self.n
+        n, k = self.n, self.k
+        d = phi_qpoly(received, self.setup.u).coeffs
         coeffs = [fld.zero] * n
-        for i in range(1, self.k + 1):
-            coeffs[i] = fld.from_coeffs(sol[(i - 1) * n:i * n])
+        for j in range(1, k + 1):
+            if j < n - k or 2 * j > n:
+                coeffs[j] = d[j]
+        if self._theta is not None:
+            coeffs[n // 2] = fld.mul(self._theta, d[n // 2])
         return QPoly(fld, coeffs)
 
     def decode(self, received: QPoly) -> DecodeReport:
         u = self.setup.u
         pre = self._preimage(received)
-        if pre is None:
-            return DecodeReport("fail", diagnostics={
-                "reason": "Phi(Y) has no preimage in the code"})
         residual = received - pre
         rep = wb_decode(self.reduced, residual, self.radius)
         survivors: list[QPoly] = []
@@ -189,6 +193,9 @@ class HighRateDecoder:
         diagnostics = dict(rep.diagnostics)
         diagnostics["wb_status"] = rep.status
         diagnostics["survivors"] = len(survivors)
+        if rep.status == "incomplete":
+            return DecodeReport("incomplete", candidates=survivors,
+                                diagnostics=diagnostics)
         if not survivors:
             return DecodeReport("fail", diagnostics=diagnostics)
         if len(survivors) == 1:

@@ -162,6 +162,26 @@ def test_wb_fail_status():
     assert rep.codeword is None
 
 
+def test_wb_truncated_walk_is_incomplete():
+    # t = 2 > (n-k)//2 on Gab_1 over F_16: the last stage walks 17 localisers
+    f = get_field(2, 1, 4)
+    code = GabCode(f, 1)
+    rng = RngStream(43)
+    for _ in range(10):
+        cw = rand_codeword(code, rng)
+        y = cw + random_error(f, 2, rng)
+        full = wb_decode(code, y, 2)
+        assert not full.diagnostics["truncated"]
+        assert full.status in ("ok", "ambiguous")
+        assert cw in full.candidates
+        cut = wb_decode(code, y, 2, max_candidates=4)
+        assert cut.status == "incomplete"
+        assert cut.diagnostics["truncated"]
+        assert cut.diagnostics["walked"] == 4
+        assert cut.codeword is None
+        assert all(c in full.candidates for c in cut.candidates)
+
+
 def test_wb_rejects_bad_radius():
     f = get_field(2, 1, 4)
     code = GabCode(f, 2)

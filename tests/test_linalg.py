@@ -91,10 +91,6 @@ def test_linear_solver_matches_matrix_solve(p, e, n):
         a = rand_matrix(f, nrows, ncols, rng)
         solver = LinearSolver(a)
         assert solver.rank == a.rank()
-        kernel = solver.kernel_basis()
-        assert len(kernel) == ncols - solver.rank
-        for v in kernel:
-            assert all(c == 0 for c in a.apply(v))
         for _ in range(4):
             b = tuple(rand_elt(f, rng) for _ in range(nrows))
             direct = a.solve(b)

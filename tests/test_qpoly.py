@@ -248,14 +248,17 @@ def test_matrix_of_is_ring_iso():
 
 
 def test_matrix_to_qpoly_roundtrip():
-    st = get_setup(2, 1, 4)
-    f = st.field
-    rng = RngStream(35)
-    for _ in range(200):
-        m = random_matrix(f.base, 4, 4, rng)
-        p = matrix_to_qpoly(m, st)
-        assert matrix_of(p, st) == m
-    assert matrix_to_qpoly(Matrix.identity(f.base, 4), st) == QPoly.x(f)
+    # q even, q and n odd (u = 1), q odd with n even (u a norm non-square)
+    for p, e, n in [(2, 1, 4), (2, 1, 6), (3, 1, 5), (3, 1, 4)]:
+        st = get_setup(p, e, n)
+        f = st.field
+        rng = RngStream(35)
+        for _ in range(100):
+            m = random_matrix(f.base, n, n, rng)
+            poly = matrix_to_qpoly(m, st)
+            assert matrix_of(poly, st) == m
+            assert matrix_to_qpoly(matrix_of(poly, st), st) == poly
+        assert matrix_to_qpoly(Matrix.identity(f.base, n), st) == QPoly.x(f)
 
 
 def test_qpoly_json_roundtrip():

@@ -140,22 +140,45 @@ def test_high_rate_validation():
 
 
 def test_high_rate_kernel_is_inner_shifted_code():
-    # ker(Phi|_C) = C intersect Sym_u lives in support n-k..k
-    for p, n, k in [(2, 6, 4), (3, 4, 3), (2, 8, 5)]:
+    # ker(Phi|_C) = C intersect Sym_u has dimension kn - n(n-1)/2 (Phi maps C
+    # onto all of Phi(M_n)) and lives in support n-k..k
+    for p, n, k in [(2, 6, 4), (3, 4, 3), (2, 8, 5), (3, 5, 3)]:
         st = get_setup(p, 1, n)
         f = st.field
-        dec = HighRateDecoder(st, k)
-        kernel = dec._solver.kernel_basis()
-        assert kernel  # k > n/2 forces a nonzero intersection
+        code = GabCode(f, k, 1)
+        gens = [QPoly.monomial(f, i, f.q**l)
+                for i in range(1, k + 1) for l in range(n)]
+        cols = [unfold(matrix_of(phi_qpoly(g, st.u), st)) for g in gens]
+        system = Matrix(f.base, [[col[r] for col in cols]
+                                 for r in range(n * n)])
+        kernel = system.kernel()
+        assert len(kernel) == k * n - n * (n - 1) // 2
         for vec in kernel:
-            coeffs = [f.zero] * n
-            for i in range(1, k + 1):
-                coeffs[i] = f.from_coeffs(vec[(i - 1) * n:i * n])
-            poly = QPoly(f, coeffs)
+            poly = QPoly.zero(f)
+            for c, g in zip(vec, gens):
+                if c:
+                    poly = poly + g.scale(c)
+            assert not poly.is_zero()
             assert poly.is_self_adjoint(st.u)
-            assert dec.code.contains(poly)
+            assert code.contains(poly)
             assert all(c == 0 for i, c in enumerate(poly.coeffs)
                        if not n - k <= i <= k)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (2, 6), (3, 3), (3, 4),
+                                 (3, 5), (5, 3), (5, 4)])
+def test_high_rate_preimage_of_any_word(p, n):
+    # every word, valid instance or not, has a codeword with the same Phi
+    st = get_setup(p, 1, n)
+    f = st.field
+    rng = RngStream(29)
+    for k in range(n // 2 + 1, n):
+        dec = HighRateDecoder(st, k)
+        for _ in range(25):
+            y = rand_qpoly(f, rng)
+            pre = dec._preimage(y)
+            assert dec.code.contains(pre)
+            assert phi_qpoly(pre, st.u) == phi_qpoly(y, st.u)
 
 
 def test_high_rate_noiseless_and_small_rank():
@@ -213,6 +236,24 @@ def test_high_rate_invalid_instance_fails():
             assert dec.code.contains(rep.codeword)
             assert (y - rep.codeword).is_self_adjoint(st.u)
     assert saw_fail
+
+
+def test_high_rate_truncated_walk_is_incomplete():
+    # at (2, 10, 7) the boundary walk always hits the 1024-localiser cap
+    st = get_setup(2, 1, 10)
+    dec = HighRateDecoder(st, 7)
+    rng = RngStream(41)
+    for _ in range(3):
+        cw = random_codeword(dec.code, rng)
+        err = random_selfadjoint_qpoly(dec.radius, st, rng)
+        received = cw + err
+        rep = dec.decode(received)
+        assert rep.status == "incomplete"
+        assert rep.diagnostics["truncated"]
+        assert rep.codeword is None
+        for cand in rep.candidates:
+            assert dec.code.contains(cand)
+            assert (received - cand).is_self_adjoint(st.u)
 
 
 def test_unfold_shape():
