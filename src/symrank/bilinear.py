@@ -174,8 +174,8 @@ class SymSetup:
         }
 
     @classmethod
-    def from_json(cls, doc: dict, use_tables: bool | None = None) -> "SymSetup":
-        field = field_from_json(doc["field"], use_tables)
+    def from_json(cls, doc: dict) -> "SymSetup":
+        field = field_from_json(doc["field"])
         u = ext_from_json(field, doc["u"])
         basis = [ext_from_json(field, b) for b in doc["basis"]]
         return cls(field, u, basis)

@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import statistics
 import sys
 import time
 
@@ -272,11 +271,17 @@ class _Bench:
 
 
 def _make_bench(cfg: dict, mode: str, k: int) -> _Bench:
-    if mode == "standard":
-        if cfg["setup_file"]:
-            return _Bench(mode, _load_setup(cfg).field, k)
-        return _Bench(mode, _make_field(cfg), k)
-    return _Bench(mode, _load_setup(cfg), k)
+    """Build the field or setup, check k against its n, and only then the
+    decoder, so that a bad k never reaches a decoder's constructor."""
+    try:
+        setup = None
+        if mode != "standard" or cfg["setup_file"]:
+            setup = _load_setup(cfg)
+        field = _make_field(cfg) if setup is None else setup.field
+        _validate_mode_k(mode, field.n, k)
+        return _Bench(mode, field if mode == "standard" else setup, k)
+    except (ValueError, OrthonormalBasisError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _validate_mode_k(mode: str, n: int, k: int):
@@ -293,12 +298,8 @@ def _validate_mode_k(mode: str, n: int, k: int):
 def cmd_roundtrip(cfg: dict) -> int:
     _require(cfg, "mode", "k")
     mode = cfg["mode"]
-    try:
-        bench = _make_bench(cfg, mode, cfg["k"])
-    except (ValueError, OrthonormalBasisError) as exc:
-        raise ConfigError(str(exc)) from None
+    bench = _make_bench(cfg, mode, cfg["k"])
     n = bench.field.n
-    _validate_mode_k(mode, n, cfg["k"])
     rank = cfg["rank"] if cfg["rank"] is not None else _default_rank(mode, n, cfg["k"])
     rng = RngStream(cfg["seed"])
     result = bench.run(rank, rng)
@@ -326,13 +327,9 @@ def cmd_roundtrip(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     _require(cfg, "mode", "k")
     mode = cfg["mode"]
-    try:
-        bench = _make_bench(cfg, mode, cfg["k"])
-    except (ValueError, OrthonormalBasisError) as exc:
-        raise ConfigError(str(exc)) from None
-    n = bench.field.n
     k = cfg["k"]
-    _validate_mode_k(mode, n, k)
+    bench = _make_bench(cfg, mode, k)
+    n = bench.field.n
     ranks = [cfg["rank"]] if cfg["rank"] is not None else _rank_sweep(mode, n, k)
     trials = cfg["trials"]
     master = RngStream(cfg["seed"])
@@ -340,21 +337,21 @@ def cmd_simulate(cfg: dict) -> int:
     rows = []
     for rank in sorted(ranks):
         counts = {"success": 0, "ambiguous": 0, "failure": 0}
-        micros: list[int] = []
+        nanos: list[int] = []
         for trial in range(trials):
             stream = master.fork(rank * trials + trial)
             result = bench.run(rank, stream)
             counts[result["outcome"]] += 1
-            micros.append(result["nanos"] // 1000)
+            nanos.append(result["nanos"])
             if cfg["instance_log"]:
                 line = {"trial": trial, "seed": stream.seed,
                         "code": {"q": bench.field.q, "n": n, "k": k,
                                  "mode": mode, "rank": rank}}
                 line.update(result["instance"])
                 log_lines.append(json.dumps(line, sort_keys=True))
-        med = 0 if cfg["no_timing"] or not micros else int(statistics.median(micros))
+        mean = 0 if cfg["no_timing"] or not nanos else sum(nanos) // (1000 * len(nanos))
         rows.append([bench.field.q, n, k, mode, rank, trials, counts["success"],
-                     counts["ambiguous"], counts["failure"], med])
+                     counts["ambiguous"], counts["failure"], mean])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["q", "n", "k", "mode", "rank", "trials", "successes",

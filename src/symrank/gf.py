@@ -1,15 +1,18 @@
 """Exact arithmetic for the field tower F_p <= F_q <= F_{q^n}.
 
-``BaseField`` realises F_q = F_p[y]/(g) for a monic irreducible g of degree
-e, and ``ExtField`` realises F_{q^n} = F_q[x]/(f) for a monic irreducible f
-of degree n over F_q.
+Both levels are one construction, a field K[x]/(m) on packed integers,
+applied twice: ``BaseField`` realises F_q = F_p[y]/(g) for a monic
+irreducible g of degree e, and ``ExtField`` realises F_{q^n} = F_q[x]/(f)
+for a monic irreducible f of degree n over F_q.
 
 Elements are packed integers.  The F_q element with coefficient vector
 (c_0, ..., c_{e-1}) over F_p (little endian) is sum(c_i * p**i); the F_{q^n}
 element with coefficients (a_0, ..., a_{n-1}) over F_q is sum(a_i * q**i)
 where each a_i is itself a packed F_q value.  Constants of F_q therefore
 embed into F_{q^n} unchanged, 0 and 1 are the identities at every level, and
-element equality is plain integer equality.
+element equality is plain integer equality.  At either level the base-p
+digits of a packed element are its coordinates over F_p, so addition is one
+digit-wise mod-p loop (xor for p = 2).
 
 Multiplication, inversion, powers and the Frobenius x -> x^q run on
 discrete-log tables over a fixed generator whenever the field order fits in
@@ -67,235 +70,41 @@ def _pack(digits, radix: int) -> int:
     return out
 
 
-# ---------------------------------------------------------------------------
-# polynomials over F_p (little-endian coefficient lists), used to build F_q
-
-def _fp_trim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _fp_divmod(u, v, p):
-    u = list(u)
-    dv = len(v) - 1
-    inv_lead = pow(v[-1], -1, p)
-    quo = [0] * max(len(u) - dv, 0)
-    for i in range(len(u) - 1, dv - 1, -1):
-        c = (u[i] * inv_lead) % p
-        if c:
-            quo[i - dv] = c
-            for j, vj in enumerate(v):
-                u[i - dv + j] = (u[i - dv + j] - c * vj) % p
-    return quo, _fp_trim(u)
+def _pow(mul, a: int, m: int) -> int:
+    """a^m for m >= 0 by square and multiply with the product ``mul``."""
+    out = 1
+    while m:
+        if m & 1:
+            out = mul(out, a)
+        a = mul(a, a)
+        m >>= 1
+    return out
 
 
-def _fp_is_irreducible(poly: list[int], p: int) -> bool:
-    poly = _fp_trim(list(poly))
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    # trial division is exhaustive and cheap at the sizes F_q needs
-    for d in range(1, deg // 2 + 1):
-        for packed in range(p**d):
-            cand = _digits(packed, p, d) + [1]
-            if not _fp_divmod(poly, cand, p)[1]:
-                return False
-    return True
-
-
-def _find_irreducible_fp(p: int, e: int) -> tuple[int, ...]:
-    for packed in range(p**e):
-        cand = _digits(packed, p, e) + [1]
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
-    raise ArithmeticError("no irreducible polynomial found (impossible)")
-
-
-class BaseField:
-    """F_q = F_p[y]/(g) acting on packed integer elements in [0, q).
-
-    ``modulus`` is the little-endian coefficient tuple of g (length e + 1,
-    monic).  Omitting it picks the first monic irreducible of degree e in
-    ascending packed-coefficient order.
-    """
-
-    def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree e must be >= 1")
-        if modulus is None:
-            modulus = _find_irreducible_fp(p, e)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus g must be monic of degree e")
-            if not _fp_is_irreducible(list(modulus), p):
-                raise ValueError("modulus g is reducible over F_p")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        self.modulus = modulus
-        self.zero = 0
-        self.one = 1
-        self._exp, self._log = self._build_tables()
-        self._sqrt_table: dict[int, int] | None = None
-
-    def __repr__(self):
-        return f"BaseField(p={self.p}, e={self.e})"
-
-    # -- raw polynomial arithmetic (table bootstrap only) -------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        da = _digits(a, p, e)
-        db = _digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        mod = self.modulus
-        for i in range(2 * e - 2, e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(e):
-                    prod[i - e + j] = (prod[i - e + j] - c * mod[j]) % p
-        return _pack(prod[:e], p)
-
-    def _pow_raw(self, a: int, m: int) -> int:
-        out = 1
-        while m:
-            if m & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            m >>= 1
-        return out
-
-    def _build_tables(self):
-        q = self.q
-        units = q - 1
-        factors = _prime_factors(units)
-        gen = None
-        for c in range(1, q):
-            if all(self._pow_raw(c, units // r) != 1 for r in factors):
-                gen = c
-                break
-        exp = [0] * (2 * units)
-        cur = 1
-        for i in range(units):
-            exp[i] = cur
-            cur = self._mul_raw(cur, gen)
-        if cur != 1:
-            raise ArithmeticError("generator order mismatch")
-        for i in range(units, 2 * units):
-            exp[i] = exp[i - units]
-        log = [-1] * q
-        for i in range(units):
-            log[exp[i]] = i
-        return exp, log
-
-    # -- field operations ----------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        place = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * place
-            place *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        place = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * place
-            place *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, m: int) -> int:
-        if a == 0:
-            if m == 0:
-                return 1
-            if m < 0:
-                raise ZeroDivisionError("negative power of zero in F_q")
-            return 0
-        return self._exp[(self._log[a] * m) % (self.q - 1)]
-
-    def is_square(self, a: int) -> bool:
-        """Quadratic residue test; trivially true in characteristic 2."""
-        if self.p == 2 or a == 0:
-            return True
-        return self.pow(a, (self.q - 1) // 2) == 1
-
-    def sqrt(self, a: int) -> int:
-        """A square root of a, via an exhaustive table (q is desk-sized)."""
-        if self._sqrt_table is None:
-            table: dict[int, int] = {}
-            for b in range(self.q):
-                table.setdefault(self.mul(b, b), b)
-            self._sqrt_table = table
-        try:
-            return self._sqrt_table[a]
-        except KeyError:
-            raise ValueError(f"{a} is not a square in F_{self.q}") from None
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(_digits(a, self.p, self.e))
-
-    def from_coeffs(self, cs) -> int:
-        cs = list(cs)
-        if len(cs) != self.e or any(not (0 <= c < self.p) for c in cs):
-            raise ValueError("bad coefficient vector for F_q element")
-        return _pack(cs, self.p)
+def _exp_log_tables(order: int, mul) -> tuple[list[int], list[int]]:
+    """Exp/log tables of the field of ``order`` elements with product
+    ``mul``, over its first generator in packed order.  ``exp`` has length
+    2(order - 1) so a sum of two logs needs no reduction."""
+    units = order - 1
+    factors = _prime_factors(units)
+    gen = next(c for c in range(1, order)
+               if all(_pow(mul, c, units // r) != 1 for r in factors))
+    exp = [0] * (2 * units)
+    cur = 1
+    for i in range(units):
+        exp[i] = cur
+        cur = mul(cur, gen)
+    if cur != 1:
+        raise ArithmeticError("generator order mismatch")
+    exp[units:] = exp[:units]
+    log = [-1] * order
+    for i in range(units):
+        log[exp[i]] = i
+    return exp, log
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_q (little-endian lists of packed F_q values)
+# polynomials over a field K (little-endian lists of packed K values)
 
 def _fq_trim(u: list[int]) -> list[int]:
     while u and u[-1] == 0:
@@ -303,7 +112,7 @@ def _fq_trim(u: list[int]) -> list[int]:
     return u
 
 
-def _fq_sub(base: BaseField, u, v):
+def _fq_sub(base, u, v):
     out = [0] * max(len(u), len(v))
     for i, x in enumerate(u):
         out[i] = x
@@ -312,7 +121,7 @@ def _fq_sub(base: BaseField, u, v):
     return _fq_trim(out)
 
 
-def _fq_mul(base: BaseField, u, v):
+def _fq_mul(base, u, v):
     if not u or not v:
         return []
     out = [0] * (len(u) + len(v) - 1)
@@ -324,7 +133,7 @@ def _fq_mul(base: BaseField, u, v):
     return _fq_trim(out)
 
 
-def _fq_divmod(base: BaseField, u, v):
+def _fq_divmod(base, u, v):
     u = list(u)
     v = _fq_trim(list(v))
     if not v:
@@ -341,11 +150,11 @@ def _fq_divmod(base: BaseField, u, v):
     return _fq_trim(quo), _fq_trim(u)
 
 
-def _fq_mulmod(base: BaseField, u, v, m):
+def _fq_mulmod(base, u, v, m):
     return _fq_divmod(base, _fq_mul(base, u, v), m)[1]
 
 
-def _fq_powmod(base: BaseField, u, exp: int, m):
+def _fq_powmod(base, u, exp: int, m):
     out = [1]
     u = _fq_divmod(base, list(u), m)[1]
     while exp:
@@ -356,7 +165,7 @@ def _fq_powmod(base: BaseField, u, exp: int, m):
     return out
 
 
-def _fq_gcd(base: BaseField, u, v):
+def _fq_gcd(base, u, v):
     u = _fq_trim(list(u))
     v = _fq_trim(list(v))
     while v:
@@ -364,7 +173,7 @@ def _fq_gcd(base: BaseField, u, v):
     return u
 
 
-def _fq_invmod(base: BaseField, u, m):
+def _fq_invmod(base, u, m):
     # extended Euclid: s*u + t*m = gcd; returns s normalised so s*u = 1 mod m
     r0, r1 = _fq_trim(list(m)), _fq_divmod(base, list(u), m)[1]
     s0, s1 = [], [1]
@@ -378,8 +187,8 @@ def _fq_invmod(base: BaseField, u, m):
     return _fq_trim([base.mul(c, x) for x in s0])
 
 
-def _fq_is_irreducible(base: BaseField, poly) -> bool:
-    """Rabin's test: f of degree n over F_q is irreducible iff
+def _fq_is_irreducible(base, poly) -> bool:
+    """Rabin's test: f of degree n over K = F_q is irreducible iff
     x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for every prime r | n."""
     poly = _fq_trim(list(poly))
     n = len(poly) - 1
@@ -391,7 +200,7 @@ def _fq_is_irreducible(base: BaseField, poly) -> bool:
     frob = [list(x)]
     h = list(x)
     for _ in range(n):
-        h = _fq_powmod(base, h, base.q, poly)
+        h = _fq_powmod(base, h, base.order, poly)
         frob.append(list(h))
     if _fq_sub(base, frob[n], x):
         return False
@@ -402,15 +211,192 @@ def _fq_is_irreducible(base: BaseField, poly) -> bool:
     return True
 
 
-def _find_irreducible_fq(base: BaseField, n: int) -> tuple[int, ...]:
-    for packed in range(base.q**n):
-        cand = _digits(packed, base.q, n) + [1]
+def _find_irreducible_fq(base, n: int) -> tuple[int, ...]:
+    for packed in range(base.order**n):
+        cand = _digits(packed, base.order, n) + [1]
         if _fq_is_irreducible(base, cand):
             return tuple(cand)
     raise ArithmeticError("no irreducible polynomial found (impossible)")
 
 
-class ExtField:
+# ---------------------------------------------------------------------------
+# the field construction K[x]/(m), shared by F_q and F_{q^n}
+
+class _Field:
+    """K[x]/(modulus) acting on packed integer elements in [0, order).
+
+    ``coef`` is the coefficient field K, or ``None`` for F_p itself, whose
+    elements are residues and need no polynomial.  An element with
+    coefficients (c_0, ..., c_{d-1}) over K is sum(c_i * |K|**i).
+    """
+
+    def __init__(self, p: int, coef, modulus, use_tables: bool = True):
+        self.p = p
+        self._char2 = p == 2     # addition is xor
+        self.modulus = tuple(modulus)
+        self._coef = coef
+        self._degree = len(self.modulus) - 1
+        self._radix = p if coef is None else coef.order
+        self.order = self._radix**self._degree
+        self.zero = 0
+        self.one = 1
+        self._exp = self._log = None
+        if use_tables:
+            self._exp, self._log = _exp_log_tables(self.order, self._mul_raw)
+
+    # -- raw polynomial arithmetic -------------------------------------------
+
+    def _mul_raw(self, a: int, b: int) -> int:
+        if self._coef is None:
+            return (a * b) % self.p
+        r, d = self._radix, self._degree
+        prod = _fq_mul(self._coef, _digits(a, r, d), _digits(b, r, d))
+        return _pack(_fq_divmod(self._coef, prod, self.modulus)[1], r)
+
+    def _inv_raw(self, a: int) -> int:
+        # only fields without tables get here, and those have a coefficient field
+        s = _fq_invmod(self._coef, _digits(a, self._radix, self._degree), self.modulus)
+        return _pack(s, self._radix)
+
+    # -- field operations ------------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        if self._char2:
+            return a ^ b
+        p = self.p
+        if self.order == p:
+            return (a + b) % p
+        out = 0
+        place = 1
+        while a or b:
+            a, ra = divmod(a, p)
+            b, rb = divmod(b, p)
+            out += ((ra + rb) % p) * place
+            place *= p
+        return out
+
+    def neg(self, a: int) -> int:
+        if self._char2:
+            return a
+        p = self.p
+        if self.order == p:
+            return (-a) % p
+        out = 0
+        place = 1
+        while a:
+            a, ra = divmod(a, p)
+            out += ((-ra) % p) * place
+            place *= p
+        return out
+
+    def sub(self, a: int, b: int) -> int:
+        if self._char2:
+            return a ^ b
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        return self._mul_raw(a, b)
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError(f"inverse of zero in {self!r}")
+        if self._exp is not None:
+            return self._exp[self.order - 1 - self._log[a]]
+        return self._inv_raw(a)
+
+    def div(self, a: int, b: int) -> int:
+        return self.mul(a, self.inv(b))
+
+    def pow(self, a: int, m: int) -> int:
+        if a == 0:
+            if m == 0:
+                return 1
+            if m < 0:
+                raise ZeroDivisionError(f"negative power of zero in {self!r}")
+            return 0
+        if self._exp is not None:
+            return self._exp[(self._log[a] * m) % (self.order - 1)]
+        # a^(order - 1) = 1, so any m, negative too, reduces mod order - 1
+        return _pow(self._mul_raw, a, m % (self.order - 1))
+
+    def is_square(self, a: int) -> bool:
+        """Quadratic residue test; trivially true in characteristic 2."""
+        if self.p == 2 or a == 0:
+            return True
+        return self.pow(a, (self.order - 1) // 2) == 1
+
+    def elements(self):
+        return range(self.order)
+
+    def units(self):
+        return range(1, self.order)
+
+    def coeffs(self, a: int) -> tuple[int, ...]:
+        return tuple(_digits(a, self._radix, self._degree))
+
+    def from_coeffs(self, cs) -> int:
+        cs = list(cs)
+        if len(cs) != self._degree or any(not (0 <= c < self._radix) for c in cs):
+            raise ValueError(f"bad coefficient vector for {self!r} element")
+        return _pack(cs, self._radix)
+
+
+class BaseField(_Field):
+    """F_q = F_p[y]/(g) acting on packed integer elements in [0, q).
+
+    ``modulus`` is the little-endian coefficient tuple of g (length e + 1,
+    monic).  Omitting it picks the first monic irreducible of degree e in
+    ascending packed-coefficient order.
+    """
+
+    def __init__(self, p: int, e: int = 1, modulus=None):
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if e < 1:
+            raise ValueError("extension degree e must be >= 1")
+        prime = BaseField(p) if e > 1 else None
+        if modulus is None:
+            # y is the first monic polynomial of degree 1
+            modulus = (0, 1) if prime is None else _find_irreducible_fq(prime, e)
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError("modulus g must be monic of degree e")
+            if prime is not None and not _fq_is_irreducible(prime, modulus):
+                raise ValueError("modulus g is reducible over F_p")
+        super().__init__(p, prime, modulus)
+        self.e = e
+        self.q = self.order
+        self._sqrt_table: dict[int, int] | None = None
+
+    def __repr__(self):
+        return f"BaseField(p={self.p}, e={self.e})"
+
+    def mul(self, a: int, b: int) -> int:
+        # F_q is always tabulated; its mul is the hot loop of the F_q linear
+        # algebra, so it skips the shared body's check for a raw fallback
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def sqrt(self, a: int) -> int:
+        """A square root of a, via an exhaustive table (q is desk-sized)."""
+        if self._sqrt_table is None:
+            table: dict[int, int] = {}
+            for b in range(self.q):
+                table.setdefault(self.mul(b, b), b)
+            self._sqrt_table = table
+        try:
+            return self._sqrt_table[a]
+        except KeyError:
+            raise ValueError(f"{a} is not a square in F_{self.q}") from None
+
+
+class ExtField(_Field):
     """F_{q^n} = F_q[x]/(f) acting on packed integer elements in [0, q^n)."""
 
     TABLE_LIMIT = 1 << 16
@@ -427,138 +413,18 @@ class ExtField:
                 raise ValueError("modulus f must be monic of degree n")
             if any(not (0 <= c < base.q) for c in modulus):
                 raise ValueError("modulus f has out-of-range coefficients")
-            if not _fq_is_irreducible(base, list(modulus)):
+            if not _fq_is_irreducible(base, modulus):
                 raise ValueError("modulus f is reducible over F_q")
+        if use_tables is None:
+            use_tables = base.q**n <= self.TABLE_LIMIT
+        super().__init__(base.p, base, modulus, use_tables)
         self.base = base
         self.n = n
         self.q = base.q
-        self.order = base.q**n
-        self.modulus = tuple(modulus)
-        self.zero = 0
-        self.one = 1
-        self._xor_add = base.p == 2
-        if use_tables is None:
-            use_tables = self.order <= self.TABLE_LIMIT
-        self._exp = None
-        self._logt = None
-        self._frob_exp = None
-        if use_tables:
-            self._build_tables()
+        self._frob_exp = [pow(self.q, i, self.order - 1) for i in range(n)]
 
     def __repr__(self):
         return f"ExtField(q={self.q}, n={self.n})"
-
-    # -- raw polynomial arithmetic -------------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        q, n = self.q, self.n
-        da = _digits(a, q, n)
-        db = _digits(b, q, n)
-        prod = _fq_mul(self.base, da, db)
-        rem = _fq_divmod(self.base, prod, list(self.modulus))[1]
-        return _pack(rem + [0] * (n - len(rem)), q)
-
-    def _pow_raw(self, a: int, m: int) -> int:
-        out = 1
-        while m:
-            if m & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            m >>= 1
-        return out
-
-    def _inv_raw(self, a: int) -> int:
-        da = _digits(a, self.q, self.n)
-        s = _fq_invmod(self.base, da, list(self.modulus))
-        return _pack(s + [0] * (self.n - len(s)), self.q)
-
-    def _build_tables(self):
-        units = self.order - 1
-        factors = _prime_factors(units)
-        gen = None
-        for c in range(1, self.order):
-            if all(self._pow_raw(c, units // r) != 1 for r in factors):
-                gen = c
-                break
-        exp = [0] * (2 * units)
-        cur = 1
-        for i in range(units):
-            exp[i] = cur
-            cur = self._mul_raw(cur, gen)
-        if cur != 1:
-            raise ArithmeticError("generator order mismatch")
-        for i in range(units, 2 * units):
-            exp[i] = exp[i - units]
-        log = [-1] * self.order
-        for i in range(units):
-            log[exp[i]] = i
-        self._exp = exp
-        self._logt = log
-        self._frob_exp = [pow(self.q, i, units) for i in range(self.n)]
-
-    # -- field operations ------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self._xor_add:
-            return a ^ b
-        q = self.q
-        badd = self.base.add
-        out = 0
-        place = 1
-        while a or b:
-            a, ra = divmod(a, q)
-            b, rb = divmod(b, q)
-            out += badd(ra, rb) * place
-            place *= q
-        return out
-
-    def neg(self, a: int) -> int:
-        if self._xor_add:
-            return a
-        q = self.q
-        bneg = self.base.neg
-        out = 0
-        place = 1
-        while a:
-            a, ra = divmod(a, q)
-            out += bneg(ra) * place
-            place *= q
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        if self._xor_add:
-            return a ^ b
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._logt[a] + self._logt[b]]
-        return self._mul_raw(a, b)
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in F_{q^n}")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._logt[a]]
-        return self._inv_raw(a)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, m: int) -> int:
-        if a == 0:
-            if m == 0:
-                return 1
-            if m < 0:
-                raise ZeroDivisionError("negative power of zero")
-            return 0
-        if self._exp is not None:
-            return self._exp[(self._logt[a] * m) % (self.order - 1)]
-        if m < 0:
-            return self._pow_raw(self._inv_raw(a), -m)
-        return self._pow_raw(a, m % (self.order - 1) if self.order > 2 else m)
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i); i is reduced mod n since Frobenius has order n."""
@@ -566,8 +432,8 @@ class ExtField:
         if i == 0 or a == 0:
             return a
         if self._exp is not None:
-            return self._exp[(self._logt[a] * self._frob_exp[i]) % (self.order - 1)]
-        return self._pow_raw(a, pow(self.q, i, self.order - 1))
+            return self._exp[(self._log[a] * self._frob_exp[i]) % (self.order - 1)]
+        return _pow(self._mul_raw, a, self._frob_exp[i])
 
     def trace(self, a: int) -> int:
         """Tr(a) = a + a^q + ... + a^(q^(n-1)), a packed F_q value."""
@@ -589,32 +455,10 @@ class ExtField:
             raise ArithmeticError("norm landed outside the base field")
         return m
 
-    def is_square(self, a: int) -> bool:
-        if self.base.p == 2 or a == 0:
-            return True
-        return self.pow(a, (self.order - 1) // 2) == 1
 
-    def elements(self):
-        return range(self.order)
-
-    def units(self):
-        return range(1, self.order)
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        return tuple(_digits(a, self.q, self.n))
-
-    def from_coeffs(self, cs) -> int:
-        cs = list(cs)
-        if len(cs) != self.n or any(not (0 <= c < self.q) for c in cs):
-            raise ValueError("bad coefficient vector for F_{q^n} element")
-        return _pack(cs, self.q)
-
-
-def make_field(p: int, e: int, n: int, g=None, f=None,
-               use_tables: bool | None = None) -> ExtField:
+def make_field(p: int, e: int, n: int, g=None, f=None) -> ExtField:
     """Build the tower F_p <= F_{p^e} <= F_{p^(e*n)} with optional moduli."""
-    base = BaseField(p, e, g)
-    return ExtField(base, n, f, use_tables)
+    return ExtField(BaseField(p, e, g), n, f)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +476,10 @@ def field_to_json(field: ExtField) -> dict:
     }
 
 
-def field_from_json(doc: dict, use_tables: bool | None = None) -> ExtField:
+def field_from_json(doc: dict) -> ExtField:
     base = BaseField(int(doc["p"]), int(doc["e"]), tuple(doc["g"]))
     f = tuple(base.from_coeffs(c) for c in doc["f"])
-    return ExtField(base, int(doc["n"]), f, use_tables)
+    return ExtField(base, int(doc["n"]), f)
 
 
 def ext_to_json(field: ExtField, a: int) -> list[list[int]]:

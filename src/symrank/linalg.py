@@ -304,15 +304,6 @@ class LinearSolver:
         return tuple(x)
 
 
-def moore_matrix(field, elems, nrows: int | None = None) -> Matrix:
-    """Moore matrix: entry (i, j) is elems[j]^(q^i)."""
-    elems = list(elems)
-    if nrows is None:
-        nrows = len(elems)
-    frob = field.frobenius
-    return Matrix(field, [[frob(a, i) for a in elems] for i in range(nrows)])
-
-
 def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, Matrix]:
     """Change of basis T with T^t G T = D diagonal, G symmetric.
 
@@ -331,7 +322,7 @@ def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, Matrix]:
     a = [list(row) for row in gram.data]
     t = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
     add, mul, inv, neg, zero = f.add, f.mul, f.inv, f.neg, f.zero
-    char2 = getattr(f, "base", f).p == 2
+    char2 = f.p == 2
 
     def col_addmul(dst: int, src: int, c):
         # x_dst <- x_dst + c * x_src; updates A congruently and T

@@ -203,35 +203,6 @@ def interpolate(field: ExtField, basis, values) -> QPoly:
     return QPoly(field, sol[0])
 
 
-def annihilator(field: ExtField, vectors) -> QPoly:
-    """Monic q-polynomial of q-degree dim(span V) vanishing exactly on span V.
-
-    Built iteratively: L <- (X^q - L(v)^(q-1) X) o L for each v not yet
-    killed.  Dependent or repeated vectors are skipped, so V need not be
-    independent.  The span must be a proper subspace (the full space would
-    need X^(q^n) - X, which is 0 in canonical form).
-    """
-    fld = field
-    coeffs = [fld.one]
-    for v in vectors:
-        w = fld.zero
-        for i, c in enumerate(coeffs):
-            if c:
-                w = fld.add(w, fld.mul(c, fld.frobenius(v, i)))
-        if w == 0:
-            continue
-        if len(coeffs) >= fld.n:
-            raise ValueError("span is the whole field; no nonzero annihilator")
-        factor = fld.pow(w, fld.q - 1)
-        new = [fld.zero] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            if c:
-                new[i + 1] = fld.add(new[i + 1], fld.frobenius(c, 1))
-                new[i] = fld.sub(new[i], fld.mul(factor, c))
-        coeffs = new
-    return QPoly(fld, coeffs)
-
-
 def endo_matrix(poly: QPoly) -> Matrix:
     """Matrix of x -> P(x) over F_q in the polynomial basis 1, x, ..., x^(n-1)."""
     fld = poly.field
@@ -243,12 +214,6 @@ def endo_matrix(poly: QPoly) -> Matrix:
 def qpoly_rank(poly: QPoly) -> int:
     """Rank of the induced endomorphism of F_{q^n}."""
     return endo_matrix(poly).rank()
-
-
-def qpoly_kernel(poly: QPoly) -> list[int]:
-    """Basis of ker(P) as field elements; dim <= deg_q P for nonzero P."""
-    fld = poly.field
-    return [fld.from_coeffs(v) for v in endo_matrix(poly).kernel()]
 
 
 def matrix_of(poly: QPoly, setup) -> Matrix:

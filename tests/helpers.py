@@ -17,8 +17,7 @@ def get_setup(p: int, e: int, n: int) -> SymSetup:
 
 
 def field_size(field) -> int:
-    # ExtField exposes .order; BaseField's size is .q
-    return field.order if hasattr(field, "order") else field.q
+    return field.order
 
 
 def rand_elt(field, rng: RngStream) -> int:

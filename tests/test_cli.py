@@ -1,9 +1,13 @@
 """CLI tests, run in process through symrank.cli.main."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
+
+import pytest
 
 from symrank import SymSetup
 from symrank.cli import main
@@ -124,7 +128,19 @@ def test_simulate_single_rank_with_timing(tmp_path):
     rows = read_csv(out)
     assert len(rows) == 2
     assert rows[1][4] == "3"
-    assert int(rows[1][9]) > 0  # median decode time in microseconds
+    assert int(rows[1][9]) > 0  # mean decode time in microseconds
+
+
+def test_simulate_timing_column_is_mean(tmp_path, monkeypatch):
+    # decodes of 1, 1 and 7 us: the mean is 3, the median would be 1
+    ticks = iter([0, 1000, 10_000, 11_000, 20_000, 27_000])
+    monkeypatch.setattr("symrank.cli.time",
+                        SimpleNamespace(perf_counter_ns=lambda: next(ticks)))
+    out = tmp_path / "m.csv"
+    assert main(["simulate", "--p", "2", "--n", "6", "--k", "2",
+                 "--mode", "standard", "--rank", "1", "--trials", "3",
+                 "--out", str(out)]) == 0
+    assert read_csv(out)[1][9] == "3"
 
 
 def test_simulate_instance_log(tmp_path):
@@ -143,6 +159,37 @@ def test_simulate_instance_log(tmp_path):
         assert line["code"] == {"q": 3, "n": 4, "k": 3, "mode": "sym-high",
                                 "rank": 0}
         assert {"seed", "codeword", "error", "received"} <= set(line)
+
+
+# SHA-256 of the `simulate --no-timing` CSV and instance log at --trials 5,
+# seed 1.  Refactors must leave the decoders' outputs byte-identical; a
+# deliberate change of behaviour re-pins these with the reason on record.
+PINNED_SIMULATE = {
+    ("standard", 2, 6, 2): (
+        "2e0380c0ce16f56935edc6d4aa32a7e1f48c73b358f0c304d177a2fa35b01b99",
+        "08439fdf5c96365949d5b109e599e5be4182e1659545a11405873363e7147b9a"),
+    ("sym-low", 2, 6, 2): (
+        "35c48d7b57f281c8164225b49e5943548e38f77d42e15bdfd484b87c86ad5f10",
+        "dca8306c1de5abb0074cc904dbba82cce45d49721851f0b8ffdc6830a112a4b4"),
+    ("sym-high", 2, 6, 4): (
+        "f88266d7415c4fdb263bd325bc448bd336a23b59331d170c44be7c3099fb56b2",
+        "3bdacfb35c157317b3a2512aae342099a0cfa8f836507a9048fc5c86bc0775eb"),
+    ("sym-high", 3, 5, 3): (
+        "f9a17cf32ed9ca6016209b5dad67d37af9b27568f864b897787386381f3b37eb",
+        "1ffb79ad5bdeab111cb74ed84e4bd1fc558dd8f45c1016ad1358f23ac004b30f"),
+}
+
+
+@pytest.mark.parametrize("mode,p,n,k", sorted(PINNED_SIMULATE))
+def test_simulate_outputs_pinned(tmp_path, mode, p, n, k):
+    out = tmp_path / "s.csv"
+    log = tmp_path / "s.jsonl"
+    assert main(["simulate", "--mode", mode, "--p", str(p), "--n", str(n),
+                 "--k", str(k), "--trials", "5", "--no-timing",
+                 "--out", str(out), "--instance-log", str(log)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (out, log))
+    assert digests == PINNED_SIMULATE[(mode, p, n, k)]
 
 
 def test_setup_file_reuse(tmp_path):
@@ -178,6 +225,11 @@ def test_config_errors_exit_3(tmp_path, capsys):
                  "--mode", "sym-low"]) == 3
     assert main(["roundtrip", "--p", "2", "--n", "6", "--k", "2",
                  "--mode", "sym-high"]) == 3
+    capsys.readouterr()
+    # k is checked before a decoder exists, so the CLI's own message shows
+    assert main(["roundtrip", "--p", "2", "--n", "8", "--k", "3",
+                 "--mode", "sym-high"]) == 3
+    assert "sym-high needs k > n/2" in capsys.readouterr().err
     assert main(["roundtrip", "--p", "2", "--n", "6", "--k", "9",
                  "--mode", "standard"]) == 3
     assert main(["setup", "--p", "2", "--n", "4", "--f", "{bad"]) == 3

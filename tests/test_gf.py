@@ -25,6 +25,15 @@ def test_modulus_autogeneration_frozen():
     assert ExtField(BaseField(3), 2).modulus == (1, 0, 1)
     # Quadratic extension of F_4: x^2 + x + w with w = packed 2.
     assert ExtField(BaseField(2, 2), 2).modulus == (2, 1, 1)
+    assert BaseField(2, 3).modulus == (1, 1, 0, 1)
+    assert BaseField(2, 4).modulus == (1, 1, 0, 0, 1)
+    assert BaseField(3, 3).modulus == (1, 2, 0, 1)
+    assert BaseField(5, 3).modulus == (1, 1, 0, 1)
+    assert BaseField(7, 2).modulus == (1, 0, 1)
+    # over F_9 = F_3[y]/(y^2 + 1): x^2 + (y + 1) and x^3 + x + y
+    f9 = BaseField(3, 2)
+    assert ExtField(f9, 2).modulus == (4, 0, 1)
+    assert ExtField(f9, 3).modulus == (3, 1, 0, 1)
 
 
 def test_f4_oracles():
@@ -47,7 +56,7 @@ def test_f9_norm_is_fourth_power():
     assert f.norm(4) == 2
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
 def test_field_axioms_exhaustive(p, e, n):
     f = get_field(p, e, n)
     elems = list(f.elements())
@@ -88,10 +97,11 @@ def test_field_axioms_sampled(p, e, n):
             assert f.div(b, a) == f.mul(b, f.inv(a))
 
 
-def test_tables_vs_raw_agree():
-    base = BaseField(3)
-    tabled = ExtField(base, 4, use_tables=True)
-    raw = ExtField(base, 4, use_tables=False)
+@pytest.mark.parametrize("p,e,n", [(3, 1, 4), (3, 2, 2), (2, 2, 3)])
+def test_tables_vs_raw_agree(p, e, n):
+    base = BaseField(p, e)
+    tabled = ExtField(base, n, use_tables=True)
+    raw = ExtField(base, n, use_tables=False)
     assert tabled.modulus == raw.modulus
     rng = RngStream(11)
     for _ in range(300):
@@ -102,7 +112,7 @@ def test_tables_vs_raw_agree():
             assert tabled.inv(a) == raw.inv(a)
         k = rng.randbelow(200)
         assert tabled.pow(a, k) == raw.pow(a, k)
-        for i in range(4):
+        for i in range(n):
             assert tabled.frobenius(a, i) == raw.frobenius(a, i)
         assert tabled.trace(a) == raw.trace(a)
         assert tabled.norm(a) == raw.norm(a)

@@ -1,9 +1,9 @@
-"""Matrix/solver tests over packed-int fields, plus Moore matrices and
-symmetric congruence diagonalization (including the characteristic-2 cases)."""
+"""Matrix/solver tests over packed-int fields, plus symmetric congruence
+diagonalization (including the characteristic-2 cases)."""
 
 import pytest
 
-from symrank import BaseField, LinearSolver, Matrix, congruence_diagonalize, moore_matrix
+from symrank import BaseField, LinearSolver, Matrix, congruence_diagonalize
 from helpers import get_field, rand_elt
 from symrank.channel import RngStream
 
@@ -120,27 +120,6 @@ def test_inverse_random():
             continue
         found += 1
         assert a @ a.inverse() == Matrix.identity(f, 4)
-
-
-def test_moore_matrix_rank():
-    f = get_field(2, 1, 4)
-    # polynomial basis 1, x, x^2, x^3 is F_q-independent
-    basis = [f.from_coeffs([1 if i == j else 0 for i in range(4)]) for j in range(4)]
-    m = moore_matrix(f, basis)
-    assert m.nrows == m.ncols == 4
-    assert m.rank() == 4
-    assert m.data[0] == tuple(basis)
-    assert m.data[1] == tuple(f.frobenius(b, 1) for b in basis)
-    # dependent inputs drop rank: {1, a, a+1} spans a 2-dim F_2-space
-    a = basis[1]
-    dep = moore_matrix(f, [1, a, f.add(a, 1)])
-    assert dep.rank() == 2
-
-
-def test_moore_matrix_row_count():
-    f = get_field(3, 1, 3)
-    m = moore_matrix(f, [1, 3], nrows=2)
-    assert m.nrows == 2 and m.ncols == 2
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (2, 1), (2, 2)])

@@ -1,5 +1,5 @@
 """Linearized polynomial tests: ring structure, division, adjoints,
-interpolation, annihilators, and the matrix representations."""
+interpolation, and the matrix representations."""
 
 import pytest
 
@@ -7,12 +7,10 @@ from symrank import (
     NEG_INF,
     Matrix,
     QPoly,
-    annihilator,
     endo_matrix,
     interpolate,
     matrix_of,
     matrix_to_qpoly,
-    qpoly_kernel,
     qpoly_rank,
     select_twist,
     trace_form,
@@ -177,40 +175,6 @@ def test_vector_form_interpolate_roundtrip():
         interpolate(f, [1, 1], [0, 1])
 
 
-def test_annihilator_frozen_and_properties():
-    f = get_field(2, 1, 4)
-    assert annihilator(f, []) == QPoly.x(f)
-    # vanishing exactly on F_q: X^q - X
-    assert annihilator(f, [1]) == QPoly(f, [f.neg(1), 1])
-    rng = RngStream(27)
-    for _ in range(30):
-        count = 1 + rng.randbelow(f.n - 1)
-        vecs = [rand_elt(f, rng) for _ in range(count)]
-        ann = annihilator(f, vecs)
-        span_dim = len(qpoly_kernel(ann))
-        assert ann.q_degree == span_dim
-        assert ann.coeffs[span_dim] == 1  # monic
-        for v in vecs:
-            assert ann.evaluate(v) == 0
-    with pytest.raises(ValueError):
-        annihilator(f, list(f.elements()))  # full space: would need degree n
-
-
-def test_annihilator_kernel_is_span():
-    f = get_field(3, 1, 3)
-    rng = RngStream(29)
-    for _ in range(20):
-        vecs = [rand_elt(f, rng) for _ in range(2)]
-        ann = annihilator(f, vecs)
-        kern = set(qpoly_kernel(ann))
-        # kernel contains the F_q-span of the inputs
-        for c1 in range(f.q):
-            for c2 in range(f.q):
-                v = f.add(f.mul(c1, vecs[0]), f.mul(c2, vecs[1]))
-                assert ann.evaluate(v) == 0
-                assert v in _span(f, kern)
-
-
 def _span(field, vecs):
     out = {0}
     for v in vecs:
@@ -225,7 +189,7 @@ def test_endo_matrix_rank_kernel():
     assert endo_matrix(QPoly.x(f)) == matrix_of(QPoly.x(f), get_setup(2, 1, 4))
     frob_minus_id = QPoly(f, [f.neg(1), 1])
     assert qpoly_rank(frob_minus_id) == 3
-    kern = qpoly_kernel(frob_minus_id)
+    kern = [f.from_coeffs(v) for v in endo_matrix(frob_minus_id).kernel()]
     assert _span(f, kern) == set(range(f.q))  # constants
     rng = RngStream(31)
     for _ in range(200):
