@@ -376,13 +376,6 @@ class BaseField(_Field):
     def __repr__(self):
         return f"BaseField(p={self.p}, e={self.e})"
 
-    def mul(self, a: int, b: int) -> int:
-        # F_q is always tabulated; its mul is the hot loop of the F_q linear
-        # algebra, so it skips the shared body's check for a raw fallback
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
     def sqrt(self, a: int) -> int:
         """A square root of a, via an exhaustive table (q is desk-sized)."""
         if self._sqrt_table is None:
