@@ -9,7 +9,8 @@ Subcommands:
 Flags may come from --config (a JSON object with the same keys); explicitly
 given flags win.  Exit codes: 0 success, 1 decode failure (including an
 'incomplete' report, whose localiser walk was cut at its cap), 2 ambiguity,
-3 invalid configuration.
+3 invalid input: a bad flag or config value, a field, code, rank or trial
+count out of range, or an unreadable setup file.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import sys
 import time
 
-from .bilinear import OrthonormalBasisError, SymSetup
+from .bilinear import SymSetup
 from .channel import (RngStream, random_codeword, random_selfadjoint_qpoly,
                       random_symmetric_matrix)
 from .gabidulin import GabCode, random_error, wb_decode
@@ -93,6 +94,10 @@ def _build_parser() -> _Parser:
 
 _CONFIG_KEYS = ("p", "e", "n", "k", "mode", "rank", "trials", "seed", "out",
                 "setup_file", "g", "f", "no_timing", "instance_log")
+# the JSON type of each typed config key (no_timing is any truth value;
+# g and f are a JSON string or the parsed list)
+_CONFIG_TYPES = {**dict.fromkeys(("p", "e", "n", "k", "rank", "trials", "seed"), int),
+                 **dict.fromkeys(("mode", "out", "setup_file", "instance_log"), str)}
 
 
 def _resolve(args) -> dict:
@@ -107,6 +112,11 @@ def _resolve(args) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
+            want = _CONFIG_TYPES.get(key)
+            if want and value is not None and type(value) is not want:
+                raise ConfigError(f"config {key} must be {want.__name__}, not {value!r}")
+            if key == "mode" and value is not None and value not in MODES:
+                raise ConfigError(f"config mode must be one of {MODES}, not {value!r}")
             if cfg[key] is None:
                 cfg[key] = value
     if cfg["e"] is None:
@@ -149,11 +159,20 @@ def _make_field(cfg: dict) -> ExtField:
     return ExtField(base, cfg["n"], packed_f)
 
 
-def _load_setup(cfg: dict) -> SymSetup:
-    if cfg["setup_file"]:
-        with open(cfg["setup_file"]) as fh:
-            return SymSetup.from_json(json.load(fh))
-    return SymSetup(_make_field(cfg))
+def _load(cfg: dict, with_setup: bool) -> tuple[ExtField, SymSetup | None]:
+    """The field and, if asked for or given as a file, the setup.  Every
+    construction error of user input surfaces here as a ConfigError."""
+    try:
+        if cfg["setup_file"]:
+            with open(cfg["setup_file"]) as fh:
+                setup = SymSetup.from_json(json.load(fh))
+            return setup.field, setup
+        field = _make_field(cfg)
+        return field, SymSetup(field) if with_setup else None
+    except KeyError as exc:
+        raise ConfigError(f"setup file lacks key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _branch(field: ExtField) -> str:
@@ -173,13 +192,15 @@ def _write_text(path: str | None, text: str):
 
 
 def cmd_setup(cfg: dict) -> int:
-    setup = _load_setup(cfg)
+    _, setup = _load(cfg, with_setup=True)
     print(f"branch: {_branch(setup.field)} (u = {setup.u})", file=sys.stderr)
     _write_text(cfg["out"], json.dumps(setup.to_json(), sort_keys=True) + "\n")
     return EXIT_OK
 
 
-def _default_rank(mode: str, n: int, k: int) -> int:
+def _max_rank(mode: str, n: int, k: int) -> int:
+    """The decoding radius of a mode: its default rank and the top of its
+    rank sweep."""
     if mode == "standard":
         return (n - k) // 2
     if mode == "sym-low":
@@ -187,120 +208,91 @@ def _default_rank(mode: str, n: int, k: int) -> int:
     return n - k
 
 
-def _rank_sweep(mode: str, n: int, k: int) -> list[int]:
-    if mode == "standard":
-        return list(range((n - k) // 2 + 1))
-    if mode == "sym-low":
-        return list(range(n + 1))
-    return list(range(n - k + 1))
+def _status(rep) -> tuple[str, object]:
+    return rep.status, rep.codeword
 
 
 class _Bench:
-    """One mode's decoder, built once, run per trial."""
+    """One mode's code, picture map, error sampler and decoder, built once,
+    run per trial."""
 
-    def __init__(self, mode: str, setup_or_field, k: int):
-        self.mode = mode
-        self.k = k
+    def __init__(self, mode: str, field: ExtField, setup: SymSetup | None, k: int):
+        self.field = field
+        self.picture = lambda codeword: codeword
         if mode == "standard":
-            self.field = setup_or_field
-            self.code = GabCode(self.field, k, 0)
-            self.radius = (self.field.n - k) // 2
+            self.code = GabCode(field, k, 0)
+            radius = _max_rank(mode, field.n, k)
+            self.sample_error = lambda rank, rng: random_error(field, rank, rng)
+            self.decode = lambda received: _status(
+                wb_decode(self.code, received, radius))
         elif mode == "sym-low":
-            self.setup = setup_or_field
-            self.field = self.setup.field
-            self.code = GabCode(self.field, k, 1)
-            self.decoder = LowRateDecoder(matrix_code_of(self.code, self.setup))
+            self.code = GabCode(field, k, 1)
+            decoder = LowRateDecoder(matrix_code_of(self.code, setup))
+            self.picture = lambda codeword: matrix_of(codeword, setup)
+            self.sample_error = lambda rank, rng: random_symmetric_matrix(
+                field.base, field.n, rank, rng)
+
+            def decode(received):
+                try:
+                    return "ok", decoder.decode(received)[0]
+                except InvalidInstanceError:
+                    return "fail", None
+            self.decode = decode
         else:
-            self.setup = setup_or_field
-            self.field = self.setup.field
-            self.decoder = HighRateDecoder(self.setup, k)
-            self.code = self.decoder.code
-            self.radius = self.decoder.radius
+            decoder = HighRateDecoder(setup, k)
+            self.code = decoder.code
+            self.sample_error = lambda rank, rng: random_selfadjoint_qpoly(
+                rank, setup, rng)
+            self.decode = lambda received: _status(decoder.decode(received))
 
     def run(self, rank: int, rng: RngStream) -> dict:
         """One trial: returns outcome, decode nanoseconds, and the instance."""
-        fld = self.field
-        codeword = random_codeword(self.code, rng)
-        if self.mode == "standard":
-            error = random_error(fld, rank, rng)
-            received = codeword + error
-            start = time.perf_counter_ns()
-            rep = wb_decode(self.code, received, self.radius)
-            nanos = time.perf_counter_ns() - start
-            if rep.status == "ok" and rep.codeword == codeword:
-                outcome = "success"
-            elif rep.status == "ambiguous":
-                outcome = "ambiguous"
-            else:
-                outcome = "failure"
-            decoded = rep.codeword.to_json() if rep.codeword else None
-            instance = {"codeword": codeword.to_json(), "error": error.to_json(),
-                        "received": received.to_json()}
-        elif self.mode == "sym-low":
-            cmat = matrix_of(codeword, self.setup)
-            error = random_symmetric_matrix(fld.base, fld.n, rank, rng)
-            received = cmat + error
-            start = time.perf_counter_ns()
-            try:
-                chat, _ = self.decoder.decode(received)
-                outcome = "success" if chat == cmat else "failure"
-                decoded = chat.to_json()
-            except InvalidInstanceError:
-                outcome = "failure"
-                decoded = None
-            nanos = time.perf_counter_ns() - start
-            instance = {"codeword": cmat.to_json(), "error": error.to_json(),
-                        "received": received.to_json()}
+        codeword = self.picture(random_codeword(self.code, rng))
+        error = self.sample_error(rank, rng)
+        received = codeword + error
+        start = time.perf_counter_ns()
+        status, decoded = self.decode(received)
+        nanos = time.perf_counter_ns() - start
+        if status == "ok" and decoded == codeword:
+            outcome = "success"
+        elif status == "ambiguous":
+            outcome = "ambiguous"
         else:
-            error = random_selfadjoint_qpoly(rank, self.setup, rng)
-            received = codeword + error
-            start = time.perf_counter_ns()
-            rep = self.decoder.decode(received)
-            nanos = time.perf_counter_ns() - start
-            if rep.status == "ok" and rep.codeword == codeword:
-                outcome = "success"
-            elif rep.status == "ambiguous":
-                outcome = "ambiguous"
-            else:
-                outcome = "failure"
-            decoded = rep.codeword.to_json() if rep.codeword else None
-            instance = {"codeword": codeword.to_json(), "error": error.to_json(),
-                        "received": received.to_json()}
+            outcome = "failure"
+        instance = {"codeword": codeword.to_json(), "error": error.to_json(),
+                    "received": received.to_json()}
         return {"outcome": outcome, "nanos": nanos, "instance": instance,
-                "decoded": decoded}
+                "decoded": None if decoded is None else decoded.to_json()}
 
 
-def _make_bench(cfg: dict, mode: str, k: int) -> _Bench:
-    """Build the field or setup, check k against its n, and only then the
-    decoder, so that a bad k never reaches a decoder's constructor."""
-    try:
-        setup = None
-        if mode != "standard" or cfg["setup_file"]:
-            setup = _load_setup(cfg)
-        field = _make_field(cfg) if setup is None else setup.field
-        _validate_mode_k(mode, field.n, k)
-        return _Bench(mode, field if mode == "standard" else setup, k)
-    except (ValueError, OrthonormalBasisError) as exc:
-        raise ConfigError(str(exc)) from None
+def _make_bench(cfg: dict) -> _Bench:
+    """Build the field or setup, check the run against its n, and only then
+    the decoder, so that bad input never reaches a decoder or sampler."""
+    mode = cfg["mode"]
+    field, setup = _load(cfg, with_setup=mode != "standard")
+    _validate(mode, field.n, cfg["k"], cfg["rank"], cfg["trials"])
+    return _Bench(mode, field, setup, cfg["k"])
 
 
-def _validate_mode_k(mode: str, n: int, k: int):
+def _validate(mode: str, n: int, k: int, rank: int | None, trials: int):
     if not 0 <= k <= n:
         raise ConfigError(f"k = {k} out of range 0..{n}")
-    if mode == "sym-low" and 2 * k > n:
-        raise ConfigError("sym-low needs k <= n/2 (and a symmetric-free code)")
-    if mode == "sym-high" and 2 * k <= n:
-        raise ConfigError("sym-high needs k > n/2; use sym-low below that")
-    if mode in ("sym-low", "sym-high") and k >= 1 and k + 1 > n:
-        raise ConfigError("shifted support X^q..X^(q^k) needs k < n")
+    if mode == "sym-low" and not 0 < 2 * k <= n:
+        raise ConfigError("sym-low needs 0 < k <= n/2")
+    if mode == "sym-high" and not n < 2 * k < 2 * n:
+        raise ConfigError("sym-high needs k > n/2 (use sym-low below that) and k < n")
+    if rank is not None and not 0 <= rank <= n:
+        raise ConfigError(f"rank = {rank} out of range 0..{n}")
+    if trials < 0:
+        raise ConfigError(f"trials = {trials} must be >= 0")
 
 
 def cmd_roundtrip(cfg: dict) -> int:
     _require(cfg, "mode", "k")
     mode = cfg["mode"]
-    bench = _make_bench(cfg, mode, cfg["k"])
+    bench = _make_bench(cfg)
     n = bench.field.n
-    rank = cfg["rank"] if cfg["rank"] is not None else _default_rank(mode, n, cfg["k"])
+    rank = cfg["rank"] if cfg["rank"] is not None else _max_rank(mode, n, cfg["k"])
     rng = RngStream(cfg["seed"])
     result = bench.run(rank, rng)
     report = {
@@ -328,9 +320,9 @@ def cmd_simulate(cfg: dict) -> int:
     _require(cfg, "mode", "k")
     mode = cfg["mode"]
     k = cfg["k"]
-    bench = _make_bench(cfg, mode, k)
+    bench = _make_bench(cfg)
     n = bench.field.n
-    ranks = [cfg["rank"]] if cfg["rank"] is not None else _rank_sweep(mode, n, k)
+    ranks = [cfg["rank"]] if cfg["rank"] is not None else range(_max_rank(mode, n, k) + 1)
     trials = cfg["trials"]
     master = RngStream(cfg["seed"])
     log_lines: list[str] = []
@@ -403,10 +395,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _resolve(args)
         return _COMMANDS[cfg["command"]](cfg)
-    except ConfigError as exc:
-        print(f"symrank: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"symrank: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -10,13 +10,14 @@ basis.
 guessed error rank tp the unknown localiser (l_0..l_tp) must kill the
 coefficients of L o Y at indices k+tp..n-1, an (n-k-tp) x (tp+1) linear
 system over F_{q^n}.  The decoder climbs tp = 0, 1, ..., t, so candidates
-appear ordered by distance from Y:
+appear ordered by distance from Y.  Every stage enumerates the projective
+points of the localiser kernel in one fixed order (first nonzero
+coordinate 1, the last coordinate fastest):
 
   * at tp <= (n-k)//2 any single nonzero solution already yields the unique
-    codeword within tp if one exists, so one kernel vector is tested;
-  * past that bound all projective representatives of the kernel are walked
-    (capped; a cut walk reports 'incomplete'), since distinct solutions can
-    encode distinct codewords;
+    codeword within tp if one exists, so only the first point is tested;
+  * past that bound every point is walked (capped; a cut walk reports
+    'incomplete'), since distinct solutions can encode distinct codewords;
   * after a stage that produced candidates, the ladder stops as soon as
     min_distance - tp > t, which certifies no further codeword can sit
     within radius t.
@@ -28,6 +29,7 @@ ker L and its rank is at most tp automatically.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .gf import ExtField
@@ -79,10 +81,6 @@ class GabCode:
         lo, hi = self.s, self.s + self.k
         return all(c == 0 for i, c in enumerate(poly.coeffs) if not lo <= i < hi)
 
-    def generators(self) -> list[QPoly]:
-        """F_{q^n}-basis of the code: the monic monomials of its support."""
-        return [QPoly.monomial(self.field, self.s + i) for i in range(self.k)]
-
 
 @dataclass
 class DecodeReport:
@@ -111,27 +109,58 @@ class DecodeReport:
             "diagnostics": dict(self.diagnostics),
         }
 
+    @classmethod
+    def of(cls, received: QPoly, found: list[QPoly],
+           diagnostics: dict) -> "DecodeReport":
+        """The report of a search that found ``found``: 'incomplete' when
+        ``diagnostics["truncated"]``, else 'fail' for none, 'ambiguous' for
+        several, and 'ok' for one, with error = received - found[0] and its
+        rank in ``diagnostics["error_rank"]``."""
+        if diagnostics["truncated"]:
+            return cls("incomplete", candidates=found, diagnostics=diagnostics)
+        if not found:
+            return cls("fail", diagnostics=diagnostics)
+        if len(found) > 1:
+            return cls("ambiguous", candidates=found, diagnostics=diagnostics)
+        error = received - found[0]
+        diagnostics["error_rank"] = 0 if error.is_zero() else qpoly_rank(error)
+        return cls("ok", found[0], error, found, diagnostics)
+
 
 def _try_localiser(vec, received: QPoly, k: int) -> QPoly | None:
     """Divide L o Y by L; a clean quotient of q-degree < k is a codeword."""
-    fld = received.field
-    loc = QPoly(fld, vec)
-    if loc.is_zero():
-        return None
+    loc = QPoly(received.field, vec)
     quot, rem = loc.compose(received).left_divide(loc)
     if rem.is_zero() and quot.q_degree < k:
         return quot
     return None
 
 
+def _projective_points(fld: ExtField, kern: list[tuple]):
+    """One representative of each projective point of span(kern): first
+    nonzero coordinate 1 (at ``lead``), the other coordinates over the
+    packed field elements, the last one fastest.  The first point is
+    kern[0]."""
+    for lead, base in enumerate(kern):
+        for tail in itertools.product(range(fld.order),
+                                      repeat=len(kern) - lead - 1):
+            vec = list(base)
+            for ci, kv in zip(tail, kern[lead + 1:]):
+                if ci:
+                    for pos, x in enumerate(kv):
+                        if x:
+                            vec[pos] = fld.add(vec[pos], fld.mul(ci, x))
+            yield vec
+
+
 def wb_decode(code: GabCode, received: QPoly, t: int,
               max_candidates: int = 1024) -> DecodeReport:
     """All codewords within rank distance t of ``received``.
 
-    Guaranteed single answer for t <= (n-k)//2; beyond that every candidate
-    is collected (projective kernel walk, deterministic order, capped at
-    ``max_candidates`` localisers in all); a walk cut at the cap reports
-    'incomplete'.
+    Guaranteed single answer for t <= (n-k)//2, where each stage tests the
+    first projective point of its localiser kernel; beyond that every point
+    is walked in the same order, at most ``max_candidates`` localisers over
+    all walked stages, and a walk cut at the cap reports 'incomplete'.
     """
     if t < 0:
         raise ValueError("decoding radius t must be >= 0")
@@ -145,7 +174,6 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     frob = fld.frobenius
 
     found: list[QPoly] = []
-    seen: set[tuple] = set()
     kernel_dims: list[int] = []
     walked = 0
     truncated = False
@@ -157,71 +185,30 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
                         for j in range(k + tp, n)]
             kern = Matrix(fld, sys_rows).kernel()
         else:
-            kern = [tuple(fld.one if i == j else fld.zero for i in range(tp + 1))
-                    for j in range(tp + 1)]
+            kern = Matrix.identity(fld, tp + 1).data
         kernel_dims.append(len(kern))
-        if kern:
-            if tp <= half:
-                cand = _try_localiser(kern[0], y0, k)
-                if cand is not None and cand.coeffs not in seen:
-                    seen.add(cand.coeffs)
-                    found.append(cand)
-            else:
-                dim = len(kern)
-                for lead in range(dim):
-                    if truncated:
-                        break
-                    # representatives with first nonzero coordinate 1 at `lead`
-                    tail = dim - lead - 1
-                    stack = [fld.zero] * tail
-                    while True:
-                        if walked >= max_candidates:
-                            truncated = True
-                            break
-                        combo = [fld.zero] * lead + [fld.one] + list(stack)
-                        vec = [fld.zero] * (tp + 1)
-                        for ci, kv in zip(combo, kern):
-                            if ci:
-                                for pos, x in enumerate(kv):
-                                    if x:
-                                        vec[pos] = fld.add(vec[pos], fld.mul(ci, x))
-                        walked += 1
-                        cand = _try_localiser(vec, y0, k)
-                        if cand is not None and cand.coeffs not in seen:
-                            seen.add(cand.coeffs)
-                            found.append(cand)
-                        # odometer over the tail coordinates (packed 0..order-1)
-                        pos = tail - 1
-                        while pos >= 0:
-                            if stack[pos] + 1 < fld.order:
-                                stack[pos] += 1
-                                break
-                            stack[pos] = fld.zero
-                            pos -= 1
-                        if pos < 0:
-                            break
+        walk = tp > half
+        for vec in itertools.islice(_projective_points(fld, kern),
+                                    None if walk else 1):
+            if walk:
+                if walked >= max_candidates:
+                    truncated = True
+                    break
+                walked += 1
+            cand = _try_localiser(vec, y0, k)
+            if cand is not None and cand not in found:
+                found.append(cand)
         if found and d_min - tp > t:
             break
 
-    diagnostics = {
+    if s:
+        found = [c.compose_monomial(s) for c in found]
+    return DecodeReport.of(received, found, {
         "kernel_dims": kernel_dims,
         "walked": walked,
         "truncated": truncated,
         "error_rank": None,
-    }
-    if s:
-        found = [c.compose_monomial(s) for c in found]
-    if truncated:
-        return DecodeReport("incomplete", candidates=found,
-                            diagnostics=diagnostics)
-    if not found:
-        return DecodeReport("fail", diagnostics=diagnostics)
-    if len(found) == 1:
-        codeword = found[0]
-        error = received - codeword
-        diagnostics["error_rank"] = 0 if error.is_zero() else qpoly_rank(error)
-        return DecodeReport("ok", codeword, error, found, diagnostics)
-    return DecodeReport("ambiguous", candidates=found, diagnostics=diagnostics)
+    })
 
 
 def _sample_independent(field: ExtField, count: int, rng) -> list[int]:

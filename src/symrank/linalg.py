@@ -58,6 +58,22 @@ def _rref(field, rows: list[list[int]], pivot_cols: int) -> list[tuple[int, int]
     return pivots
 
 
+def _null_basis(field, rows, pivots, ncols: int) -> list[tuple]:
+    """Null space basis of the first ``ncols`` columns of rows in RREF with
+    the given pivots: one vector per free column."""
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [field.zero] * ncols
+        vec[fc] = field.one
+        for r, c in pivots:
+            vec[c] = field.neg(rows[r][fc])
+        basis.append(tuple(vec))
+    return basis
+
+
 class Matrix:
     """Immutable matrix over a finite field."""
 
@@ -201,20 +217,9 @@ class Matrix:
 
     def kernel(self) -> list[tuple]:
         """Basis of the right null space, as row vectors of length ncols."""
-        f = self.field
         rows = [list(r) for r in self.data]
-        pivots = _rref(f, rows, self.ncols)
-        pivot_cols = [c for _, c in pivots]
-        pivot_set = set(pivot_cols)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free_cols:
-            vec = [f.zero] * self.ncols
-            vec[fc] = f.one
-            for (r, c) in pivots:
-                vec[c] = f.neg(rows[r][fc])
-            basis.append(tuple(vec))
-        return basis
+        pivots = _rref(self.field, rows, self.ncols)
+        return _null_basis(self.field, rows, pivots, self.ncols)
 
     def solve(self, b):
         """Solve A x = b.  Returns (particular, kernel_basis) or None when
@@ -230,16 +235,7 @@ class Matrix:
         x = [f.zero] * self.ncols
         for (r, c) in pivots:
             x[c] = rows[r][self.ncols]
-        pivot_set = {c for _, c in pivots}
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free_cols:
-            vec = [f.zero] * self.ncols
-            vec[fc] = f.one
-            for (r, c) in pivots:
-                vec[c] = f.neg(rows[r][fc])
-            basis.append(tuple(vec))
-        return tuple(x), basis
+        return tuple(x), _null_basis(f, rows, pivots, self.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

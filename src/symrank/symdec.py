@@ -18,9 +18,12 @@ c_j = D_j for 1 <= j < n-k and n/2 < j <= k, c_(n/2) = theta D_(n/2) with
 theta + theta^(q^(n/2)) = 1 when n is even, and every other c_j = 0.  No
 linear system is solved, and every word has a preimage.  The residual
 Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k, and
-candidates are filtered by self-adjointness of the implied error.  Below the
-boundary (rank <= n-k-1) the answer is provably unique; at rank exactly n-k
-two valid decompositions can coexist and the report says so.  When the
+candidates are filtered by self-adjointness of the implied error.  The
+survivors get their status from ``DecodeReport.of``, the same rule as
+``wb_decode``, and an 'ok' answer is verified (in the code, self-adjoint
+error, rank <= n-k) before it is returned.  Below the boundary
+(rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
+valid decompositions can coexist and the report says so.  When the
 localiser walk is cut at its cap the report is 'incomplete' with the
 survivors found so far, never 'ok' or 'ambiguous'.
 """
@@ -30,7 +33,7 @@ from __future__ import annotations
 from .bilinear import SymSetup
 from .gabidulin import DecodeReport, GabCode, wb_decode
 from .linalg import LinearSolver, Matrix
-from .qpoly import QPoly, matrix_of, qpoly_rank
+from .qpoly import QPoly, matrix_of
 
 
 class InvalidInstanceError(ValueError):
@@ -178,35 +181,13 @@ class HighRateDecoder:
     def decode(self, received: QPoly) -> DecodeReport:
         u = self.setup.u
         pre = self._preimage(received)
-        residual = received - pre
-        rep = wb_decode(self.reduced, residual, self.radius)
-        survivors: list[QPoly] = []
-        seen: set[tuple] = set()
-        for shift_part in rep.candidates:
-            cand = pre + shift_part
-            if cand.coeffs in seen:
-                continue
-            err = received - cand
-            if err.is_self_adjoint(u):
-                seen.add(cand.coeffs)
-                survivors.append(cand)
-        diagnostics = dict(rep.diagnostics)
-        diagnostics["wb_status"] = rep.status
-        diagnostics["survivors"] = len(survivors)
-        if rep.status == "incomplete":
-            return DecodeReport("incomplete", candidates=survivors,
-                                diagnostics=diagnostics)
-        if not survivors:
-            return DecodeReport("fail", diagnostics=diagnostics)
-        if len(survivors) == 1:
-            codeword = survivors[0]
-            error = received - codeword
-            rank = 0 if error.is_zero() else qpoly_rank(error)
-            if (not self.code.contains(codeword)
-                    or not error.is_self_adjoint(u)
-                    or rank > self.radius):
-                raise ArithmeticError("decoder output failed verification")
-            diagnostics["error_rank"] = rank
-            return DecodeReport("ok", codeword, error, survivors, diagnostics)
-        return DecodeReport("ambiguous", candidates=survivors,
-                            diagnostics=diagnostics)
+        rep = wb_decode(self.reduced, received - pre, self.radius)
+        survivors = [cand for cand in (pre + c for c in rep.candidates)
+                     if (received - cand).is_self_adjoint(u)]
+        out = DecodeReport.of(received, survivors, dict(
+            rep.diagnostics, wb_status=rep.status, survivors=len(survivors)))
+        if out.status == "ok" and (not self.code.contains(out.codeword)
+                                   or not out.error.is_self_adjoint(u)
+                                   or out.diagnostics["error_rank"] > self.radius):
+            raise ArithmeticError("decoder output failed verification")
+        return out

@@ -11,6 +11,7 @@ import pytest
 
 from symrank import SymSetup
 from symrank.cli import main
+from helpers import get_field
 
 
 def read_csv(path):
@@ -237,6 +238,32 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["no-such-command"]) == 3
     assert main(["simulate", "--mode", "bogus", "--p", "2", "--n", "4",
                  "--k", "1"]) == 3
+    # every invalid input exits 3, never with a traceback (exit 1 is a
+    # decode failure)
+    for rank in ("99", "-1"):
+        assert main(["roundtrip", "--p", "2", "--n", "8", "--k", "2",
+                     "--mode", "standard", "--rank", rank]) == 3
+    assert main(["roundtrip", "--p", "2", "--n", "6", "--k", "2",
+                 "--mode", "sym-low", "--rank", "7"]) == 3
+    assert main(["simulate", "--p", "2", "--n", "6", "--k", "2",
+                 "--mode", "standard", "--trials", "-3"]) == 3
+    for flags in (["--p", "4", "--n", "2"], ["--p", "2", "--n", "0"],
+                  ["--p", "2", "--n", "2", "--e", "0"]):
+        assert main(["setup"] + flags) == 3
+    setup_file = tmp_path / "setup.json"
+    setup_file.write_text("{not json")
+    for argv in (["setup"], ["roundtrip", "--mode", "sym-low", "--k", "2"]):
+        assert main(argv + ["--setup-file", str(setup_file)]) == 3
+    doc = SymSetup(get_field(2, 1, 4)).to_json()
+    del doc["field"]["e"]
+    setup_file.write_text(json.dumps(doc))
+    assert main(["roundtrip", "--mode", "sym-low", "--k", "2",
+                 "--setup-file", str(setup_file)]) == 3
+    for wrong in ({"p": "2"}, {"k": "2"}, {"mode": "bogus"},
+                  {"out": ["r.json"]}):
+        bad.write_text(json.dumps(dict({"p": 2, "n": 6, "k": 2,
+                                        "mode": "standard"}, **wrong)))
+        assert main(["roundtrip", "--config", str(bad)]) == 3
     capsys.readouterr()
 
 
