@@ -10,12 +10,14 @@ Flags may come from --config (a JSON object with the same keys); explicitly
 given flags win.  Exit codes: 0 success, 1 decode failure (including an
 'incomplete' report, whose localiser walk was cut at its cap), 2 ambiguity,
 3 invalid input: a bad flag or config value, a field, code, rank or trial
-count out of range, or an unreadable setup file.
+count out of range, an unreadable setup file, or an output path that cannot
+be opened (``simulate`` opens its outputs before the first trial).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -325,34 +327,35 @@ def cmd_simulate(cfg: dict) -> int:
     ranks = [cfg["rank"]] if cfg["rank"] is not None else range(_max_rank(mode, n, k) + 1)
     trials = cfg["trials"]
     master = RngStream(cfg["seed"])
-    log_lines: list[str] = []
-    rows = []
-    for rank in sorted(ranks):
-        counts = {"success": 0, "ambiguous": 0, "failure": 0}
-        nanos: list[int] = []
-        for trial in range(trials):
-            stream = master.fork(rank * trials + trial)
-            result = bench.run(rank, stream)
-            counts[result["outcome"]] += 1
-            nanos.append(result["nanos"])
-            if cfg["instance_log"]:
-                line = {"trial": trial, "seed": stream.seed,
-                        "code": {"q": bench.field.q, "n": n, "k": k,
-                                 "mode": mode, "rank": rank}}
-                line.update(result["instance"])
-                log_lines.append(json.dumps(line, sort_keys=True))
-        mean = 0 if cfg["no_timing"] or not nanos else sum(nanos) // (1000 * len(nanos))
-        rows.append([bench.field.q, n, k, mode, rank, trials, counts["success"],
-                     counts["ambiguous"], counts["failure"], mean])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "n", "k", "mode", "rank", "trials", "successes",
-                     "ambiguous", "failures", "mean_decode_micros"])
-    writer.writerows(rows)
-    _write_text(cfg["out"], buf.getvalue())
-    if cfg["instance_log"]:
-        with open(cfg["instance_log"], "w", newline="") as fh:
-            fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+    with contextlib.ExitStack() as stack:
+        # open both outputs before the first trial, so a bad path fails fast
+        out = (stack.enter_context(open(cfg["out"], "w", newline=""))
+               if cfg["out"] else sys.stdout)
+        log = (stack.enter_context(open(cfg["instance_log"], "w", newline=""))
+               if cfg["instance_log"] else None)
+        rows = []
+        for rank in sorted(ranks):
+            counts = {"success": 0, "ambiguous": 0, "failure": 0}
+            nanos: list[int] = []
+            for trial in range(trials):
+                stream = master.fork(rank * trials + trial)
+                result = bench.run(rank, stream)
+                counts[result["outcome"]] += 1
+                nanos.append(result["nanos"])
+                if log:
+                    line = {"trial": trial, "seed": stream.seed,
+                            "code": {"q": bench.field.q, "n": n, "k": k,
+                                     "mode": mode, "rank": rank}}
+                    line.update(result["instance"])
+                    log.write(json.dumps(line, sort_keys=True) + "\n")
+            mean = (0 if cfg["no_timing"] or not nanos
+                    else sum(nanos) // (1000 * len(nanos)))
+            rows.append([bench.field.q, n, k, mode, rank, trials, counts["success"],
+                         counts["ambiguous"], counts["failure"], mean])
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["q", "n", "k", "mode", "rank", "trials", "successes",
+                         "ambiguous", "failures", "mean_decode_micros"])
+        writer.writerows(rows)
     return EXIT_OK
 
 

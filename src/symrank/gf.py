@@ -292,7 +292,17 @@ class _Field:
     def sub(self, a: int, b: int) -> int:
         if self._char2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        p = self.p
+        if self.order == p:
+            return (a - b) % p
+        out = 0
+        place = 1
+        while a or b:
+            a, ra = divmod(a, p)
+            b, rb = divmod(b, p)
+            out += ((ra - rb) % p) * place
+            place *= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

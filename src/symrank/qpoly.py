@@ -8,8 +8,14 @@ stores (a tuple of exactly n packed coefficients).
 
 Composition folds exponents i+j mod n directly.  Division is one-sided:
 ``left_divide(A, L)`` finds Q, R with A = L o Q + R and deg_q R < deg_q L,
-which is the only direction the decoders need.  The adjoint with respect to
-the twisted trace form <a,b> = Tr(u a b) is the closed formula
+which is the only direction the decoders need.  Both are the inner loop of
+the decoders' localiser walk; when the field has exp/log tables they work in
+the log domain, where p * c^(q^i) = exp[log p + log c * q^i mod (q^n - 1)]
+is one table index, with the logs of the fixed operand taken once per call.
+Fields without tables run the same loops on ``mul`` and ``frobenius``.
+
+The adjoint with respect to the twisted trace form <a,b> = Tr(u a b) is the
+closed formula
 
     adjoint(P, u)[ (n-i) mod n ] = p_i^(q^(n-i)) * u^(q^(n-i) - 1)
 
@@ -37,13 +43,22 @@ class QPoly:
                 if not (0 < c < field.order):
                     raise ValueError("coefficient out of range")
                 j = i % n
-                folded[j] = field.add(folded[j], c)
+                folded[j] = field.add(folded[j], c) if folded[j] else c
         self.field = field
         self.coeffs = tuple(folded)
 
     @classmethod
+    def _of(cls, field: ExtField, coeffs) -> "QPoly":
+        """Wrap exactly n coefficients that are already field elements,
+        skipping the fold and range check of ``__init__``."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(coeffs)
+        return poly
+
+    @classmethod
     def zero(cls, field: ExtField) -> "QPoly":
-        return cls(field)
+        return cls._of(field, [field.zero] * field.n)
 
     @classmethod
     def x(cls, field: ExtField) -> "QPoly":
@@ -82,22 +97,22 @@ class QPoly:
 
     def __add__(self, other: "QPoly") -> "QPoly":
         add = self.field.add
-        return QPoly(self.field,
-                     [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return QPoly._of(self.field,
+                         [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         sub = self.field.sub
-        return QPoly(self.field,
-                     [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return QPoly._of(self.field,
+                         [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "QPoly":
         neg = self.field.neg
-        return QPoly(self.field, [neg(a) for a in self.coeffs])
+        return QPoly._of(self.field, [neg(a) for a in self.coeffs])
 
     def scale(self, c: int) -> "QPoly":
         """Left multiple c * P, i.e. (cX) o P."""
         mul = self.field.mul
-        return QPoly(self.field, [mul(c, a) for a in self.coeffs])
+        return QPoly._of(self.field, [mul(c, a) for a in self.coeffs])
 
     def evaluate(self, x: int) -> int:
         fld = self.field
@@ -111,24 +126,38 @@ class QPoly:
         """Ring product: (P o Q)(x) = P(Q(x)), exponents folded mod n."""
         fld = self.field
         n = fld.n
-        add, mul, frob = fld.add, fld.mul, fld.frobenius
+        add, exp, log = fld.add, fld._exp, fld._log
         out = [fld.zero] * n
+        if exp is None:
+            mul, frob = fld.mul, fld.frobenius
+            for i, p in enumerate(self.coeffs):
+                if p:
+                    for j, q in enumerate(other.coeffs):
+                        if q:
+                            k = i + j
+                            if k >= n:
+                                k -= n
+                            out[k] = add(out[k], mul(p, frob(q, i)))
+            return QPoly._of(fld, out)
+        units = fld.order - 1
+        frob_exp = fld._frob_exp
+        q_logs = [(j, log[q]) for j, q in enumerate(other.coeffs) if q]
         for i, p in enumerate(self.coeffs):
             if p:
-                for j, q in enumerate(other.coeffs):
-                    if q:
-                        k = i + j
-                        if k >= n:
-                            k -= n
-                        out[k] = add(out[k], mul(p, frob(q, i)))
-        return QPoly(fld, out)
+                lp, fe = log[p], frob_exp[i]
+                for j, lq in q_logs:
+                    k = i + j
+                    if k >= n:
+                        k -= n
+                    acc, term = out[k], exp[lp + lq * fe % units]
+                    out[k] = add(acc, term) if acc else term
+        return QPoly._of(fld, out)
 
     def compose_monomial(self, s: int) -> "QPoly":
         """P o X^(q^s): a cyclic right-shift of the coefficients by s."""
         n = self.field.n
         s %= n
-        return QPoly(self.field,
-                     tuple(self.coeffs[(k - s) % n] for k in range(n)))
+        return QPoly._of(self.field, self.coeffs[n - s:] + self.coeffs[:n - s])
 
     def left_divide(self, divisor: "QPoly") -> tuple["QPoly", "QPoly"]:
         """Q, R with self = divisor o Q + R and deg_q R < deg_q divisor."""
@@ -137,27 +166,41 @@ class QPoly:
         dl = divisor.q_degree
         if dl is NEG_INF:
             raise ZeroDivisionError("left division by the zero q-polynomial")
-        lead_inv = fld.inv(divisor.coeffs[dl])
+        sub, exp, log = fld.sub, fld._exp, fld._log
         rem = list(self.coeffs)
         quo = [fld.zero] * n
-        da = self.q_degree
-        while da is not NEG_INF and da >= dl:
-            i = da - dl
-            # need lead * c^(q^dl) = rem[da], so c = (rem[da]/lead)^(q^(n-dl))
-            c = fld.frobenius(fld.mul(rem[da], lead_inv), n - dl)
-            quo[i] = c
-            for j in range(dl + 1):
-                lj = divisor.coeffs[j]
-                if lj:
-                    rem[i + j] = fld.sub(rem[i + j], fld.mul(lj, fld.frobenius(c, j)))
-            da = -1
-            for idx in range(dl + i, -1, -1):
-                if rem[idx]:
-                    da = idx
-                    break
-            if da < 0:
-                da = NEG_INF
-        return QPoly(fld, quo), QPoly(fld, rem)
+        # quotient coefficient c at i needs lead * c^(q^dl) = rem[i + dl], so
+        # c = (rem[i + dl] / lead)^(q^(n - dl)); its term at dl cancels
+        # rem[i + dl] exactly, so only the divisor's terms below dl are
+        # subtracted
+        if exp is None:
+            mul, frob = fld.mul, fld.frobenius
+            lead_inv = fld.inv(divisor.coeffs[dl])
+            low = [(j, lj) for j, lj in enumerate(divisor.coeffs[:dl]) if lj]
+            for da in range(n - 1, dl - 1, -1):
+                if rem[da]:
+                    i = da - dl
+                    c = frob(mul(rem[da], lead_inv), n - dl)
+                    quo[i] = c
+                    rem[da] = fld.zero
+                    for j, lj in low:
+                        rem[i + j] = sub(rem[i + j], mul(lj, frob(c, j)))
+            return QPoly._of(fld, quo), QPoly._of(fld, rem)
+        units = fld.order - 1
+        frob_exp = fld._frob_exp
+        lead_log = log[divisor.coeffs[dl]]
+        back = frob_exp[(n - dl) % n]
+        low = [(j, log[lj], frob_exp[j])
+               for j, lj in enumerate(divisor.coeffs[:dl]) if lj]
+        for da in range(n - 1, dl - 1, -1):
+            if rem[da]:
+                i = da - dl
+                lc = (log[rem[da]] - lead_log) % units * back % units
+                quo[i] = exp[lc]
+                rem[da] = fld.zero
+                for j, lj, fe in low:
+                    rem[i + j] = sub(rem[i + j], exp[lj + lc * fe % units])
+        return QPoly._of(fld, quo), QPoly._of(fld, rem)
 
     def adjoint(self, u: int) -> "QPoly":
         """The adjoint for <a,b> = Tr(u a b): Tr(u a P(b)) = Tr(u P*(a) b)."""
@@ -172,7 +215,7 @@ class QPoly:
                 j = (n - i) % n
                 out[j] = fld.mul(fld.mul(fld.frobenius(p, j), fld.frobenius(u, j)),
                                  inv_u)
-        return QPoly(fld, out)
+        return QPoly._of(fld, out)
 
     def is_self_adjoint(self, u: int) -> bool:
         return self == self.adjoint(u)
@@ -230,17 +273,17 @@ def matrix_to_qpoly(mat: Matrix, setup) -> QPoly:
 
     The trace-dual of the orthonormal basis b is u*b, so P(x) =
     sum_j v_j Tr(u b_j x) with v_j the field element of column j, i.e.
-    p_l = sum_j v_j (u b_j)^(q^l).
+    p_l = sum_j v_j (u b_j)^(q^l), read from ``setup.dual_powers``.
     """
     fld = setup.field
     n = fld.n
     if mat.nrows != n or mat.ncols != n:
         raise ValueError("matrix shape must be n x n")
+    add, mul = fld.add, fld.mul
     coeffs = [fld.zero] * n
-    for j, b in enumerate(setup.basis):
+    for j, powers in enumerate(setup.dual_powers):
         v = setup.from_coords(mat.col(j))
         if v:
-            w = fld.mul(setup.u, b)
-            for l in range(n):
-                coeffs[l] = fld.add(coeffs[l], fld.mul(v, fld.frobenius(w, l)))
-    return QPoly(fld, coeffs)
+            for l, w in enumerate(powers):
+                coeffs[l] = add(coeffs[l], mul(v, w))
+    return QPoly._of(fld, coeffs)

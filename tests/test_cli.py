@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from symrank import SymSetup
-from symrank.cli import main
+from symrank.cli import _Bench, main
 from helpers import get_field
 
 
@@ -191,6 +191,17 @@ def test_simulate_outputs_pinned(tmp_path, mode, p, n, k):
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (out, log))
     assert digests == PINNED_SIMULATE[(mode, p, n, k)]
+
+
+def test_simulate_bad_output_path_fails_before_trials(tmp_path, monkeypatch):
+    trials = []
+    monkeypatch.setattr(_Bench, "run", lambda self, rank, rng: trials.append(rank))
+    missing = str(tmp_path / "missing-dir" / "x.jsonl")
+    for flag in ("--instance-log", "--out"):
+        assert main(["simulate", "--p", "2", "--n", "8", "--k", "4",
+                     "--mode", "standard", "--trials", "200",
+                     "--out", str(tmp_path / "ok.csv"), flag, missing]) == 3
+    assert trials == []
 
 
 def test_setup_file_reuse(tmp_path):

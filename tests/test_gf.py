@@ -82,6 +82,15 @@ def test_field_axioms_exhaustive(p, e, n):
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+@pytest.mark.parametrize("p,e,n", [(3, 1, 2), (3, 1, 3), (3, 2, 1)])
+def test_odd_sub_is_add_neg_exhaustive(p, e, n):
+    # F_9 = F_3[x]/(f), F_27 and F_9 = F_3[y]/(g): sub is one digit pass
+    f = get_field(p, e, n)
+    for fld in (f, f.base):
+        assert all(fld.sub(a, b) == fld.add(a, fld.neg(b))
+                   for a in fld.elements() for b in fld.elements())
+
+
 @pytest.mark.parametrize("p,e,n", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
 def test_field_axioms_sampled(p, e, n):
     f = get_field(p, e, n)

@@ -5,6 +5,7 @@ import pytest
 
 from symrank import (
     NEG_INF,
+    ExtField,
     Matrix,
     QPoly,
     endo_matrix,
@@ -106,6 +107,45 @@ def test_left_divide_identity_random():
         assert rem.q_degree < div.q_degree
     with pytest.raises(ZeroDivisionError):
         a.left_divide(QPoly.zero(f))
+
+
+def _rand_of_degree(f, d, rng) -> QPoly:
+    """A q-polynomial of q-degree exactly d (zeros above d)."""
+    return QPoly(f, [rand_elt(f, rng) for _ in range(d)] + [rand_unit(f, rng)])
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 8), (3, 1, 5), (3, 2, 3), (5, 1, 4), (2, 2, 5)])
+def test_compose_left_divide_tables_vs_raw(p, e, n):
+    # the log-domain kernels of a table field against the mul/frobenius
+    # loops of the same field without tables
+    tabled = get_field(p, e, n)
+    raw = ExtField(tabled.base, n, use_tables=False)
+    assert tabled.modulus == raw.modulus and raw._exp is None
+
+    def on_raw(poly):
+        return QPoly(raw, poly.coeffs)
+
+    rng = RngStream(17)
+    for trial in range(200):
+        a, b = rand_qpoly(tabled, rng), rand_qpoly(tabled, rng)
+        assert a.compose(b).coeffs == on_raw(a).compose(on_raw(b)).coeffs
+        dl = rng.randbelow(n)
+        kind = trial % 3
+        if kind == 0:    # random, zeros above its q-degree
+            div = _rand_of_degree(tabled, dl, rng)
+        elif kind == 1:  # monomial
+            div = QPoly.monomial(tabled, dl, rand_unit(tabled, rng))
+        else:            # a is an exact multiple div o c
+            div = _rand_of_degree(tabled, dl, rng)
+            c = _rand_of_degree(tabled, rng.randbelow(n - dl), rng)
+            a = div.compose(c)
+        quot, rem = a.left_divide(div)
+        raw_quot, raw_rem = on_raw(a).left_divide(on_raw(div))
+        assert (quot.coeffs, rem.coeffs) == (raw_quot.coeffs, raw_rem.coeffs)
+        assert a == div.compose(quot) + rem
+        assert rem.q_degree < div.q_degree == dl
+        if kind == 2:
+            assert rem.is_zero() and quot == c
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 4), (3, 1, 3)])
