@@ -279,8 +279,9 @@ def _make_bench(cfg: dict) -> _Bench:
 def _validate(mode: str, n: int, k: int, rank: int | None, trials: int):
     if not 0 <= k <= n:
         raise ConfigError(f"k = {k} out of range 0..{n}")
-    if mode == "sym-low" and not 0 < 2 * k <= n:
-        raise ConfigError("sym-low needs 0 < k <= n/2")
+    if mode == "sym-low" and not 0 < 2 * k < n:
+        raise ConfigError("sym-low needs 0 < k < n/2 "
+                          "(rate below 1/2; use sym-high above it)")
     if mode == "sym-high" and not n < 2 * k < 2 * n:
         raise ConfigError("sym-high needs k > n/2 (use sym-low below that) and k < n")
     if rank is not None and not 0 <= rank <= n:

@@ -216,22 +216,11 @@ def _sample_independent(field: ExtField, count: int, rng) -> list[int]:
     if count > field.n:
         raise ValueError("cannot pick more independent elements than n")
     picked: list[int] = []
-    echelon: list[tuple[int, tuple[int, ...]]] = []  # (pivot index, reduced row)
     while len(picked) < count:
         x = rng.randbelow(field.order)
-        row = list(field.coeffs(x))
-        for pivot, basis_row in echelon:
-            c = row[pivot]
-            if c:
-                row = [field.base.sub(a, field.base.mul(c, b))
-                       for a, b in zip(row, basis_row)]
-        pivot = next((i for i, a in enumerate(row) if a), -1)
-        if pivot < 0:
-            continue
-        inv = field.base.inv(row[pivot])
-        row = tuple(field.base.mul(inv, a) for a in row)
-        echelon.append((pivot, row))
-        picked.append(x)
+        rows = [field.coeffs(y) for y in picked + [x]]
+        if Matrix(field.base, rows).rank() == len(rows):
+            picked.append(x)
     return picked
 
 

@@ -7,7 +7,8 @@ the codeword part, which can be recovered linearly.
 Low rate (matrix codes with C intersect Sym = 0, e.g. Gab_k o X^q with
 k < n/2): Phi restricted to C is injective, so C_hat is the unique solution
 of Phi|_C(X) = Phi(Y), whatever the error rank, even n.  Deterministic,
-no radius argument at all.
+no radius argument at all.  Phi is read on its n(n-1)/2 entries above the
+diagonal, and the rank of that system on C is the C intersect Sym = 0 test.
 
 High rate (Gabidulin, n/2 < k < n): Phi|_C has a kernel, so a preimage C' of
 Phi(Y) is only determined up to C intersect Sym_u, a subspace contained in
@@ -50,6 +51,13 @@ def phi_matrix(mat: Matrix) -> Matrix:
     return mat - mat.transpose()
 
 
+def _phi_upper(mat: Matrix) -> tuple:
+    """Phi(mat) above the diagonal, mat[i][j] - mat[j][i] for i < j; the rest
+    of Phi(mat) is their negation (below) or zero (on the diagonal)."""
+    sub, d, n = mat.field.sub, mat.data, mat.nrows
+    return tuple(sub(d[i][j], d[j][i]) for i in range(n) for j in range(i + 1, n))
+
+
 def phi_qpoly(poly: QPoly, u: int) -> QPoly:
     """Phi(P) = P - P^(T,u); kernel = self-adjoint q-polynomials."""
     return poly - poly.adjoint(u)
@@ -58,7 +66,7 @@ def phi_qpoly(poly: QPoly, u: int) -> QPoly:
 class MatrixCode:
     """An F_q-linear space of n x n matrices given by independent generators."""
 
-    __slots__ = ("field", "n", "generators", "dim")
+    __slots__ = ("field", "n", "generators", "dim", "_columns")
 
     def __init__(self, generators):
         generators = list(generators)
@@ -75,16 +83,14 @@ class MatrixCode:
         self.n = n
         self.generators = generators
         self.dim = len(generators)
+        self._columns = stacked.transpose()  # n^2 x dim: coefficients -> unfold(word)
 
     def __repr__(self):
         return f"MatrixCode(n={self.n}, dim={self.dim} over F_{self.field.q})"
 
     def combine(self, coeffs) -> Matrix:
-        out = Matrix.zeros(self.field, self.n, self.n)
-        for c, g in zip(coeffs, self.generators):
-            if c:
-                out = out + g.scale(c)
-        return out
+        flat, n = self._columns.apply(coeffs), self.n
+        return Matrix(self.field, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
 def matrix_code_of(code: GabCode, setup: SymSetup) -> MatrixCode:
@@ -98,30 +104,30 @@ def matrix_code_of(code: GabCode, setup: SymSetup) -> MatrixCode:
 
 def check_sym_free(code: MatrixCode) -> bool:
     """True iff the only symmetric matrix in the code is zero."""
-    stacked = Matrix(code.field, [unfold(phi_matrix(g)) for g in code.generators])
+    stacked = Matrix(code.field, [_phi_upper(g) for g in code.generators])
     return stacked.rank() == code.dim
 
 
 class LowRateDecoder:
     """Worst-case decoder for symmetric errors of any rank, 0 through n.
 
-    Requires C intersect Sym = 0.  Each decode is a pair of projections
-    through a solver factored once per code.
+    Requires C intersect Sym = 0.  One solver is factored per code, on Phi
+    read on its strict upper triangle; its rank is dim exactly when
+    C intersect Sym = 0, so that one elimination is also the check.  Each
+    decode is a pair of projections through it.
     """
 
     def __init__(self, code: MatrixCode):
-        if not check_sym_free(code):
+        cols = [_phi_upper(g) for g in code.generators]
+        self.code = code
+        self._solver = LinearSolver(Matrix(code.field, list(zip(*cols))))
+        if self._solver.rank != code.dim:
             raise ValueError("code contains a nonzero symmetric matrix; "
                              "the symmetric-error decoder cannot apply")
-        cols = [unfold(phi_matrix(g)) for g in code.generators]
-        system = Matrix(code.field, [[col[r] for col in cols]
-                                     for r in range(code.n * code.n)])
-        self.code = code
-        self._solver = LinearSolver(system)
 
     def decode(self, received: Matrix) -> tuple[Matrix, Matrix]:
         """(C_hat, E_hat) with received = C_hat + E_hat, E_hat symmetric."""
-        coeffs = self._solver.solve(unfold(phi_matrix(received)))
+        coeffs = self._solver.solve(_phi_upper(received))
         if coeffs is None:
             raise InvalidInstanceError(
                 "Phi(Y) is outside Phi(C): not codeword + symmetric error")

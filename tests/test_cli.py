@@ -3,12 +3,14 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
 
+import symrank
 from symrank import SymSetup
 from symrank.cli import _Bench, main
 from helpers import get_field
@@ -172,6 +174,9 @@ PINNED_SIMULATE = {
     ("sym-low", 2, 6, 2): (
         "35c48d7b57f281c8164225b49e5943548e38f77d42e15bdfd484b87c86ad5f10",
         "dca8306c1de5abb0074cc904dbba82cce45d49721851f0b8ffdc6830a112a4b4"),
+    ("sym-low", 3, 5, 2): (
+        "cd83eb1725d05f2fa9b2c11d7815a2b13ca748357bd855cdd95aead7e0d7ff3a",
+        "b3d004a7302ce4d4a8ef278e5e3fd9351ca01f73df5ead3bcbda006955ed5e3a"),
     ("sym-high", 2, 6, 4): (
         "f88266d7415c4fdb263bd325bc448bd336a23b59331d170c44be7c3099fb56b2",
         "3bdacfb35c157317b3a2512aae342099a0cfa8f836507a9048fc5c86bc0775eb"),
@@ -242,6 +247,12 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["roundtrip", "--p", "2", "--n", "8", "--k", "3",
                  "--mode", "sym-high"]) == 3
     assert "sym-high needs k > n/2" in capsys.readouterr().err
+    # rate exactly 1/2 is outside sym-low: Gab_{n/2} o X^q meets Sym
+    for cmd in ("roundtrip", "simulate"):
+        for p, n, k in ((2, 4, 2), (3, 6, 3)):
+            assert main([cmd, "--p", str(p), "--n", str(n), "--k", str(k),
+                         "--mode", "sym-low", "--trials", "1"]) == 3
+            assert "sym-low needs 0 < k < n/2" in capsys.readouterr().err
     assert main(["roundtrip", "--p", "2", "--n", "6", "--k", "9",
                  "--mode", "standard"]) == 3
     assert main(["setup", "--p", "2", "--n", "4", "--f", "{bad"]) == 3
@@ -303,8 +314,12 @@ def test_radius_table_per_code(tmp_path):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "r.csv"
+    # the child imports the same symrank as this suite, installed or not
+    src = os.path.dirname(os.path.dirname(symrank.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "symrank", "radius-table", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert out.exists()

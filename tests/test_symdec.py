@@ -10,6 +10,7 @@ from symrank import (
     GabCode,
     HighRateDecoder,
     InvalidInstanceError,
+    LinearSolver,
     LowRateDecoder,
     Matrix,
     MatrixCode,
@@ -23,7 +24,8 @@ from symrank import (
     unfold,
 )
 from helpers import get_field, get_setup, rand_elt, rand_qpoly
-from symrank.channel import RngStream, random_codeword, random_selfadjoint_qpoly, random_symmetric_matrix
+from symrank.channel import (RngStream, random_codeword, random_matrix, random_matrix_code,
+                             random_selfadjoint_qpoly, random_symmetric_matrix)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3)])
@@ -129,6 +131,86 @@ def test_low_rate_refuses_non_sym_free_code():
     mcode = matrix_code_of(GabCode(st.field, 2, 0), st)
     with pytest.raises(ValueError):
         LowRateDecoder(mcode)
+
+
+def _full_phi_solver(code):
+    """The reference system: all n^2 entries of Phi as rows, one column per
+    generator."""
+    cols = [unfold(phi_matrix(g)) for g in code.generators]
+    return LinearSolver(Matrix(code.field, [[col[r] for col in cols]
+                                            for r in range(code.n * code.n)]))
+
+
+def _full_phi_decode(code, solver, received):
+    """(C_hat, E_hat) through the full-Phi reference, the codeword rebuilt as
+    a sum of scaled generators; None where the decoder must raise."""
+    coeffs = solver.solve(unfold(phi_matrix(received)))
+    if coeffs is None:
+        return None
+    codeword = Matrix.zeros(code.field, code.n, code.n)
+    for c, g in zip(coeffs, code.generators):
+        codeword = codeword + g.scale(c)
+    error = received - codeword
+    return (codeword, error) if error.is_symmetric() else None
+
+
+def _full_stack_sym_free(code):
+    stacked = Matrix(code.field, [unfold(phi_matrix(g)) for g in code.generators])
+    return stacked.rank() == code.dim
+
+
+@pytest.mark.parametrize("p,n,dim", [(2, 5, 8), (3, 4, 5), (5, 4, 5)])
+def test_low_rate_matches_full_phi_reference(p, n, dim):
+    # odd p is where sub differs from add, so the sign of Phi matters
+    f = BaseField(p)
+    rng = RngStream(100 * p + n)
+    outcomes = set()
+    for _ in range(2):
+        code = random_matrix_code(f, n, dim, rng)
+        dec = LowRateDecoder(code)
+        ref = _full_phi_solver(code)
+        assert ref.rank == dim
+        for r in range(n + 1):
+            cw = code.combine([rng.randbelow(p) for _ in range(dim)])
+            err = random_symmetric_matrix(f, n, r, rng)
+            assert dec.decode(cw + err) == (cw, err) == \
+                _full_phi_decode(code, ref, cw + err)
+        for _ in range(40):
+            y = random_matrix(f, n, n, rng)
+            want = _full_phi_decode(code, ref, y)
+            outcomes.add(want is None)
+            if want is None:
+                with pytest.raises(InvalidInstanceError):
+                    dec.decode(y)
+            else:
+                assert dec.decode(y) == want
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 4), (5, 3)])
+def test_check_sym_free_matches_full_stack(p, n):
+    f = BaseField(p)
+    rng = RngStream(200 * p + n)
+    seen = set()
+    for dim in range(1, n * (n - 1) // 2 + 2):
+        for sym_free in (True, False):
+            if sym_free and dim > n * (n - 1) // 2:
+                continue
+            code = random_matrix_code(f, n, dim, rng, sym_free=sym_free)
+            free = check_sym_free(code)
+            assert free == _full_stack_sym_free(code)
+            assert free or not sym_free
+            seen.add(free)
+            if not free:
+                with pytest.raises(ValueError, match="symmetric"):
+                    LowRateDecoder(code)
+    assert seen == {True, False}
+    # rate exactly 1/2: Gab_{n/2} o X^q holds a nonzero symmetric matrix
+    st = get_setup(p, 1, 2 * n)
+    half = matrix_code_of(GabCode(st.field, n, 1), st)
+    assert not check_sym_free(half) and not _full_stack_sym_free(half)
+    with pytest.raises(ValueError, match="symmetric"):
+        LowRateDecoder(half)
 
 
 def test_high_rate_validation():
