@@ -8,7 +8,8 @@ Subcommands:
 
 Flags may come from --config (a JSON object with the same keys); explicitly
 given flags win.  Exit codes: 0 success, 1 decode failure (including an
-'incomplete' report, whose localiser walk was cut at its cap), 2 ambiguity,
+'incomplete' report: a walk of a localiser kernel of dimension >= 3, or on
+a field without log tables, was cut at its cap), 2 ambiguity,
 3 invalid input: a bad flag or config value, a field, code, rank or trial
 count out of range, an unreadable setup file, or an output path that cannot
 be opened (``simulate`` opens its outputs before the first trial).

@@ -10,14 +10,24 @@ basis.
 guessed error rank tp the unknown localiser (l_0..l_tp) must kill the
 coefficients of L o Y at indices k+tp..n-1, an (n-k-tp) x (tp+1) linear
 system over F_{q^n}.  The decoder climbs tp = 0, 1, ..., t, so candidates
-appear ordered by distance from Y.  Every stage enumerates the projective
-points of the localiser kernel in one fixed order (first nonzero
-coordinate 1, the last coordinate fastest):
+appear ordered by distance from Y.  Every stage takes the projective points
+of the localiser kernel in one fixed order (first nonzero coordinate 1, the
+last coordinate fastest):
 
   * at tp <= (n-k)//2 any single nonzero solution already yields the unique
     codeword within tp if one exists, so only the first point is tested;
-  * past that bound every point is walked (capped; a cut walk reports
-    'incomplete'), since distinct solutions can encode distinct codewords;
+  * past that bound every point that can yield a new codeword is walked,
+    since distinct solutions can encode distinct codewords.  A kernel of
+    dimension 2 [K1, K2] on a field with exp/log tables goes through the
+    localiser pencil: one pass over F_{q^n} finds the members K1 + c K2
+    (and K2) with a full root space of q^tp elements, and only those are
+    divided.  This is exact: when a walked stage starts, every codeword
+    within tp - 1 of Y has been found (by unique decoding below the bound,
+    by the earlier walked stages above it), so a new candidate C has an
+    error of rank exactly tp whose image lies in ker L, which then has
+    dimension tp.
+    Larger kernels and table-free fields enumerate every point, capped; a
+    cut walk reports 'incomplete';
   * after a stage that produced candidates, the ladder stops as soon as
     min_distance - tp > t, which certifies no further codeword can sit
     within radius t.
@@ -30,6 +40,7 @@ ker L and its rank is at most tp automatically.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from .gf import ExtField
@@ -88,9 +99,10 @@ class DecodeReport:
 
     status 'ok' carries the unique codeword and its error; 'ambiguous' lists
     every codeword found at minimal distance in ``candidates``; 'fail' means
-    nothing decodable within the requested radius; 'incomplete' means the
-    localiser walk was cut at its cap (``diagnostics["truncated"]``), so
-    ``candidates`` holds only what was found before the cut and may miss
+    nothing decodable within the requested radius; 'incomplete' means an
+    enumerated localiser walk (a kernel of dimension >= 3, or a field
+    without exp/log tables) was cut at its cap (``diagnostics["truncated"]``),
+    so ``candidates`` holds only what was found before the cut and may miss
     codewords, the sent one included.
     """
 
@@ -136,6 +148,15 @@ def _try_localiser(vec, received: QPoly, k: int) -> QPoly | None:
     return None
 
 
+def _axpy(fld: ExtField, vec: list, c: int, kv) -> list:
+    """vec + c * kv coordinate-wise, in place; vec itself when c = 0."""
+    if c:
+        for pos, x in enumerate(kv):
+            if x:
+                vec[pos] = fld.add(vec[pos], fld.mul(c, x))
+    return vec
+
+
 def _projective_points(fld: ExtField, kern: list[tuple]):
     """One representative of each projective point of span(kern): first
     nonzero coordinate 1 (at ``lead``), the other coordinates over the
@@ -146,11 +167,55 @@ def _projective_points(fld: ExtField, kern: list[tuple]):
                                       repeat=len(kern) - lead - 1):
             vec = list(base)
             for ci, kv in zip(tail, kern[lead + 1:]):
-                if ci:
-                    for pos, x in enumerate(kv):
-                        if x:
-                            vec[pos] = fld.add(vec[pos], fld.mul(ci, x))
+                _axpy(fld, vec, ci, kv)
             yield vec
+
+
+def _tabulate(fld: ExtField, vec) -> list[int]:
+    """The F_q-linear map L = sum_i vec[i] X^(q^i) at every packed element
+    of F_{q^n}.  The element d q^j + r (d in F_q, r < q^j) maps to
+    d L(q^j) + L(r), so each entry past the first costs one add.  The
+    scalar multiple is a field ``mul``: at e > 1 the packed d is not d
+    repeated additions."""
+    loc = QPoly(fld, vec)
+    add, mul, q = fld.add, fld.mul, fld.q
+    table = [0]
+    for j in range(fld.n):
+        col = loc.evaluate(q**j)
+        block = len(table)
+        for d in range(1, q):
+            step = mul(d, col)
+            table.extend([add(v, step) for v in table[:block]])
+    return table
+
+
+def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
+    """The points of a 2-dimensional kernel [K1, K2] whose localiser has a
+    full root space, q^tp roots, in the order of ``_projective_points``:
+    K1 + c K2 for c ascending, then K2.  Needs exp/log tables.
+
+    A nonzero x is a root of exactly one member: K1 + c K2 with
+    c = -K1(x)/K2(x), or K2 when K2(x) = 0 != K1(x).  Roots of both K1 and
+    K2 are roots of every member.  One pass over F_{q^n} counts each
+    member's own roots, keyed by log K1(x) - log K2(x), or -1 for c = 0."""
+    k1, k2 = kern
+    log, exp = fld._log, fld._exp
+    units = fld.order - 1
+    common = only_k2 = 0    # roots of both (zero included), of K2 alone
+    counts = Counter()
+    for a, b in zip(_tabulate(fld, k1), _tabulate(fld, k2)):
+        if b:
+            counts[(log[a] - log[b]) % units if a else -1] += 1
+        elif a:
+            only_k2 += 1
+        else:
+            common += 1
+    full = fld.q**tp - common
+    for c in sorted(0 if key < 0 else fld.neg(exp[key])
+                    for key, count in counts.items() if count == full):
+        yield _axpy(fld, list(k1), c, k2)
+    if only_k2 == full:
+        yield list(k2)
 
 
 def wb_decode(code: GabCode, received: QPoly, t: int,
@@ -158,9 +223,13 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     """All codewords within rank distance t of ``received``.
 
     Guaranteed single answer for t <= (n-k)//2, where each stage tests the
-    first projective point of its localiser kernel; beyond that every point
-    is walked in the same order, at most ``max_candidates`` localisers over
-    all walked stages, and a walk cut at the cap reports 'incomplete'.
+    first projective point of its localiser kernel.  Beyond that the stage
+    is walked (module docstring): a kernel of dimension 2 on a field with
+    exp/log tables through the pencil, which is exhaustive and never cut;
+    any other kernel by enumerating its points, at most ``max_candidates``
+    localisers over all enumerated stages, and a walk cut at the cap
+    reports 'incomplete'.  ``diagnostics["walked"]`` counts the localisers
+    divided at walked stages, on either path.
     """
     if t < 0:
         raise ValueError("decoding radius t must be >= 0")
@@ -176,6 +245,7 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     found: list[QPoly] = []
     kernel_dims: list[int] = []
     walked = 0
+    enumerated = 0      # localisers of capped walks, within max_candidates
     truncated = False
 
     for tp in range(t_eff + 1):
@@ -188,13 +258,19 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
             kern = Matrix.identity(fld, tp + 1).data
         kernel_dims.append(len(kern))
         walk = tp > half
-        for vec in itertools.islice(_projective_points(fld, kern),
-                                    None if walk else 1):
-            if walk:
-                if walked >= max_candidates:
+        pencil = walk and len(kern) == 2 and fld._exp is not None
+        if pencil:
+            points = _pencil_points(fld, kern, tp)
+        else:
+            points = itertools.islice(_projective_points(fld, kern),
+                                      None if walk else 1)
+        for vec in points:
+            if walk and not pencil:
+                if enumerated >= max_candidates:
                     truncated = True
                     break
-                walked += 1
+                enumerated += 1
+            walked += walk
             cand = _try_localiser(vec, y0, k)
             if cand is not None and cand not in found:
                 found.append(cand)

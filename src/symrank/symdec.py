@@ -24,9 +24,13 @@ survivors get their status from ``DecodeReport.of``, the same rule as
 ``wb_decode``, and an 'ok' answer is verified (in the code, self-adjoint
 error, rank <= n-k) before it is returned.  Below the boundary
 (rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
-valid decompositions can coexist and the report says so.  When the
-localiser walk is cut at its cap the report is 'incomplete' with the
-survivors found so far, never 'ok' or 'ambiguous'.
+valid decompositions can coexist and the report says so.  The boundary
+localiser kernel has dimension 2 whenever its key equation has full rank
+(every instance sampled so far), so on a field with exp/log tables
+``wb_decode`` searches it exhaustively through the localiser pencil, with
+no cap.  Only when a capped walk is cut (a kernel of dimension >= 3, or a
+field without tables) is the report 'incomplete', with the survivors found
+so far, never 'ok' or 'ambiguous'.
 """
 
 from __future__ import annotations
@@ -144,8 +148,9 @@ class HighRateDecoder:
 
     Corrects every self-adjoint error of rank up to n-k-1 uniquely; at rank
     exactly n-k all valid decompositions are surfaced and the status is
-    'ambiguous' when there is more than one, or 'incomplete' when the
-    localiser walk was cut before all of them could be found.
+    'ambiguous' when there is more than one.  It is 'incomplete' only when a
+    capped localiser walk (a kernel of dimension >= 3, or a field without
+    exp/log tables) was cut before all of them could be found.
     """
 
     def __init__(self, setup: SymSetup, k: int):

@@ -105,6 +105,20 @@ def test_roundtrip_sym_high_boundary_exit_codes(tmp_path):
     assert seen == {0, 2}
 
 
+def test_roundtrip_sym_high_boundary_past_old_cap(tmp_path):
+    # (2, 12, 8) at rank n-k walks 4097 localisers, beyond the old cap of
+    # 1024: every decode is answered, never a failure
+    for seed in range(1, 5):
+        out = tmp_path / "r.json"
+        code = main(["roundtrip", "--p", "2", "--n", "12", "--k", "8",
+                     "--mode", "sym-high", "--rank", "4", "--seed", str(seed),
+                     "--out", str(out), "--no-timing"])
+        report = json.loads(out.read_text())
+        assert (code, report["outcome"]) in ((0, "success"), (2, "ambiguous"))
+        if code == 0:
+            assert report["decoded"] == report["instance"]["codeword"]
+
+
 def test_simulate_csv_shape_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -1,15 +1,17 @@
 """Gabidulin code tests: encoding, MRD property (exhaustive on tiny codes),
-Welch-Berlekamp decoding in and past the unique-decoding radius, and the
-planted-error generator."""
+Welch-Berlekamp decoding in and past the unique-decoding radius, the
+localiser pencil against the uncapped walk, and the planted-error
+generator."""
 
 import itertools
 import json
 
 import pytest
 
-from symrank import GabCode, QPoly, qpoly_rank, random_error, vector_form, wb_decode
-from helpers import get_field, rand_elt
-from symrank.channel import RngStream
+from symrank import (ExtField, GabCode, HighRateDecoder, QPoly, gabidulin, qpoly_rank,
+                     random_error, vector_form, wb_decode)
+from helpers import get_field, get_setup, rand_elt
+from symrank.channel import RngStream, random_codeword, random_selfadjoint_qpoly
 
 
 def all_codewords(code):
@@ -163,14 +165,17 @@ def test_wb_fail_status():
 
 
 def test_wb_truncated_walk_is_incomplete():
-    # t = 2 > (n-k)//2 on Gab_1 over F_16: the last stage walks 17 localisers
-    f = get_field(2, 1, 4)
+    # t = n-k = 2 on Gab_1 over F_8: rows <= 0 gives the identity kernel of
+    # dimension 3, whose 73 localisers are enumerated under the cap
+    f = get_field(2, 1, 3)
     code = GabCode(f, 1)
     rng = RngStream(43)
     for _ in range(10):
         cw = rand_codeword(code, rng)
         y = cw + random_error(f, 2, rng)
         full = wb_decode(code, y, 2)
+        assert full.diagnostics["kernel_dims"][-1] == 3
+        assert full.diagnostics["walked"] == 73
         assert not full.diagnostics["truncated"]
         assert full.status in ("ok", "ambiguous")
         assert cw in full.candidates
@@ -180,6 +185,71 @@ def test_wb_truncated_walk_is_incomplete():
         assert cut.diagnostics["walked"] == 4
         assert cut.codeword is None
         assert all(c in full.candidates for c in cut.candidates)
+
+
+def _assert_pencil_is_walk(monkeypatch, code, y, t):
+    """wb_decode through the pencil against the reference: every walked
+    stage enumerated point by point, with no cap."""
+    rep = wb_decode(code, y, t)
+    with monkeypatch.context() as m:
+        m.setattr(gabidulin, "_pencil_points",
+                  lambda fld, kern, tp: gabidulin._projective_points(fld, kern))
+        ref = wb_decode(code, y, t, max_candidates=10**9)
+    assert rep.diagnostics["kernel_dims"][-1] == 2
+    assert not rep.diagnostics["truncated"]
+    assert rep.diagnostics["walked"] <= ref.diagnostics["walked"]
+    assert rep.status == ref.status
+    assert rep.candidates == ref.candidates
+    return rep
+
+
+@pytest.mark.parametrize("p,e,n,k", [
+    (2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 5), (2, 1, 7, 4), (3, 1, 4, 3),
+    (2, 2, 4, 3), (3, 2, 3, 2)])
+def test_pencil_matches_uncapped_walk_high_rate(monkeypatch, p, e, n, k):
+    # boundary HighRateDecoder instances: wb_decode of the residual at rank n-k
+    st = get_setup(p, e, n)
+    dec = HighRateDecoder(st, k)
+    rng = RngStream(59)
+    for _ in range(6):
+        cw = random_codeword(dec.code, rng)
+        y = cw + random_selfadjoint_qpoly(dec.radius, st, rng)
+        pre = dec._preimage(y)
+        rep = _assert_pencil_is_walk(monkeypatch, dec.reduced, y - pre, dec.radius)
+        assert cw - pre in rep.candidates
+
+
+def test_pencil_matches_uncapped_walk_standard(monkeypatch):
+    # t = 2 > (n-k)//2 on Gab_1 over F_16: the last stage has dimension 2
+    f = get_field(2, 1, 4)
+    code = GabCode(f, 1)
+    rng = RngStream(61)
+    for _ in range(10):
+        cw = rand_codeword(code, rng)
+        y = cw + random_error(f, 2, rng)
+        rep = _assert_pencil_is_walk(monkeypatch, code, y, 2)
+        assert cw in rep.candidates
+
+
+def test_table_free_field_still_walks():
+    # same tower without exp/log tables: every point of the pencil is
+    # enumerated, the cap still cuts it, and the answers are the pencil's
+    tabled = get_field(2, 1, 4)
+    raw = ExtField(tabled.base, 4, use_tables=False)
+    assert raw.modulus == tabled.modulus
+    code, raw_code = GabCode(tabled, 1), GabCode(raw, 1)
+    rng = RngStream(67)
+    for _ in range(5):
+        y = rand_codeword(code, rng) + random_error(tabled, 2, rng)
+        y_raw = QPoly(raw, y.coeffs)
+        rep = wb_decode(code, y, 2)
+        walk = wb_decode(raw_code, y_raw, 2)
+        assert walk.diagnostics["walked"] == 17
+        assert walk.status == rep.status
+        assert [c.coeffs for c in walk.candidates] == [c.coeffs for c in rep.candidates]
+        cut = wb_decode(raw_code, y_raw, 2, max_candidates=4)
+        assert cut.status == "incomplete"
+        assert cut.diagnostics["walked"] == 4
 
 
 def test_wb_rejects_bad_radius():

@@ -27,7 +27,6 @@ def test_spans_resolve():
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_trial_per_code(name):
-    # only the boundary walk at (2,10,7) may fail, and only as truncated
     work = workloads.WORKLOADS[name]
     cases = work.build()
     master = RngStream(1)
@@ -39,5 +38,4 @@ def test_workload_trial_per_code(name):
         case = cases[ci]
         sent, received = case.sample(rank, master.fork(i))
         category, _ = case.judge(sent, received, case.decode(received))
-        boundary_cut = name == "sym-high-boundary" and case.label == "q2n10k7"
-        assert category == ("truncated" if boundary_cut else None), case.label
+        assert category is None, case.label

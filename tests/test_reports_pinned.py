@@ -45,9 +45,9 @@ def test_wb_reports_pinned(p, n, k, cap):
 
 PINNED_HIGH = {
     (2, 6, 4):
-        "8bc92bd6354de1e628da5a25f8f4416f524943ba91f59ebfd27939fab6fba136",
+        "3f9aa8ee2b74d5d799aec06a27a29a84473029f5625e75ea0fd8f754a5681c0d",
     (3, 5, 3):
-        "afe0fbd17829b241d9417001f4bfc843079e61973aa4bae6ad65c44279d8cd4f",
+        "1406d6eb2cef21029989da08ee3f989e2b85a57742d5df3c03991234a4662dfe",
 }
 
 
