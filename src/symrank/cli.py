@@ -11,8 +11,9 @@ given flags win.  Exit codes: 0 success, 1 decode failure (including an
 'incomplete' report: a walk of a localiser kernel of dimension >= 3, or on
 a field without log tables, was cut at its cap), 2 ambiguity,
 3 invalid input: a bad flag or config value, a field, code, rank or trial
-count out of range, an unreadable setup file, or an output path that cannot
-be opened (``simulate`` opens its outputs before the first trial).
+count out of range, an unreadable setup file or one whose field disagrees
+with a given --p, --e, --n, --g or --f, or an output path that cannot be
+opened (``simulate`` opens its outputs before the first trial).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .bilinear import SymSetup
 from .channel import (RngStream, random_codeword, random_selfadjoint_qpoly,
                       random_symmetric_matrix)
 from .gabidulin import GabCode, random_error, wb_decode
-from .gf import BaseField, ExtField
+from .gf import BaseField, ExtField, field_to_json
 from .qpoly import matrix_of
 from .symdec import HighRateDecoder, InvalidInstanceError, LowRateDecoder, \
     matrix_code_of
@@ -91,7 +92,8 @@ def _build_parser() -> _Parser:
                         default=None, help="zero the timing column "
                         "(byte-identical CSV across runs)")
         sp.add_argument("--instance-log", dest="instance_log", default=None,
-                        help="write per-trial instances as JSON lines")
+                        help="write per-trial instances, outcomes and "
+                        "decoded words as JSON lines")
     return parser
 
 
@@ -122,8 +124,6 @@ def _resolve(args) -> dict:
                 raise ConfigError(f"config mode must be one of {MODES}, not {value!r}")
             if cfg[key] is None:
                 cfg[key] = value
-    if cfg["e"] is None:
-        cfg["e"] = 1
     if cfg["seed"] is None:
         cfg["seed"] = 1
     if cfg["trials"] is None:
@@ -155,11 +155,21 @@ def _make_field(cfg: dict) -> ExtField:
     _require(cfg, "p", "n")
     g = _parse_json_flag(cfg["g"], "g")
     f = _parse_json_flag(cfg["f"], "f")
-    base = BaseField(cfg["p"], cfg["e"], g)
+    base = BaseField(cfg["p"], 1 if cfg["e"] is None else cfg["e"], g)
     packed_f = None
     if f is not None:
         packed_f = tuple(base.from_coeffs(c) for c in f)
     return ExtField(base, cfg["n"], packed_f)
+
+
+def _check_field_flags(cfg: dict, field: ExtField):
+    """Every field key given alongside a setup file must name its field."""
+    doc = field_to_json(field)
+    for key in ("p", "e", "n", "g", "f"):
+        given = _parse_json_flag(cfg[key], key)
+        if given is not None and given != doc[key]:
+            raise ConfigError(f"{key} = {json.dumps(given)} disagrees with the "
+                              f"setup file's {key} = {json.dumps(doc[key])}")
 
 
 def _load(cfg: dict, with_setup: bool) -> tuple[ExtField, SymSetup | None]:
@@ -169,6 +179,7 @@ def _load(cfg: dict, with_setup: bool) -> tuple[ExtField, SymSetup | None]:
         if cfg["setup_file"]:
             with open(cfg["setup_file"]) as fh:
                 setup = SymSetup.from_json(json.load(fh))
+            _check_field_flags(cfg, setup.field)
             return setup.field, setup
         field = _make_field(cfg)
         return field, SymSetup(field) if with_setup else None
@@ -348,7 +359,8 @@ def cmd_simulate(cfg: dict) -> int:
                     line = {"trial": trial, "seed": stream.seed,
                             "code": {"q": bench.field.q, "n": n, "k": k,
                                      "mode": mode, "rank": rank}}
-                    line.update(result["instance"])
+                    line.update(result["instance"], outcome=result["outcome"],
+                                decoded=result["decoded"])
                     log.write(json.dumps(line, sort_keys=True) + "\n")
             mean = (0 if cfg["no_timing"] or not nanos
                     else sum(nanos) // (1000 * len(nanos)))

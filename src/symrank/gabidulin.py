@@ -9,30 +9,35 @@ basis.
 ``wb_decode`` solves the key equation L o Y = N coefficient-wise.  For a
 guessed error rank tp the unknown localiser (l_0..l_tp) must kill the
 coefficients of L o Y at indices k+tp..n-1, an (n-k-tp) x (tp+1) linear
-system over F_{q^n}.  The decoder climbs tp = 0, 1, ..., t, so candidates
-appear ordered by distance from Y.  Every stage takes the projective points
-of the localiser kernel in one fixed order (first nonzero coordinate 1, the
-last coordinate fastest):
+system over F_{q^n}.  The decoder solves it once at the unique radius
+tu = min(t, (n-k)//2), then at each tp = (n-k)//2 + 1, ..., t, so
+candidates appear ordered by distance from Y:
 
-  * at tp <= (n-k)//2 any single nonzero solution already yields the unique
-    codeword within tp if one exists, so only the first point is tested;
-  * past that bound every point that can yield a new codeword is walked,
+  * at tu any single nonzero solution yields the unique codeword within tu
+    if one exists (Loidreau's decoder), so only kern[0] is tested.  If
+    Y = C + E with rank E = r <= tu, a kernel vector L has L o E of
+    q-degree below k + tu; were it nonzero its rank would be at least
+    n - k - tu + 1 > tu >= r, so L o E = 0 and L = M o Lambda_E with
+    Lambda_E the subspace polynomial of Im E and deg M <= tu - r.  The
+    kernel thus has dimension exactly tu - r + 1, which gives the error
+    rank of the candidate without any further elimination;
+  * past (n-k)//2 every point that can yield a new codeword is walked,
     since distinct solutions can encode distinct codewords.  A kernel of
     dimension 2 [K1, K2] on a field with exp/log tables goes through the
     localiser pencil: one pass over F_{q^n} finds the members K1 + c K2
     (and K2) with a full root space of q^tp elements, and only those are
     divided.  This is exact: when a walked stage starts, every codeword
-    within tp - 1 of Y has been found (by unique decoding below the bound,
-    by the earlier walked stages above it), so a new candidate C has an
-    error of rank exactly tp whose image lies in ker L, which then has
-    dimension tp.
+    within tp - 1 of Y has been found (at the unique radius below the
+    bound, by the earlier walked stages above it), so a new candidate C
+    has an error of rank exactly tp whose image lies in ker L, which then
+    has dimension tp.
     Larger kernels and table-free fields enumerate every point, capped; a
     cut walk reports 'incomplete';
-  * after a stage that produced candidates, the ladder stops as soon as
-    min_distance - tp > t, which certifies no further codeword can sit
-    within radius t.
+  * after a stage that produced candidates, decoding stops as soon as
+    min_distance - rank > t, with rank that of the first candidate's
+    error, which certifies no further codeword can sit within radius t.
 
-A division check replaces rank bookkeeping: when L o Y = L o C exactly with
+A division check certifies the distance: when L o Y = L o C exactly with
 deg_q C < k, the error Y - C satisfies L o (Y-C) = 0, so its image lies in
 ker L and its rank is at most tp automatically.
 """
@@ -122,21 +127,21 @@ class DecodeReport:
         }
 
     @classmethod
-    def of(cls, received: QPoly, found: list[QPoly],
+    def of(cls, received: QPoly, found: list[QPoly], rank: int | None,
            diagnostics: dict) -> "DecodeReport":
         """The report of a search that found ``found``: 'incomplete' when
         ``diagnostics["truncated"]``, else 'fail' for none, 'ambiguous' for
-        several, and 'ok' for one, with error = received - found[0] and its
-        rank in ``diagnostics["error_rank"]``."""
+        several, and 'ok' for one, with error = received - found[0].  The
+        caller knows the rank of that error and passes it as ``rank``; it
+        becomes ``diagnostics["error_rank"]`` on 'ok' only."""
         if diagnostics["truncated"]:
             return cls("incomplete", candidates=found, diagnostics=diagnostics)
         if not found:
             return cls("fail", diagnostics=diagnostics)
         if len(found) > 1:
             return cls("ambiguous", candidates=found, diagnostics=diagnostics)
-        error = received - found[0]
-        diagnostics["error_rank"] = 0 if error.is_zero() else qpoly_rank(error)
-        return cls("ok", found[0], error, found, diagnostics)
+        diagnostics["error_rank"] = rank
+        return cls("ok", found[0], received - found[0], found, diagnostics)
 
 
 def _try_localiser(vec, received: QPoly, k: int) -> QPoly | None:
@@ -222,14 +227,20 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
               max_candidates: int = 1024) -> DecodeReport:
     """All codewords within rank distance t of ``received``.
 
-    Guaranteed single answer for t <= (n-k)//2, where each stage tests the
-    first projective point of its localiser kernel.  Beyond that the stage
-    is walked (module docstring): a kernel of dimension 2 on a field with
-    exp/log tables through the pencil, which is exhaustive and never cut;
-    any other kernel by enumerating its points, at most ``max_candidates``
-    localisers over all enumerated stages, and a walk cut at the cap
-    reports 'incomplete'.  ``diagnostics["walked"]`` counts the localisers
-    divided at walked stages, on either path.
+    Guaranteed single answer for t <= (n-k)//2, where one key equation at
+    radius t is solved and its first kernel vector tested.  Beyond that the
+    stages past (n-k)//2 are walked (module docstring): a kernel of
+    dimension 2 on a field with exp/log tables through the pencil, which is
+    exhaustive and never cut; any other kernel by enumerating its points,
+    at most ``max_candidates`` localisers over all enumerated stages, and a
+    walk cut at the cap reports 'incomplete'.
+
+    ``diagnostics["kernel_dims"]`` lists the kernel dimension of the stage
+    at the unique radius min(t, (n-k)//2), followed by that of each walked
+    stage.  ``diagnostics["walked"]`` counts the localisers divided at
+    walked stages, on either path.  ``diagnostics["error_rank"]`` (on 'ok'
+    only) is read off the stage that found the codeword: min(t, (n-k)//2)
+    + 1 - kernel dimension at the unique radius, tp at a walked stage.
     """
     if t < 0:
         raise ValueError("decoding radius t must be >= 0")
@@ -243,12 +254,14 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     frob = fld.frobenius
 
     found: list[QPoly] = []
+    rank = None         # error rank of found[0]
     kernel_dims: list[int] = []
     walked = 0
     enumerated = 0      # localisers of capped walks, within max_candidates
     truncated = False
 
-    for tp in range(t_eff + 1):
+    tu = min(t_eff, half)
+    for tp in [tu, *range(half + 1, t_eff + 1)]:
         rows = n - k - tp
         if rows > 0:
             sys_rows = [[frob(ycoeffs[(j - i) % n], i) for i in range(tp + 1)]
@@ -259,11 +272,12 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
         kernel_dims.append(len(kern))
         walk = tp > half
         pencil = walk and len(kern) == 2 and fld._exp is not None
-        if pencil:
+        if not walk:
+            points = kern[:1]
+        elif pencil:
             points = _pencil_points(fld, kern, tp)
         else:
-            points = itertools.islice(_projective_points(fld, kern),
-                                      None if walk else 1)
+            points = _projective_points(fld, kern)
         for vec in points:
             if walk and not pencil:
                 if enumerated >= max_candidates:
@@ -273,13 +287,15 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
             walked += walk
             cand = _try_localiser(vec, y0, k)
             if cand is not None and cand not in found:
+                if not found:
+                    rank = tp if walk else tp + 1 - len(kern)
                 found.append(cand)
-        if found and d_min - tp > t:
+        if found and d_min - rank > t:
             break
 
     if s:
         found = [c.compose_monomial(s) for c in found]
-    return DecodeReport.of(received, found, {
+    return DecodeReport.of(received, found, rank, {
         "kernel_dims": kernel_dims,
         "walked": walked,
         "truncated": truncated,

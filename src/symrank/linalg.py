@@ -183,38 +183,6 @@ class Matrix:
         rows = [list(r) for r in self.data]
         return len(_rref(self.field, rows, self.ncols))
 
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        f = self.field
-        mul, sub, inv, zero = f.mul, f.sub, f.inv, f.zero
-        rows = [list(r) for r in self.data]
-        n = self.nrows
-        det = f.one
-        for c in range(n):
-            pr = -1
-            for i in range(c, n):
-                if rows[i][c] != zero:
-                    pr = i
-                    break
-            if pr < 0:
-                return zero
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = f.neg(det)
-            lead = rows[c][c]
-            det = mul(det, lead)
-            s = inv(lead)
-            for i in range(c + 1, n):
-                fac = rows[i][c]
-                if fac != zero:
-                    fac = mul(fac, s)
-                    for j in range(c, n):
-                        v = rows[c][j]
-                        if v != zero:
-                            rows[i][j] = sub(rows[i][j], mul(fac, v))
-        return det
-
     def kernel(self) -> list[tuple]:
         """Basis of the right null space, as row vectors of length ncols."""
         rows = [list(r) for r in self.data]

@@ -21,10 +21,12 @@ linear system is solved, and every word has a preimage.  The residual
 Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k, and
 candidates are filtered by self-adjointness of the implied error.  The
 survivors get their status from ``DecodeReport.of``, the same rule as
-``wb_decode``, and an 'ok' answer is verified (in the code, self-adjoint
-error, rank <= n-k) before it is returned.  Below the boundary
-(rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
-valid decompositions can coexist and the report says so.  The boundary
+``wb_decode``.  The rank of a single survivor's error is computed once, by
+an F_q elimination independent of the kernel dimension ``wb_decode`` reads
+its own rank from, and an 'ok' answer is verified (in the code,
+self-adjoint error, that rank <= n-k) before it is returned.  Below the
+boundary (rank <= n-k-1) the answer is provably unique; at rank exactly
+n-k two valid decompositions can coexist and the report says so.  The boundary
 localiser kernel has dimension 2 whenever its key equation has full rank
 (every instance sampled so far), so on a field with exp/log tables
 ``wb_decode`` searches it exhaustively through the localiser pencil, with
@@ -38,7 +40,7 @@ from __future__ import annotations
 from .bilinear import SymSetup
 from .gabidulin import DecodeReport, GabCode, wb_decode
 from .linalg import LinearSolver, Matrix
-from .qpoly import QPoly, matrix_of
+from .qpoly import QPoly, matrix_of, qpoly_rank
 
 
 class InvalidInstanceError(ValueError):
@@ -195,7 +197,11 @@ class HighRateDecoder:
         rep = wb_decode(self.reduced, received - pre, self.radius)
         survivors = [cand for cand in (pre + c for c in rep.candidates)
                      if (received - cand).is_self_adjoint(u)]
-        out = DecodeReport.of(received, survivors, dict(
+        rank = None     # of the single survivor's error, checked below
+        if len(survivors) == 1:
+            error = received - survivors[0]
+            rank = 0 if error.is_zero() else qpoly_rank(error)
+        out = DecodeReport.of(received, survivors, rank, dict(
             rep.diagnostics, wb_status=rep.status, survivors=len(survivors)))
         if out.status == "ok" and (not self.code.contains(out.codeword)
                                    or not out.error.is_self_adjoint(u)

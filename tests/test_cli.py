@@ -176,6 +176,16 @@ def test_simulate_instance_log(tmp_path):
         assert line["code"] == {"q": 3, "n": 4, "k": 3, "mode": "sym-high",
                                 "rank": 0}
         assert {"seed", "codeword", "error", "received"} <= set(line)
+        assert line["outcome"] == "success"
+        assert line["decoded"] == line["codeword"]
+    # a failed trial says so: rank 2 is past the standard radius (6-2)//2 = 1
+    # at (2,6,4), so no trial decodes to the sent word
+    assert main(["simulate", "--p", "2", "--n", "6", "--k", "4", "--mode",
+                 "standard", "--rank", "2", "--trials", "4", "--no-timing",
+                 "--out", str(out), "--instance-log", str(log1)]) == 0
+    lines = [json.loads(line) for line in log1.read_text().splitlines()]
+    assert [line["outcome"] for line in lines] == ["failure"] * 4
+    assert all(line["decoded"] != line["codeword"] for line in lines)
 
 
 # SHA-256 of the `simulate --no-timing` CSV and instance log at --trials 5,
@@ -184,19 +194,19 @@ def test_simulate_instance_log(tmp_path):
 PINNED_SIMULATE = {
     ("standard", 2, 6, 2): (
         "2e0380c0ce16f56935edc6d4aa32a7e1f48c73b358f0c304d177a2fa35b01b99",
-        "08439fdf5c96365949d5b109e599e5be4182e1659545a11405873363e7147b9a"),
+        "facfdfad5f4ee5513ca9f3355bb06d522395d74917ef8154cce9382e0b159fcd"),
     ("sym-low", 2, 6, 2): (
         "35c48d7b57f281c8164225b49e5943548e38f77d42e15bdfd484b87c86ad5f10",
-        "dca8306c1de5abb0074cc904dbba82cce45d49721851f0b8ffdc6830a112a4b4"),
+        "3662145a7a5665af78abf94c1566c9bafdcb458ae020a62521759ed47e1f43d9"),
     ("sym-low", 3, 5, 2): (
         "cd83eb1725d05f2fa9b2c11d7815a2b13ca748357bd855cdd95aead7e0d7ff3a",
-        "b3d004a7302ce4d4a8ef278e5e3fd9351ca01f73df5ead3bcbda006955ed5e3a"),
+        "86deed3283c048a15c69a75569ce35008051fe3333dd145e32553f1e96b88784"),
     ("sym-high", 2, 6, 4): (
         "f88266d7415c4fdb263bd325bc448bd336a23b59331d170c44be7c3099fb56b2",
-        "3bdacfb35c157317b3a2512aae342099a0cfa8f836507a9048fc5c86bc0775eb"),
+        "754d9622d00057886e9d69dd9720f20a7bf7e11f3888c2a555ccd7af2355a6b5"),
     ("sym-high", 3, 5, 3): (
         "f9a17cf32ed9ca6016209b5dad67d37af9b27568f864b897787386381f3b37eb",
-        "1ffb79ad5bdeab111cb74ed84e4bd1fc558dd8f45c1016ad1358f23ac004b30f"),
+        "e5291562a121776c51e730eaf8223010c5c5e59c578d073a4616e6ed76a4e5ab"),
 }
 
 
@@ -227,6 +237,13 @@ def test_setup_file_reuse(tmp_path):
     st_path = tmp_path / "setup.json"
     assert main(["setup", "--p", "2", "--n", "6", "--out", str(st_path)]) == 0
     code = main(["roundtrip", "--mode", "sym-low", "--k", "2",
+                 "--setup-file", str(st_path), "--out", str(tmp_path / "r.json")])
+    assert code == 0
+    # field flags that agree with the file are accepted
+    field = json.loads(st_path.read_text())["field"]
+    flags = [arg for key in ("p", "e", "n", "g", "f")
+             for arg in (f"--{key}", json.dumps(field[key]))]
+    code = main(["roundtrip", "--mode", "sym-low", "--k", "2", *flags,
                  "--setup-file", str(st_path), "--out", str(tmp_path / "r.json")])
     assert code == 0
 
@@ -300,6 +317,22 @@ def test_config_errors_exit_3(tmp_path, capsys):
         bad.write_text(json.dumps(dict({"p": 2, "n": 6, "k": 2,
                                         "mode": "standard"}, **wrong)))
         assert main(["roundtrip", "--config", str(bad)]) == 3
+    # a setup file fixes the field: a field flag or config key that names
+    # another field is an error, never silently overridden by the file
+    setup_file.write_text(json.dumps(SymSetup(get_field(2, 1, 6)).to_json()))
+    capsys.readouterr()
+    assert main(["roundtrip", "--p", "3", "--n", "8", "--k", "5",
+                 "--mode", "sym-high", "--setup-file", str(setup_file)]) == 3
+    assert "disagrees with the setup file" in capsys.readouterr().err
+    f_other = json.dumps([[1], [1], [0], [1], [1], [0], [1]])
+    for flags in (["--p", "3"], ["--e", "2"], ["--n", "8"], ["--g", "[1, 1]"],
+                  ["--f", f_other]):
+        assert main(["roundtrip", "--k", "4", "--mode", "sym-high",
+                     "--setup-file", str(setup_file)] + flags) == 3
+        assert "disagrees with the setup file" in capsys.readouterr().err
+    bad.write_text(json.dumps({"p": 3, "k": 4, "mode": "sym-high",
+                               "setup_file": str(setup_file)}))
+    assert main(["roundtrip", "--config", str(bad)]) == 3
     capsys.readouterr()
 
 

@@ -1,15 +1,16 @@
 """Gabidulin code tests: encoding, MRD property (exhaustive on tiny codes),
 Welch-Berlekamp decoding in and past the unique-decoding radius, the
-localiser pencil against the uncapped walk, and the planted-error
-generator."""
+localiser pencil against the uncapped walk, error ranks read off the key
+equation's kernel, and the planted-error generator."""
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
-from symrank import (ExtField, GabCode, HighRateDecoder, QPoly, gabidulin, qpoly_rank,
-                     random_error, vector_form, wb_decode)
+from symrank import (ExtField, GabCode, HighRateDecoder, Matrix, QPoly, gabidulin, qpoly,
+                     qpoly_rank, random_error, symdec, vector_form, wb_decode)
 from helpers import get_field, get_setup, rand_elt
 from symrank.channel import RngStream, random_codeword, random_selfadjoint_qpoly
 
@@ -250,6 +251,94 @@ def test_table_free_field_still_walks():
         cut = wb_decode(raw_code, y_raw, 2, max_candidates=4)
         assert cut.status == "incomplete"
         assert cut.diagnostics["walked"] == 4
+
+
+def _check_ok_ranks(rep, ranks):
+    """An 'ok' report's error_rank is the rank of its error; any other
+    report carries none.  Collects the ranks of 'ok' reports in ``ranks``."""
+    if rep.status == "ok":
+        assert rep.diagnostics["error_rank"] == qpoly_rank(rep.error)
+        ranks.add(rep.diagnostics["error_rank"])
+    else:
+        assert rep.diagnostics["error_rank"] is None
+
+
+def test_wb_error_rank_read_off_kernel():
+    # every radius t <= n-k, so 'ok' comes from the unique radius and from
+    # walked stages; shifted codes and an e = 2 tower included
+    unique, walked = set(), set()
+    for p, e, n, k, s in [(2, 1, 4, 1, 0), (2, 1, 6, 2, 0), (3, 1, 5, 2, 0),
+                          (2, 1, 8, 3, 2), (3, 1, 4, 1, 3), (2, 2, 4, 1, 0),
+                          (2, 1, 7, 2, 0)]:
+        f = get_field(p, e, n)
+        code = GabCode(f, k, s)
+        half = (n - k) // 2
+        rng = RngStream(71)
+        for t in range(n - k + 1):
+            for rank in sorted({0, t // 2, t, min(t + 1, n)}):
+                for _ in range(3):
+                    y = rand_codeword(code, rng) + random_error(f, rank, rng)
+                    rep = wb_decode(code, y, t, max_candidates=64)
+                    _check_ok_ranks(rep, walked if t > half else unique)
+    assert unique == {0, 1, 2} and walked >= {0, 1, 2, 3}
+
+
+def _count_calls(monkeypatch, calls, owner, name):
+    orig = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("p,e,n,k", [(2, 1, 6, 4), (3, 1, 5, 3), (2, 2, 4, 3)])
+def test_error_rank_high_rate(monkeypatch, p, e, n, k):
+    # HighRateDecoder and the wb_decode of its residual at every rank 0..n;
+    # the decoder ranks a nonzero error once, by elimination, only when a
+    # single survivor is left
+    st = get_setup(p, e, n)
+    dec = HighRateDecoder(st, k)
+    rng = RngStream(73)
+    words = [(rank, random_codeword(dec.code, rng)
+              + random_selfadjoint_qpoly(rank, st, rng))
+             for rank in range(n + 1) for _ in range(4)]
+    calls = Counter()
+    for owner in (qpoly, gabidulin, symdec):
+        _count_calls(monkeypatch, calls, owner, "qpoly_rank")
+    ranks = set()
+    for rank, y in words:
+        rep = wb_decode(dec.reduced, y - dec._preimage(y), dec.radius)
+        assert not calls
+        _check_ok_ranks(rep, set())
+        rep = dec.decode(y)
+        assert calls["qpoly_rank"] == (rep.diagnostics["survivors"] == 1 and rank > 0)
+        calls.clear()
+        _check_ok_ranks(rep, ranks)
+    assert ranks >= set(range(dec.radius))
+
+
+@pytest.mark.parametrize("p,n,k,s", [(2, 8, 4, 0), (3, 6, 2, 0), (2, 8, 3, 2),
+                                     (2, 16, 8, 0)])
+def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
+    # t <= (n-k)//2: one kernel, its first vector tested, no enumeration and
+    # no rank elimination
+    f = get_field(p, 1, n)
+    code = GabCode(f, k, s)
+    half = (n - k) // 2
+    rng = RngStream(79)
+    words = [(t, rand_codeword(code, rng) + random_error(f, r, rng))
+             for t in range(half + 1) for r in sorted({1, t})]
+    calls = Counter()
+    for owner, name in ((Matrix, "kernel"), (qpoly, "qpoly_rank"),
+                        (gabidulin, "qpoly_rank"), (gabidulin, "_projective_points"),
+                        (gabidulin, "_pencil_points")):
+        _count_calls(monkeypatch, calls, owner, name)
+    for t, y in words:
+        calls.clear()
+        rep = wb_decode(code, y, t)
+        assert calls == {"kernel": 1}
+        assert len(rep.diagnostics["kernel_dims"]) == 1
 
 
 def test_wb_rejects_bad_radius():

@@ -16,13 +16,11 @@ def rand_matrix(field, nrows, ncols, rng):
 def test_small_oracles_f5():
     f5 = BaseField(5)
     a = Matrix(f5, [[1, 2], [3, 4]])
-    assert a.det() == 3  # 4 - 6 = -2 = 3 mod 5
     assert a.rank() == 2
     inv = a.inverse()
     assert a @ inv == Matrix.identity(f5, 2)
     assert inv @ a == Matrix.identity(f5, 2)
     s = Matrix(f5, [[1, 2], [2, 4]])
-    assert s.det() == 0
     assert s.rank() == 1
     with pytest.raises(ZeroDivisionError):
         s.inverse()
@@ -100,23 +98,13 @@ def test_linear_solver_matches_matrix_solve(p, e, n):
                 assert a.apply(via) == b
 
 
-def test_det_multiplicative():
-    f = get_field(3, 1, 2)
-    rng = RngStream(31)
-    for _ in range(50):
-        a = rand_matrix(f, 3, 3, rng)
-        b = rand_matrix(f, 3, 3, rng)
-        assert (a @ b).det() == f.mul(a.det(), b.det())
-        assert (a.det() != 0) == (a.rank() == 3)
-
-
 def test_inverse_random():
     f = get_field(2, 1, 6)
     rng = RngStream(37)
     found = 0
     while found < 20:
         a = rand_matrix(f, 4, 4, rng)
-        if a.det() == 0:
+        if a.rank() != 4:
             continue
         found += 1
         assert a @ a.inverse() == Matrix.identity(f, 4)
@@ -140,7 +128,7 @@ def test_congruence_diagonalize_random(p, e):
         t, d = congruence_diagonalize(gram)
         assert t.transpose() @ gram @ t == d
         assert all(d.data[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        assert t.det() != 0
+        assert t.rank() == n
         assert d.rank() == gram.rank()
 
 
@@ -158,7 +146,7 @@ def test_congruence_char2_zero_diagonal_block():
     t, d = congruence_diagonalize(gram)
     assert t.transpose() @ gram @ t == d
     assert all(d.data[i][j] == 0 for i in range(3) for j in range(3) if i != j)
-    assert t.det() != 0
+    assert t.rank() == 3
 
 
 def test_matrix_json_roundtrip():

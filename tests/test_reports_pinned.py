@@ -19,13 +19,13 @@ def _digest(reports) -> str:
 
 PINNED_WB = {
     (2, 6, 2, 1024):
-        "2e9f099738cf5dddf5d6a310c34058f54a23c6d4e31e5b419cc7afb07aa0f911",
+        "a17fd2b814c92849ee94a2fadf505006709b2f12481753f32ddfe4c90c423dc8",
     (2, 6, 2, 5):
-        "2b6838137da927192d1dd139a7dfbbef41bef3f0359bcc12eeb80465aa73632a",
+        "6055d322458860e9f32d8654a6420880bc6263279531e2ef30700f6c716c91af",
     (3, 5, 1, 1024):
-        "b33e529153f71f6719bc557428afb7d5ed405d7216ee3fa8fb21cf029dc80a00",
+        "280de7329ae9e2d3d9e71bd55795ad9d977162fbb6f8bd0dead4c12745aebacb",
     (3, 5, 1, 5):
-        "4098b11117d0db683670110aec30ee078388ffd362814190eb8420a9b3ddac99",
+        "e41a951a74d8917e0d6afb54a93b5a859fd9c926fc2409e733926a811726161b",
 }
 
 
@@ -45,9 +45,9 @@ def test_wb_reports_pinned(p, n, k, cap):
 
 PINNED_HIGH = {
     (2, 6, 4):
-        "3f9aa8ee2b74d5d799aec06a27a29a84473029f5625e75ea0fd8f754a5681c0d",
+        "87b5d9341fda1a9fd1bba8d4d1a8047fb78f7c64e3255ab6bf4ccc2293d928ae",
     (3, 5, 3):
-        "1406d6eb2cef21029989da08ee3f989e2b85a57742d5df3c03991234a4662dfe",
+        "fba6aee88afc3eaebe99f13dbf2d611389f20e81d264204e0791e16c97aed185",
 }
 
 
