@@ -225,7 +225,8 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
 
 def wb_decode(code: GabCode, received: QPoly, t: int,
               max_candidates: int = 1024) -> DecodeReport:
-    """All codewords within rank distance t of ``received``.
+    """All codewords within rank distance t of ``received``, 0 <= t < n
+    (ValueError otherwise).
 
     Guaranteed single answer for t <= (n-k)//2, where one key equation at
     radius t is solved and its first kernel vector tested.  Beyond that the
@@ -242,15 +243,14 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     only) is read off the stage that found the codeword: min(t, (n-k)//2)
     + 1 - kernel dimension at the unique radius, tp at a walked stage.
     """
-    if t < 0:
-        raise ValueError("decoding radius t must be >= 0")
     fld = code.field
     n, k, s = code.n, code.k, code.s
+    if not 0 <= t < n:
+        raise ValueError(f"decoding radius t = {t} out of range 0..{n - 1}")
     y0 = received.compose_monomial(n - s) if s else received
     ycoeffs = y0.coeffs
     half = (n - k) // 2
     d_min = n - k + 1
-    t_eff = min(t, n)
     frob = fld.frobenius
 
     found: list[QPoly] = []
@@ -260,8 +260,8 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     enumerated = 0      # localisers of capped walks, within max_candidates
     truncated = False
 
-    tu = min(t_eff, half)
-    for tp in [tu, *range(half + 1, t_eff + 1)]:
+    tu = min(t, half)
+    for tp in [tu, *range(half + 1, t + 1)]:
         rows = n - k - tp
         if rows > 0:
             sys_rows = [[frob(ycoeffs[(j - i) % n], i) for i in range(tp + 1)]

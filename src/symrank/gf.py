@@ -11,14 +11,20 @@ element with coefficients (a_0, ..., a_{n-1}) over F_q is sum(a_i * q**i)
 where each a_i is itself a packed F_q value.  Constants of F_q therefore
 embed into F_{q^n} unchanged, 0 and 1 are the identities at every level, and
 element equality is plain integer equality.  At either level the base-p
-digits of a packed element are its coordinates over F_p, so addition is one
-digit-wise mod-p loop (xor for p = 2).
+digits of a packed element are its coordinates over F_p.
 
 Multiplication, inversion, powers and the Frobenius x -> x^q run on
 discrete-log tables over a fixed generator whenever the field order fits in
 ``ExtField.TABLE_LIMIT``; larger fields fall back to direct polynomial
-arithmetic modulo the defining polynomial.  The tables make every decoder
-inner loop O(1) per field operation.
+arithmetic modulo the defining polynomial.  Over the coefficient field
+F_2 that product, which also builds the tables, is a carry-less shift-xor
+product of the packed ints.
+
+Addition, subtraction and negation are xor for p = 2 and ``% p`` on a
+prime field F_p.  Any other field with tables (odd p) uses its Zech
+logarithms, a + b = a(1 + b/a), a few table lookups; only a table-free
+field of odd p loops over the base-p digits.  The tables make every
+decoder inner loop O(1) per field operation.
 
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
@@ -81,10 +87,17 @@ def _pow(mul, a: int, m: int) -> int:
     return out
 
 
-def _exp_log_tables(order: int, mul) -> tuple[list[int], list[int]]:
-    """Exp/log tables of the field of ``order`` elements with product
-    ``mul``, over its first generator in packed order.  ``exp`` has length
-    2(order - 1) so a sum of two logs needs no reduction."""
+def _exp_log_tables(order: int, mul, p: int
+                    ) -> tuple[list[int], list[int], list[int] | None]:
+    """Exp, log and Zech tables of the field of ``order`` elements with
+    product ``mul``, over its first generator g in packed order.  ``exp``
+    has length 2(order - 1) so a sum of two logs needs no reduction.
+
+    ``zech[k] = log(1 + g^k)``, or -1 when 1 + g^k = 0, for odd p on a
+    field that is not prime (p = 2 adds by xor, F_p by ``% p``), else None.
+    It is stored twice over, length 2(order - 1), so that any k in
+    (-(order - 1), 2(order - 1)) indexes it without reduction.  Adding 1
+    changes only base-p digit 0, so each entry is one lookup in ``log``."""
     units = order - 1
     factors = _prime_factors(units)
     gen = next(c for c in range(1, order)
@@ -100,7 +113,10 @@ def _exp_log_tables(order: int, mul) -> tuple[list[int], list[int]]:
     log = [-1] * order
     for i in range(units):
         log[exp[i]] = i
-    return exp, log
+    zech = None
+    if p != 2 and order != p:
+        zech = [log[x - x % p + (x % p + 1) % p] for x in exp[:units]] * 2
+    return exp, log, zech
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +256,14 @@ class _Field:
         self.order = self._radix**self._degree
         self.zero = 0
         self.one = 1
-        self._exp = self._log = None
+        self._exp = self._log = self._zech = None
+        # the modulus as one int with bit i for x^i, for the xor product
+        self._bits = _pack(self.modulus, 2) if self._radix == 2 else None
         if use_tables:
-            self._exp, self._log = _exp_log_tables(self.order, self._mul_raw)
+            self._exp, self._log, self._zech = _exp_log_tables(
+                self.order, self._mul_raw, p)
+        # log(-1): -1 = g^((order - 1)/2) for odd p
+        self._half = (self.order - 1) // 2
 
     # -- raw polynomial arithmetic -------------------------------------------
 
@@ -250,6 +271,19 @@ class _Field:
         if self._coef is None:
             return (a * b) % self.p
         r, d = self._radix, self._degree
+        if r == 2:
+            # carry-less shift-xor product, reduced as it goes: the bit
+            # of x^d in a is cleared by the modulus
+            m = self._bits
+            out = 0
+            while b:
+                if b & 1:
+                    out ^= a
+                b >>= 1
+                a <<= 1
+                if a >> d:
+                    a ^= m
+            return out
         prod = _fq_mul(self._coef, _digits(a, r, d), _digits(b, r, d))
         return _pack(_fq_divmod(self._coef, prod, self.modulus)[1], r)
 
@@ -259,6 +293,9 @@ class _Field:
         return _pack(s, self._radix)
 
     # -- field operations ------------------------------------------------------
+    #
+    # With Zech logs, log(a + b) = log a + zech[log b - log a] and
+    # log(-b) = log b + half.
 
     def add(self, a: int, b: int) -> int:
         if self._char2:
@@ -266,6 +303,16 @@ class _Field:
         p = self.p
         if self.order == p:
             return (a + b) % p
+        zech = self._zech
+        if zech is not None:
+            if not a:
+                return b
+            if not b:
+                return a
+            log = self._log
+            la = log[a]
+            z = zech[log[b] - la]
+            return self._exp[la + z] if z >= 0 else 0
         out = 0
         place = 1
         while a or b:
@@ -281,6 +328,8 @@ class _Field:
         p = self.p
         if self.order == p:
             return (-a) % p
+        if self._zech is not None:
+            return self._exp[self._log[a] + self._half] if a else 0
         out = 0
         place = 1
         while a:
@@ -295,6 +344,17 @@ class _Field:
         p = self.p
         if self.order == p:
             return (a - b) % p
+        zech = self._zech
+        if zech is not None:
+            if not b:
+                return a
+            log = self._log
+            lb = log[b] + self._half
+            if not a:
+                return self._exp[lb]
+            la = log[a]
+            z = zech[lb - la]
+            return self._exp[la + z] if z >= 0 else 0
         out = 0
         place = 1
         while a or b:

@@ -344,8 +344,9 @@ def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
 def test_wb_rejects_bad_radius():
     f = get_field(2, 1, 4)
     code = GabCode(f, 2)
-    with pytest.raises(ValueError):
-        wb_decode(code, QPoly.x(f), -1)
+    for t in (-1, 4, 9):
+        with pytest.raises(ValueError):
+            wb_decode(code, QPoly.x(f), t)
 
 
 def test_decode_report_json():

@@ -1,9 +1,12 @@
 """Field tower tests: frozen small-field oracles, axioms, table/raw agreement,
 modulus generation, serialization."""
 
+import hashlib
+
 import pytest
 
 from symrank import BaseField, ExtField, field_from_json, field_to_json, make_field
+from symrank.gf import _digits, _fq_divmod, _fq_mul, _pack
 from helpers import get_field, rand_elt, rand_unit
 from symrank.channel import RngStream
 
@@ -84,11 +87,37 @@ def test_field_axioms_exhaustive(p, e, n):
 
 @pytest.mark.parametrize("p,e,n", [(3, 1, 2), (3, 1, 3), (3, 2, 1)])
 def test_odd_sub_is_add_neg_exhaustive(p, e, n):
-    # F_9 = F_3[x]/(f), F_27 and F_9 = F_3[y]/(g): sub is one digit pass
+    # F_9 = F_3[x]/(f), F_27 and F_9 = F_3[y]/(g): sub is one Zech lookup
     f = get_field(p, e, n)
     for fld in (f, f.base):
         assert all(fld.sub(a, b) == fld.add(a, fld.neg(b))
                    for a in fld.elements() for b in fld.elements())
+
+
+def _digit_add(p: int, a: int, b: int, sign: int = 1) -> int:
+    """Reference: base-p digit-wise a + sign * b."""
+    out, place = 0, 1
+    while a or b:
+        a, ra = divmod(a, p)
+        b, rb = divmod(b, p)
+        out += (ra + sign * rb) % p * place
+        place *= p
+    return out
+
+
+@pytest.mark.parametrize("fld", [BaseField(3, 2), BaseField(5, 2)]
+                         + [make_field(p, e, n) for p, e, n in
+                            [(3, 1, 4), (3, 1, 5), (5, 1, 3), (3, 2, 2)]],
+                         ids=repr)
+def test_zech_add_sub_neg_exhaustive(fld):
+    assert fld._zech is not None
+    p = fld.p
+    for a in fld.elements():
+        assert fld.neg(a) == _digit_add(p, 0, a, -1)
+        assert fld.add(a, fld.neg(a)) == 0
+        for b in fld.elements():
+            assert fld.add(a, b) == _digit_add(p, a, b)
+            assert fld.sub(a, b) == _digit_add(p, a, b, -1)
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 8), (3, 1, 5), (2, 2, 4)])
@@ -117,6 +146,9 @@ def test_tables_vs_raw_agree(p, e, n):
         a = rand_elt(tabled, rng)
         b = rand_elt(tabled, rng)
         assert tabled.mul(a, b) == raw.mul(a, b)
+        assert tabled.add(a, b) == raw.add(a, b)
+        assert tabled.sub(a, b) == raw.sub(a, b)
+        assert tabled.neg(a) == raw.neg(a)
         if a:
             assert tabled.inv(a) == raw.inv(a)
         k = rng.randbelow(200)
@@ -125,6 +157,42 @@ def test_tables_vs_raw_agree(p, e, n):
             assert tabled.frobenius(a, i) == raw.frobenius(a, i)
         assert tabled.trace(a) == raw.trace(a)
         assert tabled.norm(a) == raw.norm(a)
+
+
+# sha256 of repr((_exp, _log)) per (p, e, n), ext then base: the tables of
+# the digit-list product, which the carry-less product must reproduce
+PINNED_TABLES = {
+    (2, 1, 16): ("bb70e209c292345671b5312a2b3dfc0dfb3a05447aaa1ffeb30b55af10f6b78a",
+                 "d2143c138ab652a72fd3894b4c1e83a0737b1e2ea6184ece8fa8a107a972700c"),
+    (2, 1, 10): ("35723b04126939d0f90751e53fcd7414e7b508fbb6dd64ea09617a9efc8380f6",
+                 "d2143c138ab652a72fd3894b4c1e83a0737b1e2ea6184ece8fa8a107a972700c"),
+    (3, 1, 6): ("e6eb57701c713565dc76390171efb5ddecf9bd383b8087c2b08369f2c87d173c",
+                "a055626b03bb1d48cce951db8f80a84944f8da667962ab75e1aa5700e2e7ba6d"),
+    (2, 2, 4): ("b4a7ab3ef5aba280d3e4b7200dffab4a61fbaa4f682eccbf8ad7faafaf3d8b6a",
+                "83da1267f270ceb0f9c42ac87a22c38655b385e78499dad0a2bcb16b19691172"),
+}
+
+
+@pytest.mark.parametrize("p,e,n", sorted(PINNED_TABLES))
+def test_exp_log_tables_pinned(p, e, n):
+    f = get_field(p, e, n)
+    got = tuple(hashlib.sha256(repr((fld._exp, fld._log)).encode()).hexdigest()
+                for fld in (f, f.base))
+    assert got == PINNED_TABLES[(p, e, n)]
+
+
+def test_carryless_mul_matches_polynomial_product():
+    f2 = BaseField(2)
+    fields = ([ExtField(f2, n, use_tables=False) for n in range(1, 18)]
+              + [BaseField(2, e) for e in range(2, 6)])
+    rng = RngStream(17)
+    for fld in fields:
+        d = fld._degree
+        for _ in range(200):
+            a, b = rand_elt(fld, rng), rand_elt(fld, rng)
+            prod = _fq_mul(f2, _digits(a, 2, d), _digits(b, 2, d))
+            want = _pack(_fq_divmod(f2, prod, fld.modulus)[1], 2)
+            assert fld._mul_raw(a, b) == want
 
 
 def test_large_field_runs_without_tables():
