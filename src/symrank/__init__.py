@@ -17,8 +17,8 @@ from .linalg import LinearSolver, Matrix, congruence_diagonalize
 from .qpoly import (NEG_INF, QPoly, endo_matrix, interpolate, matrix_of,
                     matrix_to_qpoly, qpoly_rank, vector_form)
 from .symdec import (HighRateDecoder, InvalidInstanceError, LowRateDecoder,
-                     MatrixCode, check_sym_free, matrix_code_of, phi_matrix,
-                     phi_qpoly, unfold)
+                     MatrixCode, matrix_code_of, phi_matrix, phi_qpoly,
+                     unfold)
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,7 @@ __all__ = [
     "NEG_INF", "QPoly", "vector_form", "interpolate", "endo_matrix",
     "qpoly_rank", "matrix_of", "matrix_to_qpoly",
     "GabCode", "DecodeReport", "wb_decode", "random_error",
-    "MatrixCode", "matrix_code_of", "check_sym_free", "phi_matrix",
+    "MatrixCode", "matrix_code_of", "phi_matrix",
     "phi_qpoly", "unfold", "LowRateDecoder", "HighRateDecoder",
     "InvalidInstanceError",
     "RngStream", "random_matrix", "random_symmetric_matrix",

@@ -24,7 +24,7 @@ from .bilinear import SymSetup
 from .gf import BaseField
 from .linalg import Matrix
 from .qpoly import QPoly, matrix_to_qpoly
-from .symdec import MatrixCode, check_sym_free
+from .symdec import LowRateDecoder, MatrixCode
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,7 +115,8 @@ def random_codeword(code, rng: RngStream) -> QPoly:
 def random_matrix_code(field: BaseField, n: int, dim: int, rng: RngStream,
                        sym_free: bool = True) -> MatrixCode:
     """Random matrix code of the given F_q-dimension, resampled until the
-    generators are independent (and the code symmetric-free if requested)."""
+    generators are independent (and, if requested, until the code is
+    symmetric-free, which ``LowRateDecoder`` checks as it is built)."""
     max_dim = n * n - n * (n + 1) // 2
     if sym_free and dim > max_dim:
         raise ValueError(f"sym-free codes need dim <= n(n-1)/2 = {max_dim}")
@@ -123,9 +124,9 @@ def random_matrix_code(field: BaseField, n: int, dim: int, rng: RngStream,
         gens = [random_matrix(field, n, n, rng) for _ in range(dim)]
         try:
             code = MatrixCode(gens)
+            if sym_free:
+                LowRateDecoder(code)
         except ValueError:
-            continue
-        if sym_free and not check_sym_free(code):
             continue
         return code
     raise ArithmeticError("matrix-code sampling exceeded the resample cap")

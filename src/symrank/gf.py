@@ -18,7 +18,7 @@ discrete-log tables over a fixed generator whenever the field order fits in
 ``ExtField.TABLE_LIMIT``; larger fields fall back to direct polynomial
 arithmetic modulo the defining polynomial.  Over the coefficient field
 F_2 that product, which also builds the tables, is a carry-less shift-xor
-product of the packed ints.
+product of the packed ints, and the inverse an extended Euclid on them.
 
 Addition, subtraction and negation are xor for p = 2 and ``% p`` on a
 prime field F_p.  Any other field with tables (odd p) uses its Zech
@@ -289,6 +289,20 @@ class _Field:
 
     def _inv_raw(self, a: int) -> int:
         # only fields without tables get here, and those have a coefficient field
+        if self._radix == 2:
+            # extended Euclid in F_2[x] on the packed ints, each step a
+            # shift-xor; r_i = s_i * a mod the modulus throughout
+            r0, r1, s0, s1 = self._bits, a, 0, 1
+            while r1:
+                d = r1.bit_length()
+                while r0.bit_length() >= d:
+                    shift = r0.bit_length() - d
+                    r0 ^= r1 << shift
+                    s0 ^= s1 << shift
+                r0, r1, s0, s1 = r1, r0, s1, s0
+            if r0 != 1:
+                raise ZeroDivisionError("element is not invertible modulo f")
+            return s0
         s = _fq_invmod(self._coef, _digits(a, self._radix, self._degree), self.modulus)
         return _pack(s, self._radix)
 

@@ -4,11 +4,18 @@ The field is duck-typed: anything exposing add/sub/neg/mul/inv plus zero and
 one attributes works, so the same code serves F_q and F_{q^n}.  Matrices are
 immutable tuples of tuples of packed field elements.
 
-Besides the usual rank/kernel/solve/inverse kit there are two specialised
-pieces: ``LinearSolver`` factors a matrix once and answers many solve calls
-cheaply (the low-rate symmetric-error decoder lives on this), and
-``congruence_diagonalize`` computes T with T^t G T diagonal for a symmetric
-Gram matrix G, in any characteristic.
+Over F_2 (a field of order 2) a matrix also keeps its rows as ints, bit j
+for column j, packed once on first use (the M4RI idea: Albrecht, Bard and
+Hart, ACM TOMS 2010).  The matrix is immutable, so that cache never goes
+stale.  On those rows a matrix-vector product is an and plus a popcount
+parity per row (``int.bit_count``, Python >= 3.10) and the rank is an xor
+basis, with no field call at all.  Every other field runs on its field
+operations.
+
+``LinearSolver`` factors a matrix once and answers many solve calls with
+one matrix-vector product each (the low-rate symmetric-error decoder lives
+on this), and ``congruence_diagonalize`` computes T with T^t G T diagonal
+for a symmetric Gram matrix G, in any characteristic.
 """
 
 from __future__ import annotations
@@ -74,10 +81,18 @@ def _null_basis(field, rows, pivots, ncols: int) -> list[tuple]:
     return basis
 
 
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _pack_bits(vec) -> int:
+    """An F_2 vector as one int, bit j for entry j."""
+    return int(bytes(reversed(vec)).translate(_BITS) or b"0", 2)
+
+
 class Matrix:
     """Immutable matrix over a finite field."""
 
-    __slots__ = ("field", "nrows", "ncols", "data")
+    __slots__ = ("field", "nrows", "ncols", "data", "_bits")
 
     def __init__(self, field, data):
         data = tuple(tuple(row) for row in data)
@@ -87,6 +102,13 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
         self.data = data
+        self._bits = None   # F_2 rows packed as ints, filled by _packed
+
+    def _packed(self) -> tuple[int, ...] | None:
+        """The rows as ints over F_2, None over any other field."""
+        if self._bits is None and self.field.order == 2:
+            self._bits = tuple(_pack_bits(row) for row in self.data)
+        return self._bits
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
@@ -157,6 +179,10 @@ class Matrix:
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec given as a sequence of field elements."""
+        rows = self._packed()
+        if rows is not None:
+            v = _pack_bits(vec)
+            return tuple((row & v).bit_count() & 1 for row in rows)
         f = self.field
         add, mul, zero = f.add, f.mul, f.zero
         out = []
@@ -180,6 +206,16 @@ class Matrix:
         return all(a == z for row in self.data for a in row)
 
     def rank(self) -> int:
+        packed = self._packed()
+        if packed is not None:
+            # xor basis: each member has a top bit clear in all later ones
+            basis: list[int] = []
+            for v in packed:
+                for b in basis:
+                    v = min(v, v ^ b)
+                if v:
+                    basis.append(v)
+            return len(basis)
         rows = [list(r) for r in self.data]
         return len(_rref(self.field, rows, self.ncols))
 
@@ -228,9 +264,11 @@ class Matrix:
 class LinearSolver:
     """Reusable solver for A x = b with a fixed A.
 
-    Reduces the augmented block [A | I] once; each solve is then a handful
-    of dot products against b plus a consistency check, O(nrows^2) instead
-    of a fresh elimination.
+    Reduces the augmented block [A | I] once, keeping the row operations as
+    a matrix E with rref(A) = E A.  Each solve is then the one product E b,
+    O(nrows^2) instead of a fresh elimination: its rows past the rank are
+    the consistency check and its pivot rows give x.  E is a ``Matrix``, so
+    over F_2 that product runs on its packed rows.
     """
 
     def __init__(self, matrix: Matrix):
@@ -244,27 +282,18 @@ class LinearSolver:
         self.ncols = n
         self.pivots = pivots
         self.rank = len(pivots)
-        # E rows: the row operations applied to I, so rref(A) = E A
-        self._erows = [row[n:] for row in aug]
-
-    def _project(self, b, row_idx: int):
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        acc = zero
-        for coef, x in zip(self._erows[row_idx], b):
-            if coef != zero and x != zero:
-                acc = add(acc, mul(coef, x))
-        return acc
+        # the row operations applied to I, so rref(A) = E A
+        self._e = Matrix(f, [row[n:] for row in aug])
 
     def solve(self, b):
         """Particular solution of A x = b, or None when inconsistent."""
-        f = self.field
-        for i in range(self.rank, self.nrows):
-            if self._project(b, i) != f.zero:
-                return None
-        x = [f.zero] * self.ncols
+        zero = self.field.zero
+        eb = self._e.apply(b)
+        if any(v != zero for v in eb[self.rank:]):
+            return None
+        x = [zero] * self.ncols
         for (r, c) in self.pivots:
-            x[c] = self._project(b, r)
+            x[c] = eb[r]
         return tuple(x)
 
 

@@ -108,12 +108,6 @@ def matrix_code_of(code: GabCode, setup: SymSetup) -> MatrixCode:
     return MatrixCode(gens)
 
 
-def check_sym_free(code: MatrixCode) -> bool:
-    """True iff the only symmetric matrix in the code is zero."""
-    stacked = Matrix(code.field, [_phi_upper(g) for g in code.generators])
-    return stacked.rank() == code.dim
-
-
 class LowRateDecoder:
     """Worst-case decoder for symmetric errors of any rank, 0 through n.
 

@@ -4,6 +4,7 @@ seeded random object builders (kept deterministic via RngStream)."""
 from functools import lru_cache
 
 from symrank import QPoly, RngStream, SymSetup, make_field
+from symrank.linalg import _rref
 
 
 @lru_cache(maxsize=None)
@@ -37,3 +38,36 @@ def rand_nonzero_qpoly(field, rng: RngStream) -> QPoly:
         poly = rand_qpoly(field, rng)
         if not poly.is_zero():
             return poly
+
+
+# Reference linear algebra on field operations only, one field call per
+# term, for checking the packed F_2 paths of ``Matrix`` and ``LinearSolver``
+# against something that does not share them.
+
+def ref_rank(mat) -> int:
+    return len(_rref(mat.field, [list(r) for r in mat.data], mat.ncols))
+
+
+def ref_apply(mat, vec) -> tuple:
+    f = mat.field
+    out = []
+    for row in mat.data:
+        acc = f.zero
+        for a, x in zip(row, vec):
+            acc = f.add(acc, f.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def ref_solve(mat, b):
+    """The solution of mat x = b with every free coordinate 0, or None when
+    inconsistent: the same particular solution ``LinearSolver`` gives."""
+    f, n = mat.field, mat.ncols
+    rows = [list(r) + [bv] for r, bv in zip(mat.data, b)]
+    pivots = _rref(f, rows, n)
+    if any(row[n] != f.zero for row in rows[len(pivots):]):
+        return None
+    x = [f.zero] * n
+    for r, c in pivots:
+        x[c] = rows[r][n]
+    return tuple(x)

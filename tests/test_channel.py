@@ -3,8 +3,8 @@ sampling (with a 2000-sample sweep), self-adjoint pullbacks, random codes."""
 
 import pytest
 
-from symrank import BaseField, check_sym_free, matrix_of, qpoly_rank
-from helpers import get_setup
+from symrank import BaseField, Matrix, matrix_of, phi_matrix, qpoly_rank, unfold
+from helpers import get_setup, ref_rank
 from symrank.channel import (
     RngStream,
     random_codeword,
@@ -93,7 +93,8 @@ def test_random_matrix_code():
     for dim in range(1, 7):
         code = random_matrix_code(f2, 4, dim, rng)
         assert code.dim == dim
-        assert check_sym_free(code)
+        stacked = Matrix(f2, [unfold(phi_matrix(g)) for g in code.generators])
+        assert ref_rank(stacked) == dim    # C intersect Sym = 0
     plain = random_matrix_code(f2, 4, 10, rng, sym_free=False)
     assert plain.dim == 10
     with pytest.raises(ValueError):

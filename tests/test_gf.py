@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from symrank import BaseField, ExtField, field_from_json, field_to_json, make_field
-from symrank.gf import _digits, _fq_divmod, _fq_mul, _pack
+from symrank.gf import _digits, _fq_divmod, _fq_invmod, _fq_mul, _pack
 from helpers import get_field, rand_elt, rand_unit
 from symrank.channel import RngStream
 
@@ -193,6 +193,20 @@ def test_carryless_mul_matches_polynomial_product():
             prod = _fq_mul(f2, _digits(a, 2, d), _digits(b, 2, d))
             want = _pack(_fq_divmod(f2, prod, fld.modulus)[1], 2)
             assert fld._mul_raw(a, b) == want
+
+
+def test_table_free_f2_inverse_matches_polynomial_euclid():
+    f2 = BaseField(2)
+    fields = ([ExtField(f2, n, use_tables=False) for n in range(1, 18)]
+              + [BaseField(2, e) for e in range(2, 6)])
+    rng = RngStream(19)
+    for fld in fields:
+        d = fld._degree
+        for _ in range(100):
+            a = rand_unit(fld, rng)
+            want = _pack(_fq_invmod(f2, _digits(a, 2, d), fld.modulus), 2)
+            assert fld._inv_raw(a) == want
+            assert fld.mul(a, fld.inv(a)) == 1
 
 
 def test_large_field_runs_without_tables():

@@ -4,7 +4,7 @@ diagonalization (including the characteristic-2 cases)."""
 import pytest
 
 from symrank import BaseField, LinearSolver, Matrix, congruence_diagonalize
-from helpers import get_field, rand_elt
+from helpers import get_field, rand_elt, ref_apply, ref_rank, ref_solve
 from symrank.channel import RngStream
 
 
@@ -79,9 +79,10 @@ def test_solve_random_property(p, e, n):
         assert a.apply(x) == b
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 2)])
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 2), (2, 1, None)])
 def test_linear_solver_matches_matrix_solve(p, e, n):
-    f = get_field(p, e, n)
+    # n = None is the prime field itself, where F_2 runs on packed rows
+    f = BaseField(p, e) if n is None else get_field(p, e, n)
     rng = RngStream(23)
     for trial in range(40):
         nrows = 1 + rng.randbelow(6)
@@ -96,6 +97,45 @@ def test_linear_solver_matches_matrix_solve(p, e, n):
             assert (direct is None) == (via is None)
             if via is not None:
                 assert a.apply(via) == b
+
+
+def _f2_shapes(rng):
+    """Matrices over F_2 of the shapes that stress the packed rows."""
+    f2 = BaseField(2)
+    yield Matrix(f2, [])
+    yield Matrix(f2, [[0]])
+    yield Matrix(f2, [[1]])
+    yield Matrix.zeros(f2, 3, 5)
+    for nrows, ncols in [(9, 3), (3, 9), (6, 6), (70, 4), (4, 70), (12, 80)]:
+        for _ in range(4):
+            yield rand_matrix(f2, nrows, ncols, rng)
+    for _ in range(8):
+        # duplicated rows and a sum of two of them: rank at most 3 of 6
+        a = rand_matrix(f2, 3, 7, rng)
+        r0, r1, r2 = a.data
+        yield Matrix(f2, [r0, r1, r0, r2, r1,
+                          [f2.add(x, y) for x, y in zip(r0, r2)]])
+
+
+def test_packed_f2_matches_field_op_reference():
+    rng = RngStream(29)
+    consistent = inconsistent = 0
+    for a in _f2_shapes(rng):
+        assert a.rank() == ref_rank(a)
+        solver = LinearSolver(a)
+        for _ in range(6):
+            v = tuple(rng.randbelow(2) for _ in range(a.ncols))
+            assert a.apply(v) == ref_apply(a, v)
+            b = tuple(rng.randbelow(2) for _ in range(a.nrows))
+            for rhs in (b, ref_apply(a, v)):
+                want = ref_solve(a, rhs)
+                assert solver.solve(rhs) == want
+                if want is None:
+                    inconsistent += 1
+                else:
+                    consistent += 1
+                    assert ref_apply(a, want) == rhs
+    assert consistent and inconsistent
 
 
 def test_inverse_random():
