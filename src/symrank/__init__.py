@@ -14,8 +14,8 @@ from .channel import (RngStream, random_codeword, random_matrix,
 from .gabidulin import DecodeReport, GabCode, random_error, wb_decode
 from .gf import BaseField, ExtField, field_from_json, field_to_json, make_field
 from .linalg import LinearSolver, Matrix, congruence_diagonalize
-from .qpoly import (NEG_INF, QPoly, endo_matrix, interpolate, matrix_of,
-                    matrix_to_qpoly, qpoly_rank, vector_form)
+from .qpoly import (NEG_INF, QPoly, endo_matrix, matrix_of, matrix_to_qpoly,
+                    qpoly_rank)
 from .symdec import (HighRateDecoder, InvalidInstanceError, LowRateDecoder,
                      MatrixCode, matrix_code_of, phi_matrix, phi_qpoly,
                      unfold)
@@ -27,7 +27,7 @@ __all__ = [
     "Matrix", "LinearSolver", "congruence_diagonalize",
     "SymSetup", "OrthonormalBasisError", "trace_form", "gram_matrix",
     "select_twist", "orthonormal_basis",
-    "NEG_INF", "QPoly", "vector_form", "interpolate", "endo_matrix",
+    "NEG_INF", "QPoly", "endo_matrix",
     "qpoly_rank", "matrix_of", "matrix_to_qpoly",
     "GabCode", "DecodeReport", "wb_decode", "random_error",
     "MatrixCode", "matrix_code_of", "phi_matrix",

@@ -9,9 +9,9 @@ basis.
 ``wb_decode`` solves the key equation L o Y = N coefficient-wise.  For a
 guessed error rank tp the unknown localiser (l_0..l_tp) must kill the
 coefficients of L o Y at indices k+tp..n-1, an (n-k-tp) x (tp+1) linear
-system over F_{q^n}.  The decoder solves it once at the unique radius
-tu = min(t, (n-k)//2), then at each tp = (n-k)//2 + 1, ..., t, so
-candidates appear ordered by distance from Y:
+system over F_{q^n}.  The radius t is at most (n-k)//2, or (n-k)//2 + 1
+when n-k is odd, so the decoder solves the system at most twice: at the
+unique radius tu = min(t, (n-k)//2), then at t > tu when nothing was found:
 
   * at tu any single nonzero solution yields the unique codeword within tu
     if one exists (Loidreau's decoder), so only kern[0] is tested.  If
@@ -20,22 +20,20 @@ candidates appear ordered by distance from Y:
     n - k - tu + 1 > tu >= r, so L o E = 0 and L = M o Lambda_E with
     Lambda_E the subspace polynomial of Im E and deg M <= tu - r.  The
     kernel thus has dimension exactly tu - r + 1, which gives the error
-    rank of the candidate without any further elimination;
-  * past (n-k)//2 every point that can yield a new codeword is walked,
-    since distinct solutions can encode distinct codewords.  A kernel of
-    dimension 2 [K1, K2] on a field with exp/log tables goes through the
+    rank of the candidate without any further elimination.  A codeword
+    found here ends the decode: any other one is at distance at least
+    n - k + 1 - tu > t from Y;
+  * at t = (n-k+1)/2 (n-k odd) every point that can yield a codeword is
+    walked, since distinct solutions can encode distinct codewords.  The
+    system has t - 1 rows and t + 1 unknowns, so its kernel has dimension
+    at least 2.  A kernel [K1, K2] of dimension exactly 2 goes through the
     localiser pencil: one pass over F_{q^n} finds the members K1 + c K2
-    (and K2) with a full root space of q^tp elements, and only those are
-    divided.  This is exact: when a walked stage starts, every codeword
-    within tp - 1 of Y has been found (at the unique radius below the
-    bound, by the earlier walked stages above it), so a new candidate C
-    has an error of rank exactly tp whose image lies in ker L, which then
-    has dimension tp.
-    Larger kernels and table-free fields enumerate every point, capped; a
-    cut walk reports 'incomplete';
-  * after a stage that produced candidates, decoding stops as soon as
-    min_distance - rank > t, with rank that of the first candidate's
-    error, which certifies no further codeword can sit within radius t.
+    (and K2) with a full root space of q^t elements, and only those are
+    divided.  This is exact on every field, with or without exp/log tables
+    (a table-free field is slower, not less exact): no codeword lies within
+    tu = t - 1 of Y, so a candidate C has an error of rank exactly t whose
+    image lies in ker L, which then has dimension t.  A kernel of dimension
+    3 or more is not walked, and the report is 'incomplete'.
 
 A division check certifies the distance: when L o Y = L o C exactly with
 deg_q C < k, the error Y - C satisfies L o (Y-C) = 0, so its image lies in
@@ -44,13 +42,14 @@ ker L and its rank is at most tp automatically.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from itertools import compress
+from operator import not_
 from dataclasses import dataclass, field as dc_field
 
 from .gf import ExtField
 from .linalg import Matrix
-from .qpoly import NEG_INF, QPoly, qpoly_rank
+from .qpoly import QPoly, qpoly_rank
 
 
 class GabCode:
@@ -104,10 +103,9 @@ class DecodeReport:
 
     status 'ok' carries the unique codeword and its error; 'ambiguous' lists
     every codeword found at minimal distance in ``candidates``; 'fail' means
-    nothing decodable within the requested radius; 'incomplete' means an
-    enumerated localiser walk (a kernel of dimension >= 3, or a field
-    without exp/log tables) was cut at its cap (``diagnostics["truncated"]``),
-    so ``candidates`` holds only what was found before the cut and may miss
+    nothing decodable within the requested radius; 'incomplete' means a
+    walked localiser kernel had dimension 3 or more, which the pencil does
+    not search (``diagnostics["truncated"]``), so ``candidates`` may miss
     codewords, the sent one included.
     """
 
@@ -162,20 +160,6 @@ def _axpy(fld: ExtField, vec: list, c: int, kv) -> list:
     return vec
 
 
-def _projective_points(fld: ExtField, kern: list[tuple]):
-    """One representative of each projective point of span(kern): first
-    nonzero coordinate 1 (at ``lead``), the other coordinates over the
-    packed field elements, the last one fastest.  The first point is
-    kern[0]."""
-    for lead, base in enumerate(kern):
-        for tail in itertools.product(range(fld.order),
-                                      repeat=len(kern) - lead - 1):
-            vec = list(base)
-            for ci, kv in zip(tail, kern[lead + 1:]):
-                _axpy(fld, vec, ci, kv)
-            yield vec
-
-
 def _tabulate(fld: ExtField, vec) -> list[int]:
     """The F_q-linear map L = sum_i vec[i] X^(q^i) at every packed element
     of F_{q^n}.  The element d q^j + r (d in F_q, r < q^j) maps to
@@ -196,74 +180,62 @@ def _tabulate(fld: ExtField, vec) -> list[int]:
 
 def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
     """The points of a 2-dimensional kernel [K1, K2] whose localiser has a
-    full root space, q^tp roots, in the order of ``_projective_points``:
-    K1 + c K2 for c ascending, then K2.  Needs exp/log tables.
+    full root space, q^tp roots: K1 + c K2 for c ascending, then K2.
 
     A nonzero x is a root of exactly one member: K1 + c K2 with
     c = -K1(x)/K2(x), or K2 when K2(x) = 0 != K1(x).  Roots of both K1 and
     K2 are roots of every member.  One pass over F_{q^n} counts each
-    member's own roots, keyed by log K1(x) - log K2(x), or -1 for c = 0."""
+    member's own roots, keyed by the ratio K1(x)/K2(x); the roots of K2,
+    at most q^tp entries, are counted apart."""
     k1, k2 = kern
-    log, exp = fld._log, fld._exp
-    units = fld.order - 1
-    common = only_k2 = 0    # roots of both (zero included), of K2 alone
-    counts = Counter()
-    for a, b in zip(_tabulate(fld, k1), _tabulate(fld, k2)):
-        if b:
-            counts[(log[a] - log[b]) % units if a else -1] += 1
-        elif a:
-            only_k2 += 1
-        else:
-            common += 1
+    t1, t2 = _tabulate(fld, k1), _tabulate(fld, k2)
+    counts = Counter(map(fld.div, compress(t1, t2), filter(None, t2)))
+    on_k2 = list(compress(t1, map(not_, t2)))   # K1 at the roots of K2
+    common = on_k2.count(0)                     # roots of both, 0 included
     full = fld.q**tp - common
-    for c in sorted(0 if key < 0 else fld.neg(exp[key])
-                    for key, count in counts.items() if count == full):
+    for c in sorted(fld.neg(r) for r, count in counts.items() if count == full):
         yield _axpy(fld, list(k1), c, k2)
-    if only_k2 == full:
+    if len(on_k2) - common == full:
         yield list(k2)
 
 
-def wb_decode(code: GabCode, received: QPoly, t: int,
-              max_candidates: int = 1024) -> DecodeReport:
-    """All codewords within rank distance t of ``received``, 0 <= t < n
+def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
+    """All codewords within rank distance t of ``received``, for
+    0 <= t <= (n-k)//2, or t = (n-k)//2 + 1 when n-k is odd, and t < n
     (ValueError otherwise).
 
     Guaranteed single answer for t <= (n-k)//2, where one key equation at
-    radius t is solved and its first kernel vector tested.  Beyond that the
-    stages past (n-k)//2 are walked (module docstring): a kernel of
-    dimension 2 on a field with exp/log tables through the pencil, which is
-    exhaustive and never cut; any other kernel by enumerating its points,
-    at most ``max_candidates`` localisers over all enumerated stages, and a
-    walk cut at the cap reports 'incomplete'.
+    radius t is solved and its first kernel vector tested.  At
+    t = (n-k)//2 + 1 a decode that found nothing within (n-k)//2 walks the
+    key equation at t through the localiser pencil, which is exhaustive on
+    every field; a kernel of dimension 3 or more there is not walked and
+    reports 'incomplete' (module docstring).
 
-    ``diagnostics["kernel_dims"]`` lists the kernel dimension of the stage
-    at the unique radius min(t, (n-k)//2), followed by that of each walked
-    stage.  ``diagnostics["walked"]`` counts the localisers divided at
-    walked stages, on either path.  ``diagnostics["error_rank"]`` (on 'ok'
-    only) is read off the stage that found the codeword: min(t, (n-k)//2)
-    + 1 - kernel dimension at the unique radius, tp at a walked stage.
+    ``diagnostics["kernel_dims"]`` lists the kernel dimension at the unique
+    radius min(t, (n-k)//2), followed by that of the walked stage, if any.
+    ``diagnostics["walked"]`` counts the localisers divided there.
+    ``diagnostics["error_rank"]`` (on 'ok' only) is read off the stage that
+    found the codeword: min(t, (n-k)//2) + 1 - kernel dimension at the
+    unique radius, t at the walked stage.
     """
     fld = code.field
     n, k, s = code.n, code.k, code.s
-    if not 0 <= t < n:
-        raise ValueError(f"decoding radius t = {t} out of range 0..{n - 1}")
+    half = (n - k) // 2
+    top = min((n - k + 1) // 2, n - 1)
+    if not 0 <= t <= top:
+        raise ValueError(f"decoding radius t = {t} out of range 0..{top}")
     y0 = received.compose_monomial(n - s) if s else received
     ycoeffs = y0.coeffs
-    half = (n - k) // 2
-    d_min = n - k + 1
     frob = fld.frobenius
 
     found: list[QPoly] = []
     rank = None         # error rank of found[0]
     kernel_dims: list[int] = []
     walked = 0
-    enumerated = 0      # localisers of capped walks, within max_candidates
     truncated = False
 
-    tu = min(t, half)
-    for tp in [tu, *range(half + 1, t + 1)]:
-        rows = n - k - tp
-        if rows > 0:
+    for tp in range(min(t, half), t + 1):
+        if n - k > tp:
             sys_rows = [[frob(ycoeffs[(j - i) % n], i) for i in range(tp + 1)]
                         for j in range(k + tp, n)]
             kern = Matrix(fld, sys_rows).kernel()
@@ -271,26 +243,21 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
             kern = Matrix.identity(fld, tp + 1).data
         kernel_dims.append(len(kern))
         walk = tp > half
-        pencil = walk and len(kern) == 2 and fld._exp is not None
         if not walk:
             points = kern[:1]
-        elif pencil:
+        elif len(kern) == 2:
             points = _pencil_points(fld, kern, tp)
         else:
-            points = _projective_points(fld, kern)
+            truncated = True
+            points = ()
         for vec in points:
-            if walk and not pencil:
-                if enumerated >= max_candidates:
-                    truncated = True
-                    break
-                enumerated += 1
             walked += walk
             cand = _try_localiser(vec, y0, k)
             if cand is not None and cand not in found:
                 if not found:
                     rank = tp if walk else tp + 1 - len(kern)
                 found.append(cand)
-        if found and d_min - rank > t:
+        if found:
             break
 
     if s:

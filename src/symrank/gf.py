@@ -13,7 +13,7 @@ embed into F_{q^n} unchanged, 0 and 1 are the identities at every level, and
 element equality is plain integer equality.  At either level the base-p
 digits of a packed element are its coordinates over F_p.
 
-Multiplication, inversion, powers and the Frobenius x -> x^q run on
+Multiplication, division, inversion, powers and the Frobenius x -> x^q run on
 discrete-log tables over a fixed generator whenever the field order fits in
 ``ExtField.TABLE_LIMIT``; larger fields fall back to direct polynomial
 arithmetic modulo the defining polynomial.  Over the coefficient field
@@ -393,7 +393,10 @@ class _Field:
         return self._inv_raw(a)
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        if self._exp is None or not b:
+            return self.mul(a, self.inv(b))
+        log = self._log
+        return self._exp[log[a] - log[b] + self.order - 1] if a else 0
 
     def pow(self, a: int, m: int) -> int:
         if a == 0:

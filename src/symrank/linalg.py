@@ -241,18 +241,6 @@ class Matrix:
             x[c] = rows[r][self.ncols]
         return tuple(x), _null_basis(f, rows, pivots, self.ncols)
 
-    def inverse(self) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        f = self.field
-        n = self.nrows
-        aug = [list(r) + [f.one if i == j else f.zero for j in range(n)]
-               for i, r in enumerate(self.data)]
-        pivots = _rref(f, aug, n)
-        if len(pivots) != n:
-            raise ZeroDivisionError("matrix is singular")
-        return Matrix(f, [row[n:] for row in aug])
-
     def to_json(self) -> list[list]:
         return [list(row) for row in self.data]
 

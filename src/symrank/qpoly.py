@@ -228,24 +228,6 @@ class QPoly:
         return cls(field, [ext_from_json(field, c) for c in data])
 
 
-def vector_form(poly: QPoly, basis) -> tuple[int, ...]:
-    """(P(g_1), ..., P(g_n)): the classical codeword vector of P."""
-    return tuple(poly.evaluate(g) for g in basis)
-
-
-def interpolate(field: ExtField, basis, values) -> QPoly:
-    """The unique P with deg_q P < n and P(g_j) = y_j on an F_q-basis g."""
-    basis = list(basis)
-    values = list(values)
-    if len(basis) != field.n or len(values) != field.n:
-        raise ValueError("interpolation needs exactly n points")
-    rows = [[field.frobenius(g, i) for i in range(field.n)] for g in basis]
-    sol = Matrix(field, rows).solve(values)
-    if sol is None or sol[1]:
-        raise ValueError("evaluation points are F_q-dependent")
-    return QPoly(field, sol[0])
-
-
 def endo_matrix(poly: QPoly) -> Matrix:
     """Matrix of x -> P(x) over F_q in the polynomial basis 1, x, ..., x^(n-1)."""
     fld = poly.field

@@ -1,6 +1,7 @@
 """Shared fixtures-by-function for the test suite: cached fields/setups and
 seeded random object builders (kept deterministic via RngStream)."""
 
+import itertools
 from functools import lru_cache
 
 from symrank import QPoly, RngStream, SymSetup, make_field
@@ -71,3 +72,18 @@ def ref_solve(mat, b):
     for r, c in pivots:
         x[c] = rows[r][n]
     return tuple(x)
+
+
+def projective_points(fld, kern):
+    """One representative of each projective point of span(kern): first
+    nonzero coordinate 1 (at ``lead``), the other coordinates over the
+    packed field elements, the last one fastest.  The exhaustive walk of a
+    localiser kernel, the oracle for the pencil."""
+    for lead, base in enumerate(kern):
+        for tail in itertools.product(range(fld.order),
+                                      repeat=len(kern) - lead - 1):
+            vec = list(base)
+            for ci, kv in zip(tail, kern[lead + 1:]):
+                if ci:
+                    vec = [fld.add(v, fld.mul(ci, x)) for v, x in zip(vec, kv)]
+            yield vec

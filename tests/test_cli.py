@@ -119,6 +119,17 @@ def test_roundtrip_sym_high_boundary_past_old_cap(tmp_path):
             assert report["decoded"] == report["instance"]["codeword"]
 
 
+def test_roundtrip_sym_high_boundary_table_free(tmp_path):
+    # (2, 17, 10) is past the exp/log table limit: the boundary pencil runs
+    # on the table-free field, and the decode is answered
+    out = tmp_path / "r.json"
+    code = main(["roundtrip", "--mode", "sym-high", "--p", "2", "--n", "17",
+                 "--k", "10", "--seed", "3", "--out", str(out), "--no-timing"])
+    report = json.loads(out.read_text())
+    assert (code, report["outcome"]) == (0, "success")
+    assert report["decoded"] == report["instance"]["codeword"]
+
+
 def test_simulate_csv_shape_and_determinism(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

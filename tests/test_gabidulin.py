@@ -1,6 +1,6 @@
 """Gabidulin code tests: encoding, MRD property (exhaustive on tiny codes),
 Welch-Berlekamp decoding in and past the unique-decoding radius, the
-localiser pencil against the uncapped walk, error ranks read off the key
+localiser pencil against the exhaustive walk, error ranks read off the key
 equation's kernel, and the planted-error generator."""
 
 import itertools
@@ -9,9 +9,9 @@ from collections import Counter
 
 import pytest
 
-from symrank import (ExtField, GabCode, HighRateDecoder, Matrix, QPoly, gabidulin, qpoly,
-                     qpoly_rank, random_error, symdec, vector_form, wb_decode)
-from helpers import get_field, get_setup, rand_elt
+from symrank import (ExtField, GabCode, HighRateDecoder, Matrix, QPoly, SymSetup,
+                     gabidulin, qpoly, qpoly_rank, random_error, symdec, wb_decode)
+from helpers import get_field, get_setup, projective_points, rand_elt
 from symrank.channel import RngStream, random_codeword, random_selfadjoint_qpoly
 
 
@@ -64,7 +64,7 @@ def test_encode_matches_moore_evaluation():
     expect = tuple(
         f.add(f.mul(msg[0], f.frobenius(g, 1)), f.mul(msg[1], f.frobenius(g, 2)))
         for g in basis)
-    assert vector_form(cw, basis) == expect
+    assert tuple(cw.evaluate(g) for g in basis) == expect
 
 
 @pytest.mark.parametrize("p,n,k", [(2, 3, 1), (2, 3, 2), (2, 4, 2), (3, 3, 2)])
@@ -166,36 +166,26 @@ def test_wb_fail_status():
 
 
 def test_wb_truncated_walk_is_incomplete():
-    # t = n-k = 2 on Gab_1 over F_8: rows <= 0 gives the identity kernel of
-    # dimension 3, whose 73 localisers are enumerated under the cap
-    f = get_field(2, 1, 3)
-    code = GabCode(f, 1)
-    rng = RngStream(43)
-    for _ in range(10):
-        cw = rand_codeword(code, rng)
-        y = cw + random_error(f, 2, rng)
-        full = wb_decode(code, y, 2)
-        assert full.diagnostics["kernel_dims"][-1] == 3
-        assert full.diagnostics["walked"] == 73
-        assert not full.diagnostics["truncated"]
-        assert full.status in ("ok", "ambiguous")
-        assert cw in full.candidates
-        cut = wb_decode(code, y, 2, max_candidates=4)
-        assert cut.status == "incomplete"
-        assert cut.diagnostics["truncated"]
-        assert cut.diagnostics["walked"] == 4
-        assert cut.codeword is None
-        assert all(c in full.candidates for c in cut.candidates)
+    # X^(q^(n-1)) has no codeword within (n-k)//2, and the key equation one
+    # radius further has a kernel of dimension 3: no localiser is divided
+    for p, n, k in [(2, 7, 2), (3, 6, 1)]:
+        f = get_field(p, 1, n)
+        rep = wb_decode(GabCode(f, k), QPoly.monomial(f, n - 1), (n - k) // 2 + 1)
+        assert rep.diagnostics["kernel_dims"][-1] == 3
+        assert rep.status == "incomplete"
+        assert rep.diagnostics["truncated"]
+        assert rep.diagnostics["walked"] == 0
+        assert rep.codeword is None and not rep.candidates
 
 
 def _assert_pencil_is_walk(monkeypatch, code, y, t):
-    """wb_decode through the pencil against the reference: every walked
-    stage enumerated point by point, with no cap."""
+    """wb_decode through the pencil against the reference: the walked
+    stage enumerated point by point by the test oracle."""
     rep = wb_decode(code, y, t)
     with monkeypatch.context() as m:
         m.setattr(gabidulin, "_pencil_points",
-                  lambda fld, kern, tp: gabidulin._projective_points(fld, kern))
-        ref = wb_decode(code, y, t, max_candidates=10**9)
+                  lambda fld, kern, tp: projective_points(fld, kern))
+        ref = wb_decode(code, y, t)
     assert rep.diagnostics["kernel_dims"][-1] == 2
     assert not rep.diagnostics["truncated"]
     assert rep.diagnostics["walked"] <= ref.diagnostics["walked"]
@@ -233,8 +223,9 @@ def test_pencil_matches_uncapped_walk_standard(monkeypatch):
 
 
 def test_table_free_field_still_walks():
-    # same tower without exp/log tables: every point of the pencil is
-    # enumerated, the cap still cuts it, and the answers are the pencil's
+    # the same tower without exp/log tables runs the same pencil: wb_decode
+    # past (n-k)//2 on Gab_1 over F_16, and boundary HighRateDecoder decodes
+    # at (2, 10, 7), give the tabled field's reports
     tabled = get_field(2, 1, 4)
     raw = ExtField(tabled.base, 4, use_tables=False)
     assert raw.modulus == tabled.modulus
@@ -242,15 +233,27 @@ def test_table_free_field_still_walks():
     rng = RngStream(67)
     for _ in range(5):
         y = rand_codeword(code, rng) + random_error(tabled, 2, rng)
-        y_raw = QPoly(raw, y.coeffs)
         rep = wb_decode(code, y, 2)
-        walk = wb_decode(raw_code, y_raw, 2)
-        assert walk.diagnostics["walked"] == 17
+        walk = wb_decode(raw_code, QPoly(raw, y.coeffs), 2)
+        assert walk.diagnostics == rep.diagnostics
         assert walk.status == rep.status
         assert [c.coeffs for c in walk.candidates] == [c.coeffs for c in rep.candidates]
-        cut = wb_decode(raw_code, y_raw, 2, max_candidates=4)
-        assert cut.status == "incomplete"
-        assert cut.diagnostics["walked"] == 4
+
+    st = get_setup(2, 1, 10)
+    raw_st = SymSetup(ExtField(st.field.base, 10, use_tables=False))
+    assert raw_st.field.modulus == st.field.modulus
+    assert (raw_st.u, raw_st.basis) == (st.u, st.basis)
+    dec, raw_dec = HighRateDecoder(st, 7), HighRateDecoder(raw_st, 7)
+    rng = RngStream(69)
+    for _ in range(6):
+        y = (random_codeword(dec.code, rng)
+             + random_selfadjoint_qpoly(dec.radius, st, rng))
+        rep = dec.decode(y)
+        walk = raw_dec.decode(QPoly(raw_st.field, y.coeffs))
+        assert rep.status in ("ok", "ambiguous")
+        assert walk.status == rep.status
+        assert walk.diagnostics == rep.diagnostics
+        assert [c.coeffs for c in walk.candidates] == [c.coeffs for c in rep.candidates]
 
 
 def _check_ok_ranks(rep, ranks):
@@ -264,8 +267,8 @@ def _check_ok_ranks(rep, ranks):
 
 
 def test_wb_error_rank_read_off_kernel():
-    # every radius t <= n-k, so 'ok' comes from the unique radius and from
-    # walked stages; shifted codes and an e = 2 tower included
+    # every accepted radius, so 'ok' comes from the unique radius and, for
+    # odd n-k, from the walked stage; shifted codes and an e = 2 tower
     unique, walked = set(), set()
     for p, e, n, k, s in [(2, 1, 4, 1, 0), (2, 1, 6, 2, 0), (3, 1, 5, 2, 0),
                           (2, 1, 8, 3, 2), (3, 1, 4, 1, 3), (2, 2, 4, 1, 0),
@@ -274,11 +277,11 @@ def test_wb_error_rank_read_off_kernel():
         code = GabCode(f, k, s)
         half = (n - k) // 2
         rng = RngStream(71)
-        for t in range(n - k + 1):
+        for t in range((n - k + 1) // 2 + 1):
             for rank in sorted({0, t // 2, t, min(t + 1, n)}):
                 for _ in range(3):
                     y = rand_codeword(code, rng) + random_error(f, rank, rng)
-                    rep = wb_decode(code, y, t, max_candidates=64)
+                    rep = wb_decode(code, y, t)
                     _check_ok_ranks(rep, walked if t > half else unique)
     assert unique == {0, 1, 2} and walked >= {0, 1, 2, 3}
 
@@ -321,8 +324,8 @@ def test_error_rank_high_rate(monkeypatch, p, e, n, k):
 @pytest.mark.parametrize("p,n,k,s", [(2, 8, 4, 0), (3, 6, 2, 0), (2, 8, 3, 2),
                                      (2, 16, 8, 0)])
 def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
-    # t <= (n-k)//2: one kernel, its first vector tested, no enumeration and
-    # no rank elimination
+    # t <= (n-k)//2: one kernel, its first vector tested, no walk and no
+    # rank elimination
     f = get_field(p, 1, n)
     code = GabCode(f, k, s)
     half = (n - k) // 2
@@ -331,8 +334,7 @@ def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
              for t in range(half + 1) for r in sorted({1, t})]
     calls = Counter()
     for owner, name in ((Matrix, "kernel"), (qpoly, "qpoly_rank"),
-                        (gabidulin, "qpoly_rank"), (gabidulin, "_projective_points"),
-                        (gabidulin, "_pencil_points")):
+                        (gabidulin, "qpoly_rank"), (gabidulin, "_pencil_points")):
         _count_calls(monkeypatch, calls, owner, name)
     for t, y in words:
         calls.clear()
@@ -342,11 +344,14 @@ def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
 
 
 def test_wb_rejects_bad_radius():
+    # past (n-k)//2 only t = (n-k)//2 + 1 with n-k odd is accepted
     f = get_field(2, 1, 4)
-    code = GabCode(f, 2)
-    for t in (-1, 4, 9):
-        with pytest.raises(ValueError):
-            wb_decode(code, QPoly.x(f), t)
+    for k, bad in ((2, (-1, 2, 3, 4, 9)), (1, (-1, 3, 4))):
+        code = GabCode(f, k)
+        for t in bad:
+            with pytest.raises(ValueError):
+                wb_decode(code, QPoly.x(f), t)
+    assert wb_decode(GabCode(f, 1), QPoly.x(f), 2).status == "ok"
 
 
 def test_decode_report_json():

@@ -151,6 +151,7 @@ def test_tables_vs_raw_agree(p, e, n):
         assert tabled.neg(a) == raw.neg(a)
         if a:
             assert tabled.inv(a) == raw.inv(a)
+            assert tabled.div(b, a) == raw.div(b, a)
         k = rng.randbelow(200)
         assert tabled.pow(a, k) == raw.pow(a, k)
         for i in range(n):

@@ -17,13 +17,8 @@ def test_small_oracles_f5():
     f5 = BaseField(5)
     a = Matrix(f5, [[1, 2], [3, 4]])
     assert a.rank() == 2
-    inv = a.inverse()
-    assert a @ inv == Matrix.identity(f5, 2)
-    assert inv @ a == Matrix.identity(f5, 2)
     s = Matrix(f5, [[1, 2], [2, 4]])
     assert s.rank() == 1
-    with pytest.raises(ZeroDivisionError):
-        s.inverse()
 
 
 def test_matmul_apply_transpose():
@@ -136,18 +131,6 @@ def test_packed_f2_matches_field_op_reference():
                     consistent += 1
                     assert ref_apply(a, want) == rhs
     assert consistent and inconsistent
-
-
-def test_inverse_random():
-    f = get_field(2, 1, 6)
-    rng = RngStream(37)
-    found = 0
-    while found < 20:
-        a = rand_matrix(f, 4, 4, rng)
-        if a.rank() != 4:
-            continue
-        found += 1
-        assert a @ a.inverse() == Matrix.identity(f, 4)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (2, 1), (2, 2)])

@@ -1,5 +1,5 @@
-"""Linearized polynomial tests: ring structure, division, adjoints,
-interpolation, and the matrix representations."""
+"""Linearized polynomial tests: ring structure, division, adjoints and the
+matrix representations."""
 
 import pytest
 
@@ -9,13 +9,11 @@ from symrank import (
     Matrix,
     QPoly,
     endo_matrix,
-    interpolate,
     matrix_of,
     matrix_to_qpoly,
     qpoly_rank,
     select_twist,
     trace_form,
-    vector_form,
 )
 from helpers import get_field, get_setup, rand_elt, rand_nonzero_qpoly, rand_qpoly, rand_unit
 from symrank.channel import RngStream, random_matrix
@@ -199,20 +197,6 @@ def test_adjoint_rejects_zero_twist():
     f = get_field(2, 1, 4)
     with pytest.raises(ValueError):
         QPoly.x(f).adjoint(0)
-
-
-def test_vector_form_interpolate_roundtrip():
-    f = get_field(2, 1, 6)
-    st = get_setup(2, 1, 6)
-    rng = RngStream(23)
-    for _ in range(40):
-        p = rand_qpoly(f, rng)
-        vals = vector_form(p, st.basis)
-        assert vals == tuple(p.evaluate(g) for g in st.basis)
-        assert interpolate(f, st.basis, vals) == p
-    with pytest.raises(ValueError):
-        # dependent evaluation points
-        interpolate(f, [1, 1], [0, 1])
 
 
 def _span(field, vecs):

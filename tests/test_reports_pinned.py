@@ -18,29 +18,30 @@ def _digest(reports) -> str:
 
 
 PINNED_WB = {
-    (2, 6, 2, 1024):
-        "a17fd2b814c92849ee94a2fadf505006709b2f12481753f32ddfe4c90c423dc8",
-    (2, 6, 2, 5):
-        "6055d322458860e9f32d8654a6420880bc6263279531e2ef30700f6c716c91af",
-    (3, 5, 1, 1024):
-        "280de7329ae9e2d3d9e71bd55795ad9d977162fbb6f8bd0dead4c12745aebacb",
-    (3, 5, 1, 5):
-        "e41a951a74d8917e0d6afb54a93b5a859fd9c926fc2409e733926a811726161b",
+    (2, 6, 2):
+        "0f331af2cd48157aa92c5a956d55bce00536b703bdc7e0696afcea2dbc9af1f7",
+    (3, 5, 1):
+        "ebb37b9bd3a6038f7b0536d10ece00a533c426fff760fbee0100aa5583299a68",
+    (2, 7, 2):
+        "1b9700374823d79e75008db5bae72f8fcf0cab5bcab0a569414d5341f347acc9",
+    (3, 6, 1):
+        "632ec93bc8f09037938dc737b336799b3c6c010337e63f2a76b25f56f6957474",
 }
 
 
-@pytest.mark.parametrize("p,n,k,cap", sorted(PINNED_WB))
-def test_wb_reports_pinned(p, n, k, cap):
-    # per radius t: two words at error rank t, one at rank t + 1 (capped at n)
+@pytest.mark.parametrize("p,n,k", sorted(PINNED_WB))
+def test_wb_reports_pinned(p, n, k):
+    # per accepted radius t (up to (n-k)//2, one more for odd n-k): two
+    # words at error rank t, one at rank t + 1 (capped at n)
     f = get_field(p, 1, n)
     code = GabCode(f, k)
     rng = RngStream(101)
     reports = []
-    for t in range(n - k + 1):
+    for t in range((n - k + 1) // 2 + 1):
         for rank in (t, t, min(t + 1, n)):
             y = random_codeword(code, rng) + random_error(f, rank, rng)
-            reports.append(wb_decode(code, y, t, max_candidates=cap))
-    assert _digest(reports) == PINNED_WB[(p, n, k, cap)]
+            reports.append(wb_decode(code, y, t))
+    assert _digest(reports) == PINNED_WB[(p, n, k)]
 
 
 PINNED_HIGH = {
