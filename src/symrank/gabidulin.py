@@ -202,7 +202,8 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
 def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
     """All codewords within rank distance t of ``received``, for
     0 <= t <= (n-k)//2, or t = (n-k)//2 + 1 when n-k is odd, and t < n
-    (ValueError otherwise).
+    (ValueError otherwise, or when ``received`` is not over the code's
+    field).
 
     Guaranteed single answer for t <= (n-k)//2, where one key equation at
     radius t is solved and its first kernel vector tested.  At
@@ -219,6 +220,8 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
     unique radius, t at the walked stage.
     """
     fld = code.field
+    if received.field is not fld:
+        raise ValueError("received word is not over the code's field")
     n, k, s = code.n, code.k, code.s
     half = (n - k) // 2
     top = min((n - k + 1) // 2, n - 1)

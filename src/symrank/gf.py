@@ -28,7 +28,9 @@ decoder inner loop O(1) per field operation.
 
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
-given (p, e, n) always denotes the same concrete tower.
+given (p, e, n) always denotes the same concrete tower.  Either way a
+modulus m passes Rabin's irreducibility test, which runs in the ring
+K[x]/(m) with the field's own table-free product and inverse.
 """
 
 from __future__ import annotations
@@ -166,29 +168,6 @@ def _fq_divmod(base, u, v):
     return _fq_trim(quo), _fq_trim(u)
 
 
-def _fq_mulmod(base, u, v, m):
-    return _fq_divmod(base, _fq_mul(base, u, v), m)[1]
-
-
-def _fq_powmod(base, u, exp: int, m):
-    out = [1]
-    u = _fq_divmod(base, list(u), m)[1]
-    while exp:
-        if exp & 1:
-            out = _fq_mulmod(base, out, u, m)
-        u = _fq_mulmod(base, u, u, m)
-        exp >>= 1
-    return out
-
-
-def _fq_gcd(base, u, v):
-    u = _fq_trim(list(u))
-    v = _fq_trim(list(v))
-    while v:
-        u, v = v, _fq_divmod(base, u, v)[1]
-    return u
-
-
 def _fq_invmod(base, u, m):
     # extended Euclid: s*u + t*m = gcd; returns s normalised so s*u = 1 mod m
     r0, r1 = _fq_trim(list(m)), _fq_divmod(base, list(u), m)[1]
@@ -205,25 +184,25 @@ def _fq_invmod(base, u, m):
 
 def _fq_is_irreducible(base, poly) -> bool:
     """Rabin's test: f of degree n over K = F_q is irreducible iff
-    x^(q^n) = x mod f and gcd(x^(q^(n/r)) - x, f) = 1 for every prime r | n."""
-    poly = _fq_trim(list(poly))
+    x^(q^n) = x mod f and x^(q^(n/r)) - x is a unit mod f for every prime
+    r | n.  It runs in the ring K[x]/(f), a table-free ``_Field``, whose
+    product and inverse need no irreducible modulus."""
     n = len(poly) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    frob = [list(x)]
-    h = list(x)
+    if n <= 1:
+        return n == 1
+    ring = _Field(base.p, base, poly, use_tables=False)
+    x = h = base.order      # the packed x
+    frob = [x]              # frob[i] = x^(q^i)
     for _ in range(n):
-        h = _fq_powmod(base, h, base.order, poly)
-        frob.append(list(h))
-    if _fq_sub(base, frob[n], x):
+        h = _pow(ring._mul_raw, h, base.order)
+        frob.append(h)
+    if frob[n] != x:
         return False
-    for r in _prime_factors(n):
-        g = _fq_gcd(base, _fq_sub(base, frob[n // r], x), poly)
-        if len(g) != 1:
-            return False
+    try:
+        for r in _prime_factors(n):
+            ring._inv_raw(ring.sub(frob[n // r], x))
+    except ZeroDivisionError:
+        return False
     return True
 
 
@@ -244,6 +223,10 @@ class _Field:
     ``coef`` is the coefficient field K, or ``None`` for F_p itself, whose
     elements are residues and need no polynomial.  An element with
     coefficients (c_0, ..., c_{d-1}) over K is sum(c_i * |K|**i).
+
+    With ``use_tables=False`` nothing assumes the modulus is irreducible:
+    the instance is then also the ring K[x]/(m) of a reducible m, where
+    ``_inv_raw`` raises ZeroDivisionError on a non-unit.
     """
 
     def __init__(self, p: int, coef, modulus, use_tables: bool = True):
@@ -288,7 +271,8 @@ class _Field:
         return _pack(_fq_divmod(self._coef, prod, self.modulus)[1], r)
 
     def _inv_raw(self, a: int) -> int:
-        # only fields without tables get here, and those have a coefficient field
+        # only table-free instances get here, fields or rings K[x]/(m) of a
+        # reducible m (class docstring), and all have a coefficient field
         if self._radix == 2:
             # extended Euclid in F_2[x] on the packed ints, each step a
             # shift-xor; r_i = s_i * a mod the modulus throughout

@@ -137,20 +137,20 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch in matrix sum")
         add = self.field.add
         return Matrix(self.field,
                       [[add(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("dimension mismatch in matrix difference")
         sub = self.field.sub
         return Matrix(self.field,
                       [[sub(a, b) for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, [[neg(a) for a in row] for row in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -172,10 +172,6 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.data))) if self.data else self
-
-    def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, [[mul(c, a) for a in row] for row in self.data])
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec given as a sequence of field elements."""

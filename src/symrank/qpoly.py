@@ -105,15 +105,6 @@ class QPoly:
         return QPoly._of(self.field,
                          [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "QPoly":
-        neg = self.field.neg
-        return QPoly._of(self.field, [neg(a) for a in self.coeffs])
-
-    def scale(self, c: int) -> "QPoly":
-        """Left multiple c * P, i.e. (cX) o P."""
-        mul = self.field.mul
-        return QPoly._of(self.field, [mul(c, a) for a in self.coeffs])
-
     def evaluate(self, x: int) -> int:
         fld = self.field
         acc = fld.zero

@@ -18,8 +18,10 @@ D = Phi(Y), Phi(C)_j = c_j - c_(n-j)^(q^j) u^(q^j - 1) and D* = -D, so
 c_j = D_j for 1 <= j < n-k and n/2 < j <= k, c_(n/2) = theta D_(n/2) with
 theta + theta^(q^(n/2)) = 1 when n is even, and every other c_j = 0.  No
 linear system is solved, and every word has a preimage.  The residual
-Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k, and
-candidates are filtered by self-adjointness of the implied error.  The
+Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k.  Since
+Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
+candidate S' is self-adjoint exactly when S' is; candidates are filtered
+on that, which reads only the reduced support n-k..k.  The
 survivors get their status from ``DecodeReport.of``, the same rule as
 ``wb_decode``.  The rank of a single survivor's error is computed once, by
 an F_q elimination independent of the kernel dimension ``wb_decode`` reads
@@ -126,7 +128,14 @@ class LowRateDecoder:
                              "the symmetric-error decoder cannot apply")
 
     def decode(self, received: Matrix) -> tuple[Matrix, Matrix]:
-        """(C_hat, E_hat) with received = C_hat + E_hat, E_hat symmetric."""
+        """(C_hat, E_hat) with received = C_hat + E_hat, E_hat symmetric.
+        ValueError when ``received`` is not an n x n matrix over the code's
+        field."""
+        n = self.code.n
+        if (received.field is not self.code.field
+                or (received.nrows, received.ncols) != (n, n)):
+            raise ValueError("received word is not an n x n matrix over "
+                             "the code's field")
         coeffs = self._solver.solve(_phi_upper(received))
         if coeffs is None:
             raise InvalidInstanceError(
@@ -185,11 +194,15 @@ class HighRateDecoder:
         return QPoly(fld, coeffs)
 
     def decode(self, received: QPoly) -> DecodeReport:
+        """ValueError when ``received`` is not over the code's field."""
+        if received.field is not self.setup.field:
+            raise ValueError("received word is not over the code's field")
         u = self.setup.u
         pre = self._preimage(received)
         rep = wb_decode(self.reduced, received - pre, self.radius)
-        survivors = [cand for cand in (pre + c for c in rep.candidates)
-                     if (received - cand).is_self_adjoint(u)]
+        # received - pre is self-adjoint, so received - (pre + c) is too
+        # exactly when c is
+        survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
         rank = None     # of the single survivor's error, checked below
         if len(survivors) == 1:
             error = received - survivors[0]

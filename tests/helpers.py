@@ -5,6 +5,7 @@ import itertools
 from functools import lru_cache
 
 from symrank import QPoly, RngStream, SymSetup, make_field
+from symrank.gf import _fq_divmod
 from symrank.linalg import _rref
 
 
@@ -87,3 +88,15 @@ def projective_points(fld, kern):
                 if ci:
                     vec = [fld.add(v, fld.mul(ci, x)) for v, x in zip(vec, kv)]
             yield vec
+
+
+def irreducible_by_trial_division(base, poly) -> bool:
+    """A monic ``poly`` of degree n >= 1 over ``base`` is irreducible iff no
+    monic polynomial of degree 1..n//2 divides it.  The oracle for Rabin's
+    test, one polynomial division per candidate divisor."""
+    n = len(poly) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(base.order), repeat=d):
+            if not _fq_divmod(base, list(poly), list(low) + [1])[1]:
+                return False
+    return n >= 1

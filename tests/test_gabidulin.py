@@ -354,6 +354,17 @@ def test_wb_rejects_bad_radius():
     assert wb_decode(GabCode(f, 1), QPoly.x(f), 2).status == "ok"
 
 
+def test_wb_rejects_word_over_another_field():
+    # F_64 and a second F_16 object against a code over F_16
+    code = GabCode(get_field(2, 1, 4), 2)
+    rng = RngStream(41)
+    for other in (get_field(2, 1, 6), ExtField(get_field(2, 1, 4).base, 4)):
+        for _ in range(10):
+            y = QPoly(other, [rand_elt(other, rng) for _ in range(other.n)])
+            with pytest.raises(ValueError, match="field"):
+                wb_decode(code, y, 1)
+
+
 def test_decode_report_json():
     f = get_field(2, 1, 4)
     code = GabCode(f, 2)

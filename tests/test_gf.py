@@ -6,8 +6,9 @@ import hashlib
 import pytest
 
 from symrank import BaseField, ExtField, field_from_json, field_to_json, make_field
-from symrank.gf import _digits, _fq_divmod, _fq_invmod, _fq_mul, _pack
-from helpers import get_field, rand_elt, rand_unit
+from symrank.gf import (_digits, _fq_divmod, _fq_invmod, _fq_is_irreducible,
+                        _fq_mul, _pack)
+from helpers import get_field, irreducible_by_trial_division, rand_elt, rand_unit
 from symrank.channel import RngStream
 
 
@@ -37,6 +38,38 @@ def test_modulus_autogeneration_frozen():
     f9 = BaseField(3, 2)
     assert ExtField(f9, 2).modulus == (4, 0, 1)
     assert ExtField(f9, 3).modulus == (3, 1, 0, 1)
+    # table-free fields: x^17 + x^3 + 1 and x^11 + x^2 + 2
+    assert ExtField(BaseField(2), 17).modulus == (1, 0, 0, 1) + (0,) * 13 + (1,)
+    assert ExtField(BaseField(3), 11).modulus == (2, 0, 1) + (0,) * 8 + (1,)
+
+
+def _mobius(m: int) -> int:
+    out, d = 1, 2
+    while m > 1:
+        if m % d == 0:
+            m //= d
+            if m % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+@pytest.mark.parametrize("p,e,top", [(2, 1, 8), (3, 1, 5), (2, 2, 3), (3, 2, 3)])
+def test_rabin_matches_trial_division(p, e, top):
+    # every monic polynomial of degree 1..top over F_(p^e), and per degree
+    # Gauss's count (1/n) sum_{d | n} mu(d) q^(n/d) of the irreducible ones
+    base = BaseField(p, e)
+    q = base.order
+    for n in range(1, top + 1):
+        count = 0
+        for packed in range(q**n):
+            poly = _digits(packed, q, n) + [1]
+            got = _fq_is_irreducible(base, poly)
+            assert got == irreducible_by_trial_division(base, poly), poly
+            count += got
+        assert count == sum(_mobius(d) * q**(n // d)
+                            for d in range(1, n + 1) if n % d == 0) // n
 
 
 def test_f4_oracles():
@@ -332,6 +365,12 @@ def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         # x^2 + x + 1 = (x - 1)^2 over F_9: reducible.
         ExtField(f9, 2, modulus=(1, 1, 1))
+    # (x^2 + 1)(x^2 + x + 2) over F_3 has x^(q^4) = x; only its
+    # x^(q^2) - x, a non-unit, shows it reducible
+    with pytest.raises(ValueError):
+        BaseField(3, 4, modulus=(2, 1, 0, 1, 1))
+    with pytest.raises(ValueError):
+        ExtField(BaseField(3), 4, modulus=(2, 1, 0, 1, 1))
 
 
 def test_make_field_explicit_moduli():

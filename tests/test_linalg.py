@@ -36,6 +36,17 @@ def test_matmul_apply_transpose():
     )
 
 
+def test_sum_of_mismatched_shapes_rejected():
+    f = get_field(2, 1, 4)
+    rng = RngStream(3)
+    a, b = rand_matrix(f, 4, 4, rng), rand_matrix(f, 6, 6, rng)
+    for x, y in ((a, b), (b, a), (a, rand_matrix(f, 4, 3, rng))):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+
+
 def _dot(field, xs, ys):
     acc = 0
     for x, y in zip(xs, ys):

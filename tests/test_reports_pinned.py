@@ -49,6 +49,10 @@ PINNED_HIGH = {
         "87b5d9341fda1a9fd1bba8d4d1a8047fb78f7c64e3255ab6bf4ccc2293d928ae",
     (3, 5, 3):
         "fba6aee88afc3eaebe99f13dbf2d611389f20e81d264204e0791e16c97aed185",
+    (2, 8, 6):
+        "91a9c67a3ca590232ee1a1535e8ca3ab56d5bc9fa9e6ff9c24167059d236827e",
+    (2, 10, 7):
+        "20d6c63c16b419a317c3e1135cc1b843b50b9a32f69fafc002b8fa0c56c65590",
 }
 
 

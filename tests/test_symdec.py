@@ -15,12 +15,14 @@ from symrank import (
     Matrix,
     MatrixCode,
     QPoly,
+    make_field,
     matrix_code_of,
     matrix_of,
     phi_matrix,
     phi_qpoly,
     qpoly_rank,
     unfold,
+    wb_decode,
 )
 from helpers import get_field, get_setup, rand_elt, rand_qpoly, ref_rank, ref_solve
 from symrank.channel import (RngStream, random_codeword, random_matrix, random_matrix_code,
@@ -129,6 +131,19 @@ def test_low_rate_rejects_invalid_instance():
     assert raised > 0
 
 
+def test_low_rate_rejects_wrong_shape_or_field():
+    # a 4 x 4 word at n = 6, or a 6 x 6 word over another F_2 object: the
+    # shape or field is wrong, so no decode is attempted
+    st = get_setup(2, 1, 6)
+    dec = LowRateDecoder(matrix_code_of(GabCode(st.field, 2, 1), st))
+    rng = RngStream(29)
+    for size, fld in [(4, st.field.base)] * 200 + [(6, BaseField(2))] * 20:
+        y = Matrix(fld, [[rng.randbelow(2) for _ in range(size)]
+                         for _ in range(size)])
+        with pytest.raises(ValueError, match="n x n"):
+            dec.decode(y)
+
+
 def test_low_rate_f2_decode_makes_no_field_products(monkeypatch):
     # over F_2 the solve and the codeword rebuild run on packed rows
     st = get_setup(2, 1, 8)
@@ -176,8 +191,10 @@ def _full_phi_decode(code, system, received):
     if coeffs is None:
         return None
     codeword = Matrix.zeros(code.field, code.n, code.n)
+    mul = code.field.mul
     for c, g in zip(coeffs, code.generators):
-        codeword = codeword + g.scale(c)
+        codeword = codeword + Matrix(code.field,
+                                     [[mul(c, a) for a in row] for row in g.data])
     error = received - codeword
     return (codeword, error) if error.is_symmetric() else None
 
@@ -262,7 +279,7 @@ def test_high_rate_kernel_is_inner_shifted_code():
             poly = QPoly.zero(f)
             for c, g in zip(vec, gens):
                 if c:
-                    poly = poly + g.scale(c)
+                    poly = poly + QPoly.monomial(f, 0, c).compose(g)
             assert not poly.is_zero()
             assert poly.is_self_adjoint(st.u)
             assert code.contains(poly)
@@ -341,6 +358,39 @@ def test_high_rate_invalid_instance_fails():
             assert dec.code.contains(rep.codeword)
             assert (y - rep.codeword).is_self_adjoint(st.u)
     assert saw_fail
+
+
+def test_high_rate_rejects_word_over_another_field():
+    st = get_setup(2, 1, 6)
+    dec = HighRateDecoder(st, 4)
+    rng = RngStream(31)
+    for other in (get_field(2, 1, 8), make_field(2, 1, 6)):
+        for _ in range(10):
+            with pytest.raises(ValueError, match="field"):
+                dec.decode(rand_qpoly(other, rng))
+
+
+@pytest.mark.parametrize("p,n,k", [(2, 6, 4), (3, 5, 3), (2, 8, 6)])
+def test_high_rate_filter_reads_candidate_alone(p, n, k):
+    # Phi(C') = Phi(Y) makes Y - C' self-adjoint, so the implied error
+    # Y - (C' + c) is self-adjoint exactly when the reduced candidate c is;
+    # boundary words and random words, both outcomes seen
+    st = get_setup(p, 1, n)
+    dec = HighRateDecoder(st, k)
+    rng = RngStream(37)
+    seen = set()
+    for trial in range(40):
+        if trial % 2:
+            y = (random_codeword(dec.code, rng)
+                 + random_selfadjoint_qpoly(dec.radius, st, rng))
+        else:
+            y = rand_qpoly(st.field, rng)
+        pre = dec._preimage(y)
+        for c in wb_decode(dec.reduced, y - pre, dec.radius).candidates:
+            want = c.is_self_adjoint(st.u)
+            assert (y - (pre + c)).is_self_adjoint(st.u) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("n,k", [(10, 7), (12, 8)])
