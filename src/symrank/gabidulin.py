@@ -232,6 +232,7 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
     frob = fld.frobenius
 
     found: list[QPoly] = []
+    seen: set[tuple] = set()    # coefficients of found, for the membership test
     rank = None         # error rank of found[0]
     kernel_dims: list[int] = []
     walked = 0
@@ -256,10 +257,11 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
         for vec in points:
             walked += walk
             cand = _try_localiser(vec, y0, k)
-            if cand is not None and cand not in found:
+            if cand is not None and cand.coeffs not in seen:
                 if not found:
                     rank = tp if walk else tp + 1 - len(kern)
                 found.append(cand)
+                seen.add(cand.coeffs)
         if found:
             break
 

@@ -89,6 +89,18 @@ def _pack_bits(vec) -> int:
     return int(bytes(reversed(vec)).translate(_BITS) or b"0", 2)
 
 
+def xor_rank(rows) -> int:
+    """Rank over F_2 of vectors packed as ints (``_pack_bits``)."""
+    # xor basis: each member has a top bit clear in all later ones
+    basis: list[int] = []
+    for v in rows:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
 class Matrix:
     """Immutable matrix over a finite field."""
 
@@ -204,14 +216,7 @@ class Matrix:
     def rank(self) -> int:
         packed = self._packed()
         if packed is not None:
-            # xor basis: each member has a top bit clear in all later ones
-            basis: list[int] = []
-            for v in packed:
-                for b in basis:
-                    v = min(v, v ^ b)
-                if v:
-                    basis.append(v)
-            return len(basis)
+            return xor_rank(packed)
         rows = [list(r) for r in self.data]
         return len(_rref(self.field, rows, self.ncols))
 

@@ -12,7 +12,8 @@ which is the only direction the decoders need.  Both are the inner loop of
 the decoders' localiser walk; when the field has exp/log tables they work in
 the log domain, where p * c^(q^i) = exp[log p + log c * q^i mod (q^n - 1)]
 is one table index, with the logs of the fixed operand taken once per call.
-Fields without tables run the same loops on ``mul`` and ``frobenius``.
+``evaluate`` is the same sum with c = x, one lookup per term.  Fields
+without tables run the same loops on ``mul`` and ``frobenius``.
 
 The adjoint with respect to the twisted trace form <a,b> = Tr(u a b) is the
 closed formula
@@ -20,12 +21,18 @@ closed formula
     adjoint(P, u)[ (n-i) mod n ] = p_i^(q^(n-i)) * u^(q^(n-i) - 1)
 
 equivalently the unique Q with Tr(u a P(b)) = Tr(u Q(a) b) for all a, b.
+In the log domain each coefficient is one lookup, with no inverse of u:
+
+    p^(q^j) * u^(q^j - 1) = exp[((log p + log u) q^j - log u) mod (q^n - 1)]
+
+``is_self_adjoint`` compares each pair (c_j, c_(n-j)) through that lookup
+and stops at the first mismatch, without building the adjoint.
 """
 
 from __future__ import annotations
 
 from .gf import ExtField, ext_from_json, ext_to_json
-from .linalg import Matrix
+from .linalg import Matrix, xor_rank
 
 NEG_INF = float("-inf")
 
@@ -96,21 +103,37 @@ class QPoly:
         return NEG_INF
 
     def __add__(self, other: "QPoly") -> "QPoly":
+        if other.field is not self.field:
+            raise ValueError("q-polynomials over different fields")
         add = self.field.add
         return QPoly._of(self.field,
                          [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "QPoly") -> "QPoly":
+        if other.field is not self.field:
+            raise ValueError("q-polynomials over different fields")
         sub = self.field.sub
         return QPoly._of(self.field,
                          [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def evaluate(self, x: int) -> int:
         fld = self.field
+        exp = fld._exp
+        if exp is None:
+            acc = fld.zero
+            for i, p in enumerate(self.coeffs):
+                if p:
+                    acc = fld.add(acc, fld.mul(p, fld.frobenius(x, i)))
+            return acc
+        if not x:
+            return fld.zero
+        add, log, units = fld.add, fld._log, fld.order - 1
+        lx = log[x]
         acc = fld.zero
-        for i, p in enumerate(self.coeffs):
+        for p, fe in zip(self.coeffs, fld._frob_exp):
             if p:
-                acc = fld.add(acc, fld.mul(p, fld.frobenius(x, i)))
+                term = exp[log[p] + lx * fe % units]
+                acc = add(acc, term) if acc else term
         return acc
 
     def compose(self, other: "QPoly") -> "QPoly":
@@ -199,17 +222,43 @@ class QPoly:
         if u == 0:
             raise ValueError("twist u must be nonzero")
         n = fld.n
-        inv_u = fld.inv(u)
         out = [fld.zero] * n
+        exp = fld._exp
+        if exp is None:
+            inv_u = fld.inv(u)
+            for i, p in enumerate(self.coeffs):
+                if p:
+                    j = (n - i) % n
+                    out[j] = fld.mul(fld.mul(fld.frobenius(p, j),
+                                             fld.frobenius(u, j)), inv_u)
+            return QPoly._of(fld, out)
+        log, units, frob_exp = fld._log, fld.order - 1, fld._frob_exp
+        lu = log[u]
         for i, p in enumerate(self.coeffs):
             if p:
                 j = (n - i) % n
-                out[j] = fld.mul(fld.mul(fld.frobenius(p, j), fld.frobenius(u, j)),
-                                 inv_u)
+                out[j] = exp[((log[p] + lu) * frob_exp[j] - lu) % units]
         return QPoly._of(fld, out)
 
     def is_self_adjoint(self, u: int) -> bool:
-        return self == self.adjoint(u)
+        """P == P.adjoint(u), compared coefficient pair by coefficient pair
+        with an early exit when the field has tables."""
+        fld = self.field
+        exp = fld._exp
+        if exp is None or u == 0:
+            return self == self.adjoint(u)
+        n, c = fld.n, self.coeffs
+        log, units, frob_exp = fld._log, fld.order - 1, fld._frob_exp
+        lu = log[u]
+        # the coefficient map c_i -> c_(n-i) of the adjoint is an involution
+        # pair by pair, so the pairs (i, n-i) with i <= n/2 decide it, and
+        # i = 0 always matches
+        for i in range(1, n // 2 + 1):
+            p, j = c[i], n - i
+            if c[j] != (exp[((log[p] + lu) * frob_exp[j] - lu) % units]
+                        if p else fld.zero):
+                return False
+        return True
 
     def to_json(self) -> list:
         return [ext_to_json(self.field, c) for c in self.coeffs]
@@ -228,8 +277,16 @@ def endo_matrix(poly: QPoly) -> Matrix:
 
 
 def qpoly_rank(poly: QPoly) -> int:
-    """Rank of the induced endomorphism of F_{q^n}."""
-    return endo_matrix(poly).rank()
+    """Rank of the induced endomorphism of F_{q^n}: the F_q rank of the
+    images P(x^j), j < n, which are the rows of ``endo_matrix``'s transpose.
+    Over F_2 a packed element already is its coordinate row, so the images
+    go to the xor basis as ints."""
+    fld = poly.field
+    q = fld.q
+    images = [poly.evaluate(q**j) for j in range(fld.n)]
+    if q == 2:
+        return xor_rank(images)
+    return Matrix(fld.base, [fld.coeffs(v) for v in images]).rank()
 
 
 def matrix_of(poly: QPoly, setup) -> Matrix:

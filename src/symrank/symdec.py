@@ -21,11 +21,11 @@ linear system is solved, and every word has a preimage.  The residual
 Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k.  Since
 Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
 candidate S' is self-adjoint exactly when S' is; candidates are filtered
-on that, which reads only the reduced support n-k..k.  The
-survivors get their status from ``DecodeReport.of``, the same rule as
-``wb_decode``.  The rank of a single survivor's error is computed once, by
-an F_q elimination independent of the kernel dimension ``wb_decode`` reads
-its own rank from, and an 'ok' answer is verified (in the code,
+on that, which reads only the reduced support n-k..k and stops at the first
+coefficient pair that breaks it.  The survivors get their status from
+``DecodeReport.of``, the same rule as ``wb_decode``.  The rank of a single
+survivor's error is computed once, by an F_q elimination independent of the
+kernel dimension ``wb_decode`` reads its own rank from, and an 'ok' answer is verified (in the code,
 self-adjoint error, that rank <= n-k) before it is returned.  Below the
 boundary (rank <= n-k-1) the answer is provably unique; at rank exactly
 n-k two valid decompositions can coexist and the report says so.  The boundary

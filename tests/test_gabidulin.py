@@ -222,6 +222,34 @@ def test_pencil_matches_uncapped_walk_standard(monkeypatch):
         assert cw in rep.candidates
 
 
+@pytest.mark.parametrize("p,n,k", [(2, 8, 6), (3, 6, 4), (2, 10, 7)])
+def test_walked_members_never_repeat_a_candidate(monkeypatch, p, n, k):
+    # distinct pencil members are not proportional, and a candidate's
+    # localiser is its error's subspace polynomial up to a scalar, so no two
+    # members that divide cleanly give the same candidate
+    st = get_setup(p, 1, n)
+    dec = HighRateDecoder(st, k)
+    rng = RngStream(71)
+    divided = []
+    try_localiser = gabidulin._try_localiser
+
+    def recording(vec, received, k):
+        cand = try_localiser(vec, received, k)
+        if cand is not None:
+            divided.append(cand.coeffs)
+        return cand
+
+    monkeypatch.setattr(gabidulin, "_try_localiser", recording)
+    walked = 0
+    for _ in range(4):
+        divided.clear()
+        y = random_codeword(dec.code, rng) + random_selfadjoint_qpoly(dec.radius, st, rng)
+        rep = wb_decode(dec.reduced, y - dec._preimage(y), dec.radius)
+        walked += rep.diagnostics["walked"]
+        assert len(set(divided)) == len(divided) == len(rep.candidates)
+    assert walked > 4
+
+
 def test_table_free_field_still_walks():
     # the same tower without exp/log tables runs the same pencil: wb_decode
     # past (n-k)//2 on Gab_1 over F_16, and boundary HighRateDecoder decodes

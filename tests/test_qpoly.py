@@ -16,7 +16,7 @@ from symrank import (
     trace_form,
 )
 from helpers import get_field, get_setup, rand_elt, rand_nonzero_qpoly, rand_qpoly, rand_unit
-from symrank.channel import RngStream, random_matrix
+from symrank.channel import RngStream, random_matrix, random_selfadjoint_qpoly
 
 
 def test_constructor_folds_high_indices():
@@ -60,6 +60,21 @@ def test_compose_matches_pointwise():
         for _ in range(6):
             x = rand_elt(f, rng)
             assert comp.evaluate(x) == p.evaluate(q.evaluate(x))
+
+
+def test_add_sub_reject_another_field():
+    # zip over the coefficient tuples used to truncate the longer one
+    f16, f64 = get_field(2, 1, 4), get_field(2, 1, 6)
+    a, b = QPoly(f16, [1, 2, 3, 4]), QPoly(f64, [5, 6, 7, 8, 9, 10])
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="field"):
+            x + y
+        with pytest.raises(ValueError, match="field"):
+            x - y
+    # the same tower without tables is another field object
+    raw = ExtField(f16.base, 4, f16.modulus, use_tables=False)
+    with pytest.raises(ValueError, match="field"):
+        a + QPoly(raw, a.coeffs)
 
 
 def test_compose_monomial_agrees_with_compose():
@@ -144,6 +159,54 @@ def test_compose_left_divide_tables_vs_raw(p, e, n):
         assert rem.q_degree < div.q_degree == dl
         if kind == 2:
             assert rem.is_zero() and quot == c
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 6), (3, 1, 4), (3, 1, 6), (2, 2, 3)])
+def test_evaluate_adjoint_rank_tables_vs_raw(p, e, n):
+    # the log-domain evaluate, adjoint, self-adjointness test and the rank on
+    # the images against the mul/frobenius loops of the same field without
+    # tables and the rank of endo_matrix; (2,2,3) has q = 4, where the F_2
+    # rank on packed images must not fire
+    st = get_setup(p, e, n)
+    tabled = st.field
+    raw = ExtField(tabled.base, n, tabled.modulus, use_tables=False)
+    assert raw._exp is None
+
+    def on_raw(poly):
+        return QPoly(raw, poly.coeffs)
+
+    rng = RngStream(23)
+    twists = [select_twist(tabled), rand_unit(tabled, rng)]
+    assert st.u == twists[0]
+    if (p, n) == (3, 6):
+        assert twists[0] != tabled.one
+    outcomes = set()
+    for trial in range(60):
+        r = trial % (n + 1)
+        polys = [rand_qpoly(tabled, rng), random_selfadjoint_qpoly(r, st, rng)]
+        assert qpoly_rank(polys[1]) == r == endo_matrix(polys[1]).rank()
+        # a self-adjoint polynomial with one coefficient moved: the early
+        # exit is reached at every position
+        moved = list(polys[1].coeffs)
+        moved[trial % n] = tabled.add(moved[trial % n], rand_unit(tabled, rng))
+        polys.append(QPoly(tabled, moved))
+        for poly in polys:
+            assert qpoly_rank(poly) == endo_matrix(poly).rank() \
+                == qpoly_rank(on_raw(poly))
+            for x in (0, rand_elt(tabled, rng), rand_unit(tabled, rng)):
+                assert poly.evaluate(x) == on_raw(poly).evaluate(x)
+            for u in twists:
+                adj = poly.adjoint(u)
+                assert adj.coeffs == on_raw(poly).adjoint(u).coeffs
+                want = poly == adj
+                assert poly.is_self_adjoint(u) == want
+                assert on_raw(poly).is_self_adjoint(u) == want
+                outcomes.add(want)
+        assert polys[1].is_self_adjoint(st.u)
+    assert outcomes == {True, False}
+    for poly in (QPoly.x(tabled), QPoly.x(raw)):
+        with pytest.raises(ValueError):
+            poly.is_self_adjoint(0)
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 4), (3, 1, 3)])
