@@ -109,15 +109,9 @@ def orthonormal_basis(field: ExtField, u: int | None = None) -> tuple[int, ...]:
     poly_basis = [field.q**j for j in range(n)]
     gram = gram_matrix(field, u, poly_basis)
     t, d = congruence_diagonalize(gram)
-    # columns of T give the orthogonal basis in poly_basis coordinates
-    vecs = []
-    for j in range(n):
-        acc = field.zero
-        for i in range(n):
-            c = t.data[i][j]
-            if c:
-                acc = field.add(acc, field.mul(c, poly_basis[i]))
-        vecs.append(acc)
+    # columns of T give the orthogonal basis in poly_basis coordinates, and
+    # poly_basis[i] = x^i, so a column is an element's coefficient vector
+    vecs = [field.from_coeffs(t.col(j)) for j in range(n)]
     diag = [d.data[i][i] for i in range(n)]
     vecs = _rescale_to_orthonormal(field, vecs, diag)
     if gram_matrix(field, u, vecs) != Matrix.identity(field.base, n):

@@ -26,7 +26,8 @@ from .linalg import Matrix
 from .qpoly import QPoly, matrix_to_qpoly
 from .symdec import LowRateDecoder, MatrixCode
 
-_MASK = (1 << 64) - 1
+_SPAN = 1 << 64
+_MASK = _SPAN - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -54,12 +55,18 @@ class RngStream:
         return _mix(self._state)
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), by rejection."""
+        """Uniform integer in [0, n), by rejection.  A candidate is one
+        64-bit draw up to n = 2^64, and as many draws as n needs past it."""
         if n <= 0:
             raise ValueError("randbelow needs n >= 1")
-        limit = (1 << 64) - ((1 << 64) % n)
+        span = _SPAN
+        while span < n:
+            span <<= 64
+        limit = span - span % n
         while True:
-            x = self.next_u64()
+            x, drawn = self.next_u64(), _SPAN
+            while drawn < span:
+                x, drawn = (x << 64) | self.next_u64(), drawn << 64
             if x < limit:
                 return x % n
 

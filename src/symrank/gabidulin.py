@@ -130,8 +130,9 @@ class DecodeReport:
         """The report of a search that found ``found``: 'incomplete' when
         ``diagnostics["truncated"]``, else 'fail' for none, 'ambiguous' for
         several, and 'ok' for one, with error = received - found[0].  The
-        caller knows the rank of that error and passes it as ``rank``; it
-        becomes ``diagnostics["error_rank"]`` on 'ok' only."""
+        caller passes the rank of that error as ``rank``, or None to set it
+        on the report itself; it becomes ``diagnostics["error_rank"]`` on
+        'ok' only."""
         if diagnostics["truncated"]:
             return cls("incomplete", candidates=found, diagnostics=diagnostics)
         if not found:

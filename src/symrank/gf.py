@@ -290,6 +290,19 @@ class _Field:
         s = _fq_invmod(self._coef, _digits(a, self._radix, self._degree), self.modulus)
         return _pack(s, self._radix)
 
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b on the base-p digits, for an odd-p field without
+        Zech tables."""
+        p = self.p
+        out = 0
+        place = 1
+        while a or b:
+            a, ra = divmod(a, p)
+            b, rb = divmod(b, p)
+            out += ((ra + sign * rb) % p) * place
+            place *= p
+        return out
+
     # -- field operations ------------------------------------------------------
     #
     # With Zech logs, log(a + b) = log a + zech[log b - log a] and
@@ -311,14 +324,7 @@ class _Field:
             la = log[a]
             z = zech[log[b] - la]
             return self._exp[la + z] if z >= 0 else 0
-        out = 0
-        place = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra + rb) % p) * place
-            place *= p
-        return out
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
         if self._char2:
@@ -328,13 +334,7 @@ class _Field:
             return (-a) % p
         if self._zech is not None:
             return self._exp[self._log[a] + self._half] if a else 0
-        out = 0
-        place = 1
-        while a:
-            a, ra = divmod(a, p)
-            out += ((-ra) % p) * place
-            place *= p
-        return out
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
         if self._char2:
@@ -353,14 +353,7 @@ class _Field:
             la = log[a]
             z = zech[lb - la]
             return self._exp[la + z] if z >= 0 else 0
-        out = 0
-        place = 1
-        while a or b:
-            a, ra = divmod(a, p)
-            b, rb = divmod(b, p)
-            out += ((ra - rb) % p) * place
-            place *= p
-        return out
+        return self._digitwise(a, b, -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -510,11 +503,7 @@ class ExtField(_Field):
 
     def norm(self, a: int) -> int:
         """N(a) = a * a^q * ... * a^(q^(n-1)) = a^((q^n-1)/(q-1))."""
-        if a == 0:
-            return 0
-        m = a
-        for i in range(1, self.n):
-            m = self.mul(m, self.frobenius(a, i))
+        m = self.pow(a, (self.order - 1) // (self.q - 1))
         if m >= self.q:
             raise ArithmeticError("norm landed outside the base field")
         return m

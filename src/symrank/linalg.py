@@ -10,12 +10,14 @@ Hart, ACM TOMS 2010).  The matrix is immutable, so that cache never goes
 stale.  On those rows a matrix-vector product is an and plus a popcount
 parity per row (``int.bit_count``, Python >= 3.10) and the rank is an xor
 basis, with no field call at all.  Every other field runs on its field
-operations.
+operations.  A matrix product is one ``apply`` per column of the right
+factor, so over F_2 it runs on the packed rows too.
 
 ``LinearSolver`` factors a matrix once and answers many solve calls with
 one matrix-vector product each (the low-rate symmetric-error decoder lives
-on this), and ``congruence_diagonalize`` computes T with T^t G T diagonal
-for a symmetric Gram matrix G, in any characteristic.
+on this); ``Matrix.solve`` is one such solver plus the kernel.
+``congruence_diagonalize`` computes T with T^t G T diagonal for a symmetric
+Gram matrix G, in any characteristic.
 """
 
 from __future__ import annotations
@@ -167,26 +169,19 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        ocols = list(zip(*other.data))
-        out = []
-        for row in self.data:
-            orow = []
-            for col in ocols:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(f, out)
+        if not other.ncols:
+            return Matrix(self.field, [()] * self.nrows)
+        return Matrix(self.field,
+                      zip(*[self.apply(col) for col in zip(*other.data)]))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, list(zip(*self.data))) if self.data else self
 
     def apply(self, vec) -> tuple:
-        """Matrix-vector product, vec given as a sequence of field elements."""
+        """Matrix-vector product, vec given as a sequence of ncols field
+        elements; ValueError for any other length."""
+        if len(vec) != self.ncols:
+            raise ValueError("dimension mismatch in matrix-vector product")
         rows = self._packed()
         if rows is not None:
             v = _pack_bits(vec)
@@ -229,18 +224,8 @@ class Matrix:
     def solve(self, b):
         """Solve A x = b.  Returns (particular, kernel_basis) or None when
         inconsistent; a unique solution shows up as an empty kernel basis."""
-        f = self.field
-        rows = [list(r) + [bv] for r, bv in zip(self.data, b)]
-        if self.nrows == 0:
-            rows = []
-        pivots = _rref(f, rows, self.ncols)
-        for i in range(len(pivots), self.nrows):
-            if rows[i][self.ncols] != f.zero:
-                return None
-        x = [f.zero] * self.ncols
-        for (r, c) in pivots:
-            x[c] = rows[r][self.ncols]
-        return tuple(x), _null_basis(f, rows, pivots, self.ncols)
+        x = LinearSolver(self).solve(b)
+        return None if x is None else (x, self.kernel())
 
     def to_json(self) -> list[list]:
         return [list(row) for row in self.data]

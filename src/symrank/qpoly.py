@@ -271,9 +271,8 @@ class QPoly:
 def endo_matrix(poly: QPoly) -> Matrix:
     """Matrix of x -> P(x) over F_q in the polynomial basis 1, x, ..., x^(n-1)."""
     fld = poly.field
-    n = fld.n
-    cols = [fld.coeffs(poly.evaluate(fld.q**j)) for j in range(n)]
-    return Matrix(fld.base, [[cols[j][i] for j in range(n)] for i in range(n)])
+    return Matrix(fld.base, [fld.coeffs(poly.evaluate(fld.q**j))
+                             for j in range(fld.n)]).transpose()
 
 
 def qpoly_rank(poly: QPoly) -> int:
@@ -293,9 +292,8 @@ def matrix_of(poly: QPoly, setup) -> Matrix:
     """Matrix of P over F_q in setup's orthonormal basis (column j is the
     coordinate vector of P(b_j)).  This is a ring isomorphism onto M_n(F_q),
     and adjoint corresponds to transpose."""
-    cols = [setup.coords(poly.evaluate(b)) for b in setup.basis]
-    n = len(cols)
-    return Matrix(setup.field.base, [[cols[j][i] for j in range(n)] for i in range(n)])
+    return Matrix(setup.field.base, [setup.coords(poly.evaluate(b))
+                                     for b in setup.basis]).transpose()
 
 
 def matrix_to_qpoly(mat: Matrix, setup) -> QPoly:

@@ -23,12 +23,13 @@ Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
 candidate S' is self-adjoint exactly when S' is; candidates are filtered
 on that, which reads only the reduced support n-k..k and stops at the first
 coefficient pair that breaks it.  The survivors get their status from
-``DecodeReport.of``, the same rule as ``wb_decode``.  The rank of a single
-survivor's error is computed once, by an F_q elimination independent of the
-kernel dimension ``wb_decode`` reads its own rank from, and an 'ok' answer is verified (in the code,
-self-adjoint error, that rank <= n-k) before it is returned.  Below the
-boundary (rank <= n-k-1) the answer is provably unique; at rank exactly
-n-k two valid decompositions can coexist and the report says so.  The boundary
+``DecodeReport.of``, the same rule as ``wb_decode``.  The error of an 'ok'
+report is ranked once, by an F_q elimination that is independent of the
+kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
+verified before it is returned: the codeword lies in the code, the error is
+self-adjoint, and its rank is at most n-k.  Below the boundary
+(rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
+valid decompositions can coexist and the report says so.  The boundary
 localiser kernel has dimension 2 whenever its key equation has full rank
 (every instance sampled so far), and ``wb_decode`` searches it exhaustively
 through the localiser pencil on every field, with no cap; a field without
@@ -203,14 +204,14 @@ class HighRateDecoder:
         # received - pre is self-adjoint, so received - (pre + c) is too
         # exactly when c is
         survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
-        rank = None     # of the single survivor's error, checked below
-        if len(survivors) == 1:
-            error = received - survivors[0]
-            rank = 0 if error.is_zero() else qpoly_rank(error)
-        out = DecodeReport.of(received, survivors, rank, dict(
+        out = DecodeReport.of(received, survivors, None, dict(
             rep.diagnostics, wb_status=rep.status, survivors=len(survivors)))
-        if out.status == "ok" and (not self.code.contains(out.codeword)
-                                   or not out.error.is_self_adjoint(u)
-                                   or out.diagnostics["error_rank"] > self.radius):
+        if out.status != "ok":
+            return out
+        error = out.error
+        rank = 0 if error.is_zero() else qpoly_rank(error)
+        out.diagnostics["error_rank"] = rank
+        if (not self.code.contains(out.codeword)
+                or not error.is_self_adjoint(u) or rank > self.radius):
             raise ArithmeticError("decoder output failed verification")
         return out

@@ -141,6 +141,13 @@ def test_criterion_2_low_rate_decoder(capsys):
         assert elapsed < 120, f"criterion 2 took {elapsed:.1f}s (budget 120s)"
 
 
+# the seeded boundary campaign's (unique, ambiguous) split per code, so a
+# refactor that moves an instance across it fails here and not only in the
+# note line
+BOUNDARY_COUNTS = {(2, 8, 5): (500, 0), (2, 8, 6): (382, 118),
+                   (3, 6, 4): (349, 151)}
+
+
 def test_criterion_3_high_rate_decoder(capsys):
     with criterion(capsys, 3, "high-rate decoder to n-k-1, boundary at n-k"):
         start = time.perf_counter()
@@ -186,6 +193,7 @@ def test_criterion_3_high_rate_decoder(capsys):
             note(capsys, f"(q={p}, n={n}, k={k}) boundary rank {radius}: "
                          f"{unique} unique, {ambiguous} ambiguous "
                          f"({100.0 * ambiguous / TRIALS:.1f}% ambiguity)")
+            assert (unique, ambiguous) == BOUNDARY_COUNTS[(p, n, k)]
             results[(p, n, k)] = {"per_rank": per_rank, "radius": radius,
                                   "boundary_unique": unique,
                                   "boundary_ambiguous": ambiguous}
@@ -280,6 +288,7 @@ def test_criterion_4_exhaustive_small_field(capsys):
                     seen_ambiguous += 1
         note(capsys, f"high-rate k=3: {seen_ambiguous} ambiguous instances "
                      f"out of {16**3 * 16} exhaustive decodes")
+        assert seen_ambiguous == 0
         elapsed = time.perf_counter() - start
         assert elapsed < 600, f"criterion 4 took {elapsed:.1f}s (budget 600s)"
 

@@ -44,6 +44,21 @@ def test_randbelow_range_and_coverage():
         rng.randbelow(0)
 
 
+@pytest.mark.parametrize("n", [2**64 + 1, 2**70])
+def test_randbelow_past_one_word(n):
+    # two 64-bit draws per candidate; a single one could never reach n - 1
+    draws = [RngStream(9).randbelow(n) for _ in range(2)]
+    assert draws[0] == draws[1]
+    rng = RngStream(9)
+    xs = [rng.randbelow(n) for _ in range(300)]
+    assert all(0 <= x < n for x in xs)
+    assert len(set(xs)) == 300
+    if n == 2**70:
+        assert max(xs) >= 2**69
+    # up to n = 2^64 a candidate stays one draw, so seeded streams are kept
+    assert RngStream(9).randbelow(2**64) == RngStream(9).next_u64()
+
+
 def test_random_symmetric_matrix_2000_samples():
     # distribution floor for the (q, n, r) = (2, 4, 2) workhorse case:
     # every sample symmetric with rank exactly 2

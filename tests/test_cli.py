@@ -68,6 +68,14 @@ def test_roundtrip_standard_success(tmp_path):
     assert "decode_micros" in report
 
 
+def test_roundtrip_field_past_64_bits(tmp_path):
+    # a uniform element of F_(2^70) takes two 64-bit draws
+    out = tmp_path / "report.json"
+    assert main(["roundtrip", "--p", "2", "--n", "70", "--k", "60",
+                 "--mode", "standard", "--rank", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outcome"] == "success"
+
+
 def test_roundtrip_no_timing_key(tmp_path):
     out = tmp_path / "report.json"
     assert main(["roundtrip", "--p", "2", "--n", "8", "--k", "2",
@@ -200,8 +208,10 @@ def test_simulate_instance_log(tmp_path):
 
 
 # SHA-256 of the `simulate --no-timing` CSV and instance log at --trials 5,
-# seed 1.  Refactors must leave the decoders' outputs byte-identical; a
-# deliberate change of behaviour re-pins these with the reason on record.
+# seed 1, keyed on (mode, q, n, k).  Refactors must leave the decoders'
+# outputs byte-identical; a deliberate change of behaviour re-pins these
+# with the reason on record.  q = 4 is an e > 1 field, and (3, 4) needs a
+# twist u != 1, picked through the norm.
 PINNED_SIMULATE = {
     ("standard", 2, 6, 2): (
         "2e0380c0ce16f56935edc6d4aa32a7e1f48c73b358f0c304d177a2fa35b01b99",
@@ -218,19 +228,26 @@ PINNED_SIMULATE = {
     ("sym-high", 3, 5, 3): (
         "f9a17cf32ed9ca6016209b5dad67d37af9b27568f864b897787386381f3b37eb",
         "e5291562a121776c51e730eaf8223010c5c5e59c578d073a4616e6ed76a4e5ab"),
+    ("sym-high", 3, 4, 3): (
+        "c55ba0d2c847bf5cc999c1d23cfac13ebe0e122eb0c101a0840ae5f08a82969c",
+        "e573a6efabf3c918d4434626388c99656a692b377b585a795d9a9bdb2a86b7d0"),
+    ("sym-high", 4, 4, 3): (
+        "5f1a3e2f8a6a9f59d586465d0d3c79ad71915be59724051f1120317997a5de2a",
+        "fd4b13e696387c1c02469aa0624a4a03ad30134e8f372d243b2ea6afcf4d4c5d"),
 }
 
 
-@pytest.mark.parametrize("mode,p,n,k", sorted(PINNED_SIMULATE))
-def test_simulate_outputs_pinned(tmp_path, mode, p, n, k):
+@pytest.mark.parametrize("mode,q,n,k", sorted(PINNED_SIMULATE))
+def test_simulate_outputs_pinned(tmp_path, mode, q, n, k):
     out = tmp_path / "s.csv"
     log = tmp_path / "s.jsonl"
-    assert main(["simulate", "--mode", mode, "--p", str(p), "--n", str(n),
-                 "--k", str(k), "--trials", "5", "--no-timing",
+    p, e = (2, 2) if q == 4 else (q, 1)
+    assert main(["simulate", "--mode", mode, "--p", str(p), "--e", str(e),
+                 "--n", str(n), "--k", str(k), "--trials", "5", "--no-timing",
                  "--out", str(out), "--instance-log", str(log)]) == 0
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in (out, log))
-    assert digests == PINNED_SIMULATE[(mode, p, n, k)]
+    assert digests == PINNED_SIMULATE[(mode, q, n, k)]
 
 
 def test_simulate_bad_output_path_fails_before_trials(tmp_path, monkeypatch):

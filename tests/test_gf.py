@@ -92,6 +92,17 @@ def test_f9_norm_is_fourth_power():
     assert f.norm(4) == 2
 
 
+@pytest.mark.parametrize("p,e,n,tables", [(3, 1, 4, True), (3, 2, 2, True),
+                                          (2, 1, 6, True), (3, 1, 5, False)])
+def test_norm_is_product_of_conjugates(p, e, n, tables):
+    f = ExtField(BaseField(p, e), n, use_tables=tables)
+    for a in f.elements():
+        want = a
+        for i in range(1, n):
+            want = f.mul(want, f.frobenius(a, i))
+        assert f.norm(a) == want
+
+
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 2), (3, 2, 2)])
 def test_field_axioms_exhaustive(p, e, n):
     f = get_field(p, e, n)

@@ -36,6 +36,36 @@ def test_matmul_apply_transpose():
     )
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+def test_matmul_matches_field_op_reference(p, e):
+    f = BaseField(p, e)
+    rng = RngStream(5)
+    shapes = [(1, 1, 1), (3, 4, 2), (2, 5, 6), (4, 1, 3), (6, 6, 6)]
+    for n, k, m in shapes * 3:
+        a, b = rand_matrix(f, n, k, rng), rand_matrix(f, k, m, rng)
+        ref_cols = [ref_apply(a, col) for col in zip(*b.data)]
+        assert (a @ b).data == tuple(zip(*ref_cols))
+    # zero columns on the right: an n x 0 product
+    a = rand_matrix(f, 3, 2, rng)
+    prod = a @ Matrix(f, [[], []])
+    assert (prod.nrows, prod.ncols) == (3, 0)
+    with pytest.raises(ValueError):
+        a @ rand_matrix(f, 3, 2, rng)
+
+
+def test_apply_and_solve_reject_wrong_length():
+    f3 = BaseField(3)
+    a = Matrix(f3, [[1, 2], [0, 1]])
+    for mat in (a, Matrix(BaseField(2), [[1, 0], [1, 1]])):
+        for vec in ((1,), (1, 0, 0)):
+            with pytest.raises(ValueError):
+                mat.apply(vec)
+            with pytest.raises(ValueError):
+                LinearSolver(mat).solve(vec)
+            with pytest.raises(ValueError):
+                mat.solve(vec)
+
+
 def test_sum_of_mismatched_shapes_rejected():
     f = get_field(2, 1, 4)
     rng = RngStream(3)
@@ -87,22 +117,32 @@ def test_solve_random_property(p, e, n):
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 2), (2, 1, None)])
 def test_linear_solver_matches_matrix_solve(p, e, n):
-    # n = None is the prime field itself, where F_2 runs on packed rows
+    # n = None is the prime field itself, where F_2 runs on packed rows.
+    # Both solvers are held to ref_solve, a separate elimination on [A | b].
     f = BaseField(p, e) if n is None else get_field(p, e, n)
     rng = RngStream(23)
+    consistent = inconsistent = 0
     for trial in range(40):
         nrows = 1 + rng.randbelow(6)
         ncols = 1 + rng.randbelow(6)
         a = rand_matrix(f, nrows, ncols, rng)
         solver = LinearSolver(a)
-        assert solver.rank == a.rank()
+        assert solver.rank == ref_rank(a)
         for _ in range(4):
             b = tuple(rand_elt(f, rng) for _ in range(nrows))
-            direct = a.solve(b)
-            via = solver.solve(b)
-            assert (direct is None) == (via is None)
-            if via is not None:
-                assert a.apply(via) == b
+            x_true = tuple(rand_elt(f, rng) for _ in range(ncols))
+            for rhs in (b, ref_apply(a, x_true)):
+                want = ref_solve(a, rhs)
+                assert solver.solve(rhs) == want
+                direct = a.solve(rhs)
+                if want is None:
+                    assert direct is None
+                    inconsistent += 1
+                else:
+                    assert direct == (want, a.kernel())
+                    assert ref_apply(a, want) == rhs
+                    consistent += 1
+    assert consistent and inconsistent
 
 
 def _f2_shapes(rng):

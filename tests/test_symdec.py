@@ -106,6 +106,10 @@ def test_low_rate_exact_any_rank(p, n, k):
     for _ in range(4):
         words.append(mcode.combine(
             [rng.randbelow(f.q) for _ in range(mcode.dim)]))
+    for bad in ([1], [1] * (mcode.dim + 1)):
+        # a coefficient vector of any length but dim is refused
+        with pytest.raises(ValueError):
+            mcode.combine(bad)
     for r in range(n + 1):
         for cw in words[:: max(1, len(words) // 6)]:
             err = random_symmetric_matrix(f.base, n, r, rng)
