@@ -7,9 +7,7 @@ Subcommands:
   radius-table  theoretical relative decoding radius curves per rate
 
 Flags may come from --config (a JSON object with the same keys); explicitly
-given flags win.  Exit codes: 0 success, 1 decode failure (including an
-'incomplete' report: the boundary localiser kernel had dimension >= 3,
-which is not searched), 2 ambiguity,
+given flags win.  Exit codes: 0 success, 1 decode failure, 2 ambiguity,
 3 invalid input: a bad flag or config value, a field, code, rank or trial
 count out of range, an unreadable setup file or one whose field disagrees
 with a given --p, --e, --n, --g or --f, or an output path that cannot be

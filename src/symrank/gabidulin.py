@@ -32,8 +32,30 @@ unique radius tu = min(t, (n-k)//2), then at t > tu when nothing was found:
     divided.  This is exact on every field, with or without exp/log tables
     (a table-free field is slower, not less exact): no codeword lies within
     tu = t - 1 of Y, so a candidate C has an error of rank exactly t whose
-    image lies in ker L, which then has dimension t.  A kernel of dimension
-    3 or more is not walked, and the report is 'incomplete'.
+    image lies in ker L, which then has dimension t.
+
+The walked kernel has dimension at most 2 whenever a codeword lies within
+t, so a kernel of dimension 3 or more divides nothing and reports 'fail',
+which is then the exact answer.  The argument is the unique-radius one
+above with the Moore matrix in place of the rank bound.  Let n - k = 2t - 1
+and Y = C + E with deg_q C < k and rank E = r.  The walked kernel is
+K = {L : deg_q L <= t, (L o Y)_j = 0 for k+t <= j < n}:
+
+  * L o C has q-degree below k + t <= n, so K = {L : L o E in Gab_{k+t}};
+  * L -> L o E is F_{q^n}-linear.  Its kernel is {M o Lambda_E :
+    deg_q M <= t - r}, of dimension t - r + 1 (zero when r > t);
+  * its image vanishes on ker E, of F_q-dimension n - r.  A Moore matrix
+    on independent elements has full rank, so the members of Gab_{k+t}
+    vanishing there form a space of dimension k + t - (n - r) = r - t + 1
+    (for r >= t - 1);
+  * the walk runs only when nothing lies within t - 1, so a codeword
+    within t has r = t, and dim K <= 1 + 1 = 2.
+
+No two walked members yield the same candidate either.  A member L that
+divides cleanly into C kills E = Y - C, of rank exactly t, so L is a
+scalar multiple of Lambda_E, and C determines L up to that scalar.
+Distinct members of the pencil are not proportional, so the candidates
+they yield are distinct and need no dedupe.
 
 A division check certifies the distance: when L o Y = L o C exactly with
 deg_q C < k, the error Y - C satisfies L o (Y-C) = 0, so its image lies in
@@ -103,10 +125,7 @@ class DecodeReport:
 
     status 'ok' carries the unique codeword and its error; 'ambiguous' lists
     every codeword found at minimal distance in ``candidates``; 'fail' means
-    nothing decodable within the requested radius; 'incomplete' means a
-    walked localiser kernel had dimension 3 or more, which the pencil does
-    not search (``diagnostics["truncated"]``), so ``candidates`` may miss
-    codewords, the sent one included.
+    no codeword lies within the requested radius.  There is no other status.
     """
 
     status: str
@@ -127,14 +146,11 @@ class DecodeReport:
     @classmethod
     def of(cls, received: QPoly, found: list[QPoly], rank: int | None,
            diagnostics: dict) -> "DecodeReport":
-        """The report of a search that found ``found``: 'incomplete' when
-        ``diagnostics["truncated"]``, else 'fail' for none, 'ambiguous' for
-        several, and 'ok' for one, with error = received - found[0].  The
-        caller passes the rank of that error as ``rank``, or None to set it
-        on the report itself; it becomes ``diagnostics["error_rank"]`` on
-        'ok' only."""
-        if diagnostics["truncated"]:
-            return cls("incomplete", candidates=found, diagnostics=diagnostics)
+        """The report of a search that found ``found``: 'fail' for none,
+        'ambiguous' for several, and 'ok' for one, with error =
+        received - found[0].  The caller passes the rank of that error as
+        ``rank``, or None to set it on the report itself; it becomes
+        ``diagnostics["error_rank"]`` on 'ok' only."""
         if not found:
             return cls("fail", diagnostics=diagnostics)
         if len(found) > 1:
@@ -210,8 +226,8 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
     radius t is solved and its first kernel vector tested.  At
     t = (n-k)//2 + 1 a decode that found nothing within (n-k)//2 walks the
     key equation at t through the localiser pencil, which is exhaustive on
-    every field; a kernel of dimension 3 or more there is not walked and
-    reports 'incomplete' (module docstring).
+    every field; a kernel of dimension 3 or more there proves that no
+    codeword lies within t, and the report is 'fail' (module docstring).
 
     ``diagnostics["kernel_dims"]`` lists the kernel dimension at the unique
     radius min(t, (n-k)//2), followed by that of the walked stage, if any.
@@ -232,13 +248,8 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
     ycoeffs = y0.coeffs
     frob = fld.frobenius
 
-    found: list[QPoly] = []
-    seen: set[tuple] = set()    # coefficients of found, for the membership test
-    rank = None         # error rank of found[0]
     kernel_dims: list[int] = []
     walked = 0
-    truncated = False
-
     for tp in range(min(t, half), t + 1):
         if n - k > tp:
             sys_rows = [[frob(ycoeffs[(j - i) % n], i) for i in range(tp + 1)]
@@ -247,31 +258,24 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
         else:
             kern = Matrix.identity(fld, tp + 1).data
         kernel_dims.append(len(kern))
-        walk = tp > half
-        if not walk:
+        if tp <= half:
             points = kern[:1]
         elif len(kern) == 2:
-            points = _pencil_points(fld, kern, tp)
+            points = list(_pencil_points(fld, kern, tp))
+            walked = len(points)
         else:
-            truncated = True
-            points = ()
-        for vec in points:
-            walked += walk
-            cand = _try_localiser(vec, y0, k)
-            if cand is not None and cand.coeffs not in seen:
-                if not found:
-                    rank = tp if walk else tp + 1 - len(kern)
-                found.append(cand)
-                seen.add(cand.coeffs)
+            points = []     # no codeword within t (module docstring)
+        found = [c for c in (_try_localiser(v, y0, k) for v in points)
+                 if c is not None]
         if found:
             break
 
     if s:
         found = [c.compose_monomial(s) for c in found]
+    rank = tp if tp > half else tp + 1 - len(kern)
     return DecodeReport.of(received, found, rank, {
         "kernel_dims": kernel_dims,
         "walked": walked,
-        "truncated": truncated,
         "error_rank": None,
     })
 

@@ -103,8 +103,14 @@ def xor_rank(rows) -> int:
     return len(basis)
 
 
+def _columns(rows, ncols: int):
+    """The columns of ``rows``, ncols of them even when there is no row."""
+    return zip(*rows) if rows else [()] * ncols
+
+
 class Matrix:
-    """Immutable matrix over a finite field."""
+    """Immutable matrix over a finite field.  ``ncols`` is kept apart from
+    ``data``, so a matrix with no rows still has its column count."""
 
     __slots__ = ("field", "nrows", "ncols", "data", "_bits")
 
@@ -118,6 +124,14 @@ class Matrix:
         self.data = data
         self._bits = None   # F_2 rows packed as ints, filled by _packed
 
+    @classmethod
+    def _shaped(cls, field, data, ncols: int) -> "Matrix":
+        """A matrix of ``ncols`` columns, which ``data`` shows only when it
+        has a row."""
+        mat = cls(field, data)
+        mat.ncols = ncols
+        return mat
+
     def _packed(self) -> tuple[int, ...] | None:
         """The rows as ints over F_2, None over any other field."""
         if self._bits is None and self.field.order == 2:
@@ -127,7 +141,7 @@ class Matrix:
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._shaped(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -142,7 +156,7 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field is other.field
-                and self.data == other.data)
+                and self.ncols == other.ncols and self.data == other.data)
 
     def __hash__(self):
         return hash(self.data)
@@ -169,13 +183,13 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        if not other.ncols:
-            return Matrix(self.field, [()] * self.nrows)
-        return Matrix(self.field,
-                      zip(*[self.apply(col) for col in zip(*other.data)]))
+        # one apply per column of other: the rows of the product's transpose
+        cols = [self.apply(col) for col in _columns(other.data, other.ncols)]
+        return Matrix._shaped(self.field, _columns(cols, self.nrows), other.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.data))) if self.data else self
+        return Matrix._shaped(self.field, _columns(self.data, self.ncols),
+                              self.nrows)
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec given as a sequence of ncols field

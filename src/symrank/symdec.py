@@ -29,13 +29,14 @@ kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
 verified before it is returned: the codeword lies in the code, the error is
 self-adjoint, and its rank is at most n-k.  Below the boundary
 (rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
-valid decompositions can coexist and the report says so.  The boundary
-localiser kernel has dimension 2 whenever its key equation has full rank
-(every instance sampled so far), and ``wb_decode`` searches it exhaustively
-through the localiser pencil on every field, with no cap; a field without
-exp/log tables is slower but gives the same answer.  Only a boundary
-kernel of dimension >= 3, which the pencil does not search, makes the
-report 'incomplete', never 'ok' or 'ambiguous'.
+valid decompositions can coexist and the report says so.  The reduced code
+has redundancy 2(n-k) - 1, so radius n-k is the walked stage of
+``wb_decode``.  For a valid instance the residual lies within n-k of the
+reduced code, so the walked kernel has dimension exactly 2 (the lemma in
+``gabidulin``), and the localiser pencil searches it exhaustively on every
+field, with no cap; a field without exp/log tables is slower but gives the
+same answer.  Every valid decomposition is therefore found, and a word
+that has none reports 'fail'.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class HighRateDecoder:
 
     Corrects every self-adjoint error of rank up to n-k-1 uniquely; at rank
     exactly n-k all valid decompositions are surfaced and the status is
-    'ambiguous' when there is more than one.  It is 'incomplete' only when
-    the boundary localiser kernel has dimension >= 3, which is not searched.
+    'ambiguous' when there is more than one.  A word with no such
+    decomposition reports 'fail'.
     """
 
     def __init__(self, setup: SymSetup, k: int):

@@ -165,17 +165,55 @@ def test_wb_fail_status():
     assert rep.codeword is None
 
 
-def test_wb_truncated_walk_is_incomplete():
+def test_wb_walked_kernel_of_dimension_3_is_fail():
     # X^(q^(n-1)) has no codeword within (n-k)//2, and the key equation one
-    # radius further has a kernel of dimension 3: no localiser is divided
+    # radius further has a kernel of dimension 3: no localiser is divided,
+    # and by the kernel bound no codeword lies within that radius either
     for p, n, k in [(2, 7, 2), (3, 6, 1)]:
         f = get_field(p, 1, n)
         rep = wb_decode(GabCode(f, k), QPoly.monomial(f, n - 1), (n - k) // 2 + 1)
         assert rep.diagnostics["kernel_dims"][-1] == 3
-        assert rep.status == "incomplete"
-        assert rep.diagnostics["truncated"]
+        assert rep.status == "fail"
         assert rep.diagnostics["walked"] == 0
         assert rep.codeword is None and not rep.candidates
+
+
+@pytest.mark.parametrize("p,n,k,js,count", [
+    (2, 6, 1, (1, 5), None),    # all 126 words c X^(q^j), c != 0
+    (2, 7, 2, (2, 6), 1)])      # one word per j: 16384 codewords each
+def test_dimension_3_walks_are_far_from_the_code(p, n, k, js, count):
+    # words whose walked kernel has dimension 3, against brute force over
+    # every codeword: all lie at rank distance n - k > t, so 'fail' is exact
+    f = get_field(p, 1, n)
+    code = GabCode(f, k)
+    t = (n - k + 1) // 2
+    words = list(all_codewords(code))
+    for j in js:
+        for c in list(f.units())[:count]:
+            y = QPoly.monomial(f, j, c)
+            rep = wb_decode(code, y, t)
+            assert rep.status == "fail"
+            assert rep.diagnostics["kernel_dims"] == [2, 3]
+            assert rep.diagnostics["walked"] == 0
+            assert min(qpoly_rank(y - cw) for cw in words) == n - k
+
+
+@pytest.mark.parametrize("p,n,k", [
+    (2, 6, 1), (2, 7, 2), (2, 8, 3), (3, 5, 2), (2, 9, 4)])
+def test_walked_kernel_has_dimension_2_within_radius(p, n, k):
+    # the kernel bound: a codeword within t = (n-k+1)/2 and none within
+    # t - 1 leave a walked kernel of dimension exactly 2, and the pencil
+    # finds the codeword
+    f = get_field(p, 1, n)
+    code = GabCode(f, k)
+    t = (n - k + 1) // 2
+    rng = RngStream(73)
+    for _ in range(12):
+        cw = random_codeword(code, rng)
+        rep = wb_decode(code, cw + random_error(f, t, rng), t)
+        assert len(rep.diagnostics["kernel_dims"]) == 2
+        assert rep.diagnostics["kernel_dims"][-1] == 2
+        assert cw in rep.candidates
 
 
 def _assert_pencil_is_walk(monkeypatch, code, y, t):
@@ -187,7 +225,6 @@ def _assert_pencil_is_walk(monkeypatch, code, y, t):
                   lambda fld, kern, tp: projective_points(fld, kern))
         ref = wb_decode(code, y, t)
     assert rep.diagnostics["kernel_dims"][-1] == 2
-    assert not rep.diagnostics["truncated"]
     assert rep.diagnostics["walked"] <= ref.diagnostics["walked"]
     assert rep.status == ref.status
     assert rep.candidates == ref.candidates

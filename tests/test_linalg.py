@@ -53,6 +53,24 @@ def test_matmul_matches_field_op_reference(p, e):
         a @ rand_matrix(f, 3, 2, rng)
 
 
+def test_empty_matrices_keep_their_shape():
+    # a matrix with no rows still has its columns, and one with no columns
+    # its rows, through zeros, transpose and products
+    f = BaseField(3)
+    shape = lambda m: (m.nrows, m.ncols)
+    assert shape(Matrix.zeros(f, 0, 5)) == (0, 5)
+    assert shape(Matrix.zeros(f, 0, 5).transpose()) == (5, 0)
+    assert shape(Matrix(f, [[], [], []]).transpose()) == (0, 3)
+    b = Matrix(f, [[1, 2], [0, 1], [2, 2]])
+    assert shape(Matrix.zeros(f, 0, 3) @ b) == (0, 2)
+    prod = Matrix(f, [[], []]) @ Matrix.zeros(f, 0, 3)
+    assert prod == Matrix.zeros(f, 2, 3)
+    assert Matrix.zeros(f, 0, 5) != Matrix.zeros(f, 0, 3)
+    with pytest.raises(ValueError):
+        Matrix.zeros(f, 0, 2) @ b
+    assert len(Matrix.zeros(f, 0, 5).kernel()) == 5
+
+
 def test_apply_and_solve_reject_wrong_length():
     f3 = BaseField(3)
     a = Matrix(f3, [[1, 2], [0, 1]])

@@ -19,13 +19,13 @@ def _digest(reports) -> str:
 
 PINNED_WB = {
     (2, 6, 2):
-        "0f331af2cd48157aa92c5a956d55bce00536b703bdc7e0696afcea2dbc9af1f7",
+        "5a42ef438a5899fe912537f9f68dd0f1586ccec5d55d961b81c77a02156fee9b",
     (3, 5, 1):
-        "ebb37b9bd3a6038f7b0536d10ece00a533c426fff760fbee0100aa5583299a68",
+        "0bc11f6bfd2def86120669bd67f5cfeede9ddf264f5fb9f974ade73d3d7c6974",
     (2, 7, 2):
-        "1b9700374823d79e75008db5bae72f8fcf0cab5bcab0a569414d5341f347acc9",
+        "cc0eaacffd73a0141fafd1065c02f492824d1eb4fb0bdc12ced5cf66e2e2b00d",
     (3, 6, 1):
-        "632ec93bc8f09037938dc737b336799b3c6c010337e63f2a76b25f56f6957474",
+        "2712d8c8c251eb365e63fc9c34118f8adf6011986d891382f0067deea800f327",
 }
 
 
@@ -46,13 +46,13 @@ def test_wb_reports_pinned(p, n, k):
 
 PINNED_HIGH = {
     (2, 6, 4):
-        "87b5d9341fda1a9fd1bba8d4d1a8047fb78f7c64e3255ab6bf4ccc2293d928ae",
+        "a2e9f91b65b7c17266f4da2c1a2b8916ce8fba354a7bca835c7d719e6e454849",
     (3, 5, 3):
-        "fba6aee88afc3eaebe99f13dbf2d611389f20e81d264204e0791e16c97aed185",
+        "348b32f9d97477077dc4719f5824a8fe4568c5cc2271334188e0e093c35fdd3c",
     (2, 8, 6):
-        "91a9c67a3ca590232ee1a1535e8ca3ab56d5bc9fa9e6ff9c24167059d236827e",
+        "f229bde8fed636bd9be48d2e5e18f549162240eebfa54cde9274728511adf3aa",
     (2, 10, 7):
-        "20d6c63c16b419a317c3e1135cc1b843b50b9a32f69fafc002b8fa0c56c65590",
+        "45850669286257ac4feaac3a882247f44b5ba9428899f2bfecbf267889015b57",
 }
 
 

@@ -410,7 +410,7 @@ def test_high_rate_boundary_past_old_cap(n, k):
         received = cw + err
         rep = dec.decode(received)
         assert rep.status in ("ok", "ambiguous")
-        assert not rep.diagnostics["truncated"]
+        assert rep.diagnostics["kernel_dims"][-1] == 2
         assert cw in rep.candidates
         for cand in rep.candidates:
             assert dec.code.contains(cand)
