@@ -29,10 +29,13 @@ unique radius tu = min(t, (n-k)//2), then at t > tu when nothing was found:
     at least 2.  A kernel [K1, K2] of dimension exactly 2 goes through the
     localiser pencil: one pass over F_{q^n} finds the members K1 + c K2
     (and K2) with a full root space of q^t elements, and only those are
-    divided.  This is exact on every field, with or without exp/log tables
-    (a table-free field is slower, not less exact): no codeword lies within
-    tu = t - 1 of Y, so a candidate C has an error of rank exactly t whose
-    image lies in ker L, which then has dimension t.
+    divided.  The members are F_q-linear, so the pass visits one point of
+    each F_q-line, (q^n - 1)/(q - 1) points, and a full member has
+    (q^t - 1)/(q - 1) root lines; the per-point sums and the ratio keys are
+    list-wise ``gf`` operations.  This is exact on every field, with or
+    without exp/log tables (a table-free field is slower, not less exact):
+    no codeword lies within tu = t - 1 of Y, so a candidate C has an error
+    of rank exactly t whose image lies in ker L, which then has dimension t.
 
 The walked kernel has dimension at most 2 whenever a codeword lies within
 t, so a kernel of dimension 3 or more divides nothing and reports 'fail',
@@ -178,21 +181,29 @@ def _axpy(fld: ExtField, vec: list, c: int, kv) -> list:
 
 
 def _tabulate(fld: ExtField, vec) -> list[int]:
-    """The F_q-linear map L = sum_i vec[i] X^(q^i) at every packed element
-    of F_{q^n}.  The element d q^j + r (d in F_q, r < q^j) maps to
-    d L(q^j) + L(r), so each entry past the first costs one add.  The
-    scalar multiple is a field ``mul``: at e > 1 the packed d is not d
-    repeated additions."""
+    """The F_q-linear map L = sum_i vec[i] X^(q^i) at one point of each
+    F_q-line of F_{q^n}: the x whose leading packed digit is 1, that is
+    x in [q^j, 2 q^j) for j = 0..n-1, ascending, (q^n - 1)/(q - 1) values.
+
+    The element d q^j + r (d in F_q, r < q^j) maps to d L(q^j) + L(r), so
+    each block of q^j values is one ``add_each`` over the table of the
+    elements below q^j.  That table covers all of F below q^(n-1); at the
+    top only the d = 1 block is built.  The scalar multiple is a field
+    ``mul``: at e > 1 the packed d is not d repeated additions."""
     loc = QPoly(fld, vec)
-    add, mul, q = fld.add, fld.mul, fld.q
-    table = [0]
-    for j in range(fld.n):
+    add_each, mul, q, n = fld.add_each, fld.mul, fld.q, fld.n
+    table = [0]     # L at every element below q^j
+    lines = []
+    for j in range(n):
         col = loc.evaluate(q**j)
-        block = len(table)
-        for d in range(1, q):
-            step = mul(d, col)
-            table.extend([add(v, step) for v in table[:block]])
-    return table
+        lead = add_each(table, col)
+        lines += lead
+        if j < n - 1:
+            blocks = [add_each(table, mul(d, col)) for d in range(2, q)]
+            table += lead
+            for block in blocks:
+                table += block
+    return lines
 
 
 def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
@@ -201,15 +212,19 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
 
     A nonzero x is a root of exactly one member: K1 + c K2 with
     c = -K1(x)/K2(x), or K2 when K2(x) = 0 != K1(x).  Roots of both K1 and
-    K2 are roots of every member.  One pass over F_{q^n} counts each
-    member's own roots, keyed by the ratio K1(x)/K2(x); the roots of K2,
-    at most q^tp entries, are counted apart."""
+    K2 are roots of every member.  Every member is F_q-linear, so its
+    roots form F_q-lines and the key is constant on each line; the pass
+    therefore counts one point per line (``_tabulate``), and a full member
+    has (q^tp - 1)/(q - 1) root lines, minus the lines common to K1 and K2.
+    The keys are the ratios K1(x)/K2(x), from ``ExtField.div_many``; the
+    root lines of K2, at most (q^tp - 1)/(q - 1), are counted apart."""
     k1, k2 = kern
+    q = fld.q
     t1, t2 = _tabulate(fld, k1), _tabulate(fld, k2)
-    counts = Counter(map(fld.div, compress(t1, t2), filter(None, t2)))
-    on_k2 = list(compress(t1, map(not_, t2)))   # K1 at the roots of K2
-    common = on_k2.count(0)                     # roots of both, 0 included
-    full = fld.q**tp - common
+    counts = Counter(fld.div_many(compress(t1, t2), filter(None, t2)))
+    on_k2 = list(compress(t1, map(not_, t2)))   # K1 on the root lines of K2
+    common = on_k2.count(0)                     # root lines of both
+    full = (q**tp - 1) // (q - 1) - common
     for c in sorted(fld.neg(r) for r, count in counts.items() if count == full):
         yield _axpy(fld, list(k1), c, k2)
     if len(on_k2) - common == full:

@@ -26,6 +26,12 @@ logarithms, a + b = a(1 + b/a), a few table lookups; only a table-free
 field of odd p loops over the base-p digits.  The tables make every
 decoder inner loop O(1) per field operation.
 
+Two list-wise operations serve passes over the whole field: ``add_each``
+adds one element to every entry of a list (xor, or the Zech lookup inlined,
+with no method call per entry), and ``div_many`` divides two lists entry by
+entry as exp[log a - log b].  Callers get whole lists and never see the
+table format.
+
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
 given (p, e, n) always denotes the same concrete tower.  Either way a
@@ -374,6 +380,36 @@ class _Field:
             return self.mul(a, self.inv(b))
         log = self._log
         return self._exp[log[a] - log[b] + self.order - 1] if a else 0
+
+    # -- list-wise operations, for passes over many elements -------------------
+
+    def add_each(self, values, b: int) -> list[int]:
+        """[a + b for a in values] under the rules of ``add``, with no method
+        call per element where the field allows it: xor for p = 2, the Zech
+        lookup inlined for odd p with tables, ``add`` otherwise."""
+        if self._char2:
+            return [a ^ b for a in values]
+        zech = self._zech
+        if zech is None:
+            add = self.add
+            return [add(a, b) for a in values]
+        if not b:
+            return list(values)
+        exp, log = self._exp, self._log
+        lb = log[b]
+        # a + b = b(1 + a/b), so log(a + b) = log b + zech[log a - log b]
+        return [(exp[lb + z] if (z := zech[log[a] - lb]) >= 0 else 0) if a else b
+                for a in values]
+
+    def div_many(self, nums, dens) -> list[int]:
+        """[a / b for a, b in zip(nums, dens)], every b nonzero.  With tables
+        each quotient is exp[log a - log b]; ``exp`` has length
+        2(order - 1), so a negative index wraps to the same power of the
+        generator.  A table-free field maps ``div``."""
+        if self._exp is None:
+            return list(map(self.div, nums, dens))
+        exp, log = self._exp, self._log
+        return [exp[log[a] - log[b]] if a else 0 for a, b in zip(nums, dens)]
 
     def pow(self, a: int, m: int) -> int:
         if a == 0:

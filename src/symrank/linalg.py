@@ -244,10 +244,6 @@ class Matrix:
     def to_json(self) -> list[list]:
         return [list(row) for row in self.data]
 
-    @classmethod
-    def from_json(cls, field, data) -> "Matrix":
-        return cls(field, data)
-
 
 class LinearSolver:
     """Reusable solver for A x = b with a fixed A.

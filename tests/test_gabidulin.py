@@ -259,6 +259,90 @@ def test_pencil_matches_uncapped_walk_standard(monkeypatch):
         assert cw in rep.candidates
 
 
+def _subspace_poly(fld, basis):
+    """Coefficients of the subspace polynomial of span_Fq(basis), of q-degree
+    len(basis): Lambda <- Lambda^q - Lambda(v)^(q-1) Lambda for each v."""
+    lam = QPoly(fld, [1])
+    for v in basis:
+        a = fld.pow(lam.evaluate(v), fld.q - 1)
+        assert a, "basis is not F_q-independent"
+        lam = QPoly(fld, [fld.neg(a), 1]).compose(lam)
+    return list(lam.coeffs[:len(basis) + 1])
+
+
+def _pencil_oracle(fld, kern, tp):
+    """Every point of span(kern), in the pencil's order, whose localiser has
+    q^tp roots in F_{q^n}: the root count q^(n - rank) by qpoly_rank."""
+    return [v for v in projective_points(fld, kern)
+            if qpoly_rank(QPoly(fld, v)) == fld.n - tp]
+
+
+def _pencil_kernels(fld, tp, rng):
+    """Named 2-dimensional kernels [K1, K2] of q-degree <= tp: K1 full, K2
+    full, both full with a common root space of dimension >= 1, a common
+    root line under random cofactors, and a pencil with no full member."""
+    def elt():
+        return 1 + rng.randbelow(fld.order - 1)
+
+    def poly(deg):
+        return [elt() for _ in range(deg + 1)]
+
+    def compose(outer, inner):
+        return list(QPoly(fld, outer).compose(QPoly(fld, inner)).coeffs[:tp + 1])
+
+    def space(dim, start=()):
+        # start plus random vectors, each independent of those before it
+        basis = list(start)
+        while len(basis) < dim:
+            v = elt()
+            if QPoly(fld, _subspace_poly(fld, basis)).evaluate(v):
+                basis.append(v)
+        return basis
+
+    def independent(k1, k2):
+        return Matrix(fld, [k1, k2]).rank() == 2
+
+    cases = {}
+    while len(cases) < 5:
+        u = space(1)
+        shapes = {
+            "k1_full": (_subspace_poly(fld, space(tp)), poly(tp)),
+            "k2_full": (poly(tp), _subspace_poly(fld, space(tp))),
+            "both_full_common": (_subspace_poly(fld, space(tp, u)),
+                                 _subspace_poly(fld, space(tp, u))),
+            "common_line": (compose(poly(tp - 1), _subspace_poly(fld, u)),
+                            compose(poly(tp - 1), _subspace_poly(fld, u))),
+            "none_full": (poly(tp), poly(tp)),
+        }
+        for name, kern in shapes.items():
+            if name in cases or not independent(*kern):
+                continue
+            oracle = _pencil_oracle(fld, kern, tp)
+            if name == "none_full" and oracle:
+                continue
+            cases[name] = (kern, oracle)
+    assert cases["k1_full"][0][0] in cases["k1_full"][1]
+    assert cases["k2_full"][0][1] == cases["k2_full"][1][-1]
+    assert len(cases["both_full_common"][1]) >= 2
+    return cases
+
+
+@pytest.mark.parametrize("p,e,n,tp", [
+    (2, 1, 5, 3), (3, 1, 4, 2), (2, 2, 3, 2), (5, 1, 3, 2), (3, 2, 3, 2)])
+def test_pencil_points_edge_cases_match_oracle(p, e, n, tp):
+    # one point per F_q-line, the line threshold and the common lines against
+    # every projective point of the kernel, on the tabled field and on the
+    # table-free one with the same modulus
+    tabled = get_field(p, e, n)
+    raw = ExtField(tabled.base, n, use_tables=False)
+    assert raw.modulus == tabled.modulus
+    rng = RngStream(79)
+    for name, (kern, oracle) in _pencil_kernels(tabled, tp, rng).items():
+        for fld in (tabled, raw):
+            got = list(gabidulin._pencil_points(fld, kern, tp))
+            assert got == oracle, (name, fld)
+
+
 @pytest.mark.parametrize("p,n,k", [(2, 8, 6), (3, 6, 4), (2, 10, 7)])
 def test_walked_members_never_repeat_a_candidate(monkeypatch, p, n, k):
     # distinct pencil members are not proportional, and a candidate's

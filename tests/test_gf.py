@@ -204,6 +204,33 @@ def test_tables_vs_raw_agree(p, e, n):
         assert tabled.norm(a) == raw.norm(a)
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)],
+                         ids=["F4", "F8", "F9", "F25", "F27"])
+def test_list_ops_match_add_and_div_exhaustive(p, n):
+    # add_each and div_many against add and div element by element, on the
+    # tabled field, the table-free field on the same modulus, and across
+    # the two: zeros in the list, b = 0, a = -b (the Zech -1 entry) and
+    # quotients whose log difference is negative all occur
+    base = BaseField(p)
+    tabled = ExtField(base, n, use_tables=True)
+    raw = ExtField(base, n, use_tables=False)
+    assert tabled.modulus == raw.modulus
+    values = list(tabled.elements())
+    nums = [a for a in values for _ in tabled.units()]
+    dens = [b for _ in values for b in tabled.units()]
+    assert any(tabled._log[a] < tabled._log[b] for a, b in zip(nums, dens) if a)
+    for b in values:
+        ref = [raw.add(a, b) for a in values]
+        assert tabled.add_each(values, b) == ref
+        assert raw.add_each(values, b) == ref
+        assert [tabled.add(a, b) for a in values] == ref
+        assert tabled.add_each([tabled.neg(b)], b) == [0]
+    ref = [raw.div(a, b) for a, b in zip(nums, dens)]
+    assert tabled.div_many(nums, dens) == ref
+    assert raw.div_many(iter(nums), iter(dens)) == ref
+    assert [tabled.div(a, b) for a, b in zip(nums, dens)] == ref
+
+
 # sha256 of repr((_exp, _log)) per (p, e, n), ext then base: the tables of
 # the digit-list product, which the carry-less product must reproduce
 PINNED_TABLES = {

@@ -1,6 +1,7 @@
 """The decode benchmark's contract with the library: every name that
-``perfbench/spans.py`` wraps still exists, and one trial per code of every
-workload still samples, decodes and judges as the benchmark expects.  Reads
+``perfbench/spans.py`` wraps still exists, one trial per code of every
+workload still samples, decodes and judges as the benchmark expects, and one
+pass of each workload reproduces its pinned outcome digest.  Reads
 ``perfbench/`` from the checkout and changes nothing there."""
 
 import os
@@ -12,6 +13,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
 sys.path.insert(0, PERFBENCH)
 
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 from symrank import gf  # noqa: E402
@@ -39,3 +41,31 @@ def test_workload_trial_per_code(name):
         sent, received = case.sample(rank, master.fork(i))
         category, _ = case.judge(sent, received, case.decode(received))
         assert category is None, case.label
+
+
+# sha256 outcome digests of one pass, as ``perfbench/run.py`` prints them: a
+# refactor of the decoders leaves every one unchanged
+PINNED_DIGESTS = {
+    ("standard", 1): "c13f465e825f8a901e027dbca24c15a7fbff5b6cae856f7e3036bbc4231bd6b8",
+    ("sym-low", 1): "f422f6be701923ef8cd5c8419a415899766c3a4b8d8b0e27713bf0eab174038c",
+    ("sym-high", 1): "2181cae33622102b4149bf210784ad9352f46a93f309b7583ae1920f16f7fcef",
+    ("sym-high-boundary", 1):
+        "256d8f9d15f55a779d10d9fa959739af2c299e17a408038f4615829aef111da0",
+    ("sym-high-boundary", 2):
+        "5527043ef2b280ce828d3fb13e9006ad299dddc05ce64a9095adedf292574bcb",
+    ("sym-high-boundary", 3):
+        "4ec0bb4d6d4cb54c790cc963e79f7c7ef3f1e4db46b5fce8b03d1404855a265f",
+    ("sym-high-boundary", 4):
+        "d2ce53fbebe1d314885535e55e115ba23381305e02c5296f3a5c4b539306f787",
+    ("sym-high-boundary", 5):
+        "713a6bf080b1586e5eaa1933759ce3fa1b0415b00b00ceca340a8916152c9982",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED_DIGESTS))
+def test_workload_pass_digest_pinned(name, seed):
+    bench = run.Run(workloads.WORKLOADS[name], seed)
+    for i in range(len(bench.plan)):
+        bench.trial(i)
+    assert not bench.failures
+    assert bench.digest() == PINNED_DIGESTS[(name, seed)]
