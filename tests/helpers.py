@@ -5,7 +5,7 @@ import itertools
 from functools import lru_cache
 
 from symrank import QPoly, RngStream, SymSetup, make_field
-from symrank.gf import _fq_divmod
+from symrank.gf import _fq_divmod, _pow, _prime_factors
 from symrank.linalg import _rref
 
 
@@ -100,3 +100,24 @@ def irreducible_by_trial_division(base, poly) -> bool:
             if not _fq_divmod(base, list(poly), list(low) + [1])[1]:
                 return False
     return n >= 1
+
+
+def ref_exp_log_tables(order: int, mul) -> tuple[list[int], list[int]]:
+    """Exp and log tables of the field of ``order`` elements with product
+    ``mul``, built one element at a time: exp[i + 1] = exp[i] * g over the
+    first generator g in packed order.  ``exp`` has length 2(order - 1).
+    The oracle for ``gf._exp_log_tables``, one product per element."""
+    units = order - 1
+    factors = _prime_factors(units)
+    gen = next(c for c in range(1, order)
+               if all(_pow(mul, c, units // r) != 1 for r in factors))
+    exp = []
+    cur = 1
+    for _ in range(units):
+        exp.append(cur)
+        cur = mul(cur, gen)
+    assert cur == 1, "generator order mismatch"
+    log = [-1] * order
+    for i, x in enumerate(exp):
+        log[x] = i
+    return exp * 2, log

@@ -6,9 +6,10 @@ import hashlib
 import pytest
 
 from symrank import BaseField, ExtField, field_from_json, field_to_json, make_field
-from symrank.gf import (_digits, _fq_divmod, _fq_invmod, _fq_is_irreducible,
-                        _fq_mul, _pack)
-from helpers import get_field, irreducible_by_trial_division, rand_elt, rand_unit
+from symrank.gf import (_Field, _digits, _exp_log_tables, _fq_divmod, _fq_invmod,
+                        _fq_is_irreducible, _fq_mul, _pack)
+from helpers import (get_field, irreducible_by_trial_division, rand_elt, rand_unit,
+                     ref_exp_log_tables)
 from symrank.channel import RngStream
 
 
@@ -231,8 +232,10 @@ def test_list_ops_match_add_and_div_exhaustive(p, n):
     assert [tabled.div(a, b) for a, b in zip(nums, dens)] == ref
 
 
-# sha256 of repr((_exp, _log)) per (p, e, n), ext then base: the tables of
-# the digit-list product, which the carry-less product must reproduce
+# sha256 of repr((_exp, _log)) per (p, e, n), ext then base, pinned from
+# the per-element build (one product by the generator per power, the
+# reference in helpers.py): every table build must reproduce them.  (2,2,8)
+# is radix 4 on 16 bits, (2,1,13) an odd bit count.
 PINNED_TABLES = {
     (2, 1, 16): ("bb70e209c292345671b5312a2b3dfc0dfb3a05447aaa1ffeb30b55af10f6b78a",
                  "d2143c138ab652a72fd3894b4c1e83a0737b1e2ea6184ece8fa8a107a972700c"),
@@ -242,6 +245,10 @@ PINNED_TABLES = {
                 "a055626b03bb1d48cce951db8f80a84944f8da667962ab75e1aa5700e2e7ba6d"),
     (2, 2, 4): ("b4a7ab3ef5aba280d3e4b7200dffab4a61fbaa4f682eccbf8ad7faafaf3d8b6a",
                 "83da1267f270ceb0f9c42ac87a22c38655b385e78499dad0a2bcb16b19691172"),
+    (2, 2, 8): ("e4ebaa54bd32b0d3b6a0e4936c0cc1603b88f3064325241da1060895a8dc9edd",
+                "83da1267f270ceb0f9c42ac87a22c38655b385e78499dad0a2bcb16b19691172"),
+    (2, 1, 13): ("161964eb83f7abd977d6adf9752d87734f452858c6828ed38664ab272a439d5f",
+                 "d2143c138ab652a72fd3894b4c1e83a0737b1e2ea6184ece8fa8a107a972700c"),
 }
 
 
@@ -251,6 +258,27 @@ def test_exp_log_tables_pinned(p, e, n):
     got = tuple(hashlib.sha256(repr((fld._exp, fld._log)).encode()).hexdigest()
                 for fld in (f, f.base))
     assert got == PINNED_TABLES[(p, e, n)]
+
+
+def test_forced_tables_past_limit_pinned():
+    # get_field never forces tables, and use_tables=True is the only way
+    # past TABLE_LIMIT: the 2^17 tables, pinned like PINNED_TABLES
+    f = ExtField(BaseField(2), 17, use_tables=True)
+    got = hashlib.sha256(repr((f._exp, f._log)).encode()).hexdigest()
+    assert got == "11c1952e56051662754f6f375cc450f68a2c6a27957dac27c4bca8c11f1546f1"
+
+
+def test_table_build_matches_per_element_reference():
+    # radix 2 at every bit count 1..17 (so every truncated last block), and
+    # radix 4 and 8 at small n, against one product per element
+    f2 = BaseField(2)
+    fields = ([ExtField(f2, d, use_tables=False) for d in range(1, 18)]
+              + [ExtField(BaseField(2, e), n, use_tables=False)
+                 for e, top in [(2, 5), (3, 3)] for n in range(1, top + 1)])
+    for fld in fields:
+        exp, log, zech = _exp_log_tables(fld.order, fld._mul_raw, 2)
+        assert (exp, log) == ref_exp_log_tables(fld.order, fld._mul_raw), fld
+        assert zech is None
 
 
 def test_carryless_mul_matches_polynomial_product():
@@ -265,6 +293,40 @@ def test_carryless_mul_matches_polynomial_product():
             prod = _fq_mul(f2, _digits(a, 2, d), _digits(b, 2, d))
             want = _pack(_fq_divmod(f2, prod, fld.modulus)[1], 2)
             assert fld._mul_raw(a, b) == want
+
+
+def _prime_radix_rings():
+    """Odd-p instances whose packed digits are base-p: table-free extensions
+    of F_p, F_(p^e) itself and rings F_p[x]/(m) of a reducible m."""
+    out = [ExtField(BaseField(p), n, use_tables=False)
+           for p, top in [(3, 6), (5, 4), (7, 3)] for n in range(1, top + 1)]
+    out.append(ExtField(BaseField(3), 11, use_tables=False))
+    out += [BaseField(p, e) for p, e in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]]
+    # (x^2 + 1)(x^2 + x + 2) over F_3, x(x + 1) over F_5, (x - 1)^3 over F_7
+    out += [_Field(p, BaseField(p), m, use_tables=False)
+            for p, m in [(3, (2, 1, 0, 1, 1)), (5, (0, 1, 1)), (7, (6, 3, 4, 1))]]
+    return out
+
+
+def test_prime_radix_mul_matches_polynomial_product():
+    # the odd twin of the carry-less test: exhaustive up to 81 elements,
+    # zero operands and 300 random pairs above that
+    rng = RngStream(23)
+    for fld in _prime_radix_rings():
+        p, d, base = fld.p, fld._degree, fld._coef
+        assert fld._radix == p
+
+        def want(a, b):
+            prod = _fq_mul(base, _digits(a, p, d), _digits(b, p, d))
+            return _pack(_fq_divmod(base, prod, fld.modulus)[1], p)
+
+        if fld.order <= 81:
+            pairs = [(a, b) for a in range(fld.order) for b in range(fld.order)]
+        else:
+            pairs = [(0, 0), (0, fld.order - 1), (fld.order - 1, 0)]
+            pairs += [(rand_elt(fld, rng), rand_elt(fld, rng)) for _ in range(300)]
+        for a, b in pairs:
+            assert fld._mul_raw(a, b) == want(a, b), (fld, a, b)
 
 
 def test_table_free_f2_inverse_matches_polynomial_euclid():
