@@ -17,8 +17,14 @@ Multiplication, division, inversion, powers and the Frobenius x -> x^q run on
 discrete-log tables over a fixed generator whenever the field order fits in
 ``ExtField.TABLE_LIMIT``; larger fields fall back to direct polynomial
 arithmetic modulo the defining polynomial.  Over the coefficient field
-F_2 that product, which also builds the tables, is a carry-less shift-xor
-product of the packed ints, and the inverse an extended Euclid on them.
+F_2 that product is a carry-less shift-xor product of the packed ints, and
+the inverse an extended Euclid on them.  Over F_p for odd p it is a
+schoolbook product on the base-p digits as plain ints, one ``% p`` per
+coefficient; only a coefficient field F_(p^e) with e > 1 multiplies
+digit lists through its own field operations.  In characteristic 2 the
+tables are built by doubling, two table lookups per element, since
+multiplication by a fixed element is F_2-linear on the packed bits; for
+odd p they take one product per element.
 
 Addition, subtraction and negation are xor for p = 2 and ``% p`` on a
 prime field F_p.  Any other field with tables (odd p) uses its Zech
@@ -95,11 +101,29 @@ def _pow(mul, a: int, m: int) -> int:
     return out
 
 
+def _span(vectors) -> list[int]:
+    """All xor combinations of ``vectors``: entry i is the xor of the
+    vectors[j] with bit j set in i."""
+    out = [0]
+    for v in vectors:
+        out += [x ^ v for x in out]
+    return out
+
+
 def _exp_log_tables(order: int, mul, p: int
                     ) -> tuple[list[int], list[int], list[int] | None]:
     """Exp, log and Zech tables of the field of ``order`` elements with
     product ``mul``, over its first generator g in packed order.  ``exp``
     has length 2(order - 1) so a sum of two logs needs no reduction.
+
+    For p = 2 (radix 2 or 2^e alike) ``exp`` is built by doubling:
+    exp[m:2m] = h * exp[:m] with h = g^m, and x -> h x is F_2-linear on the
+    d packed bits.  So each entry of a block is two lookups, one in a table
+    of the low d//2 bits and one in a table of the high bits, each table
+    the xor span of the images h * 2^j of the unit vectors.  The images of
+    g take d products; those of h^2 are the images of h mapped once more
+    by h, so no later block calls ``mul``.  The tables equal those of one
+    product per element.  Odd p takes one product per element.
 
     ``zech[k] = log(1 + g^k)``, or -1 when 1 + g^k = 0, for odd p on a
     field that is not prime (p = 2 adds by xor, F_p by ``% p``), else None.
@@ -110,17 +134,25 @@ def _exp_log_tables(order: int, mul, p: int
     factors = _prime_factors(units)
     gen = next(c for c in range(1, order)
                if all(_pow(mul, c, units // r) != 1 for r in factors))
-    exp = [0] * (2 * units)
-    cur = 1
-    for i in range(units):
-        exp[i] = cur
-        cur = mul(cur, gen)
-    if cur != 1:
+    exp = [1]
+    if p == 2:
+        d = units.bit_length()
+        s = d // 2
+        mask = (1 << s) - 1
+        images = [mul(1 << j, gen) for j in range(d)]   # x -> h x, h = g^len(exp)
+        while len(exp) < units:
+            lo, hi = _span(images[:s]), _span(images[s:])
+            exp += [lo[x & mask] ^ hi[x >> s] for x in exp[:units - len(exp)]]
+            images = [lo[x & mask] ^ hi[x >> s] for x in images]
+    else:
+        for _ in range(units - 1):
+            exp.append(mul(exp[-1], gen))
+    if mul(exp[-1], gen) != 1:
         raise ArithmeticError("generator order mismatch")
-    exp[units:] = exp[:units]
     log = [-1] * order
-    for i in range(units):
-        log[exp[i]] = i
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp += exp
     zech = None
     if p != 2 and order != p:
         zech = [log[x - x % p + (x % p + 1) % p] for x in exp[:units]] * 2
@@ -248,6 +280,9 @@ class _Field:
         self._exp = self._log = self._zech = None
         # the modulus as one int with bit i for x^i, for the xor product
         self._bits = _pack(self.modulus, 2) if self._radix == 2 else None
+        # -(m_0, ..., m_{d-1}) mod p, x^d in the digit product on an odd radix p
+        self._neg_low = (tuple(-c % p for c in self.modulus[:-1])
+                         if self._radix == p != 2 else None)
         if use_tables:
             self._exp, self._log, self._zech = _exp_log_tables(
                 self.order, self._mul_raw, p)
@@ -273,6 +308,24 @@ class _Field:
                 if a >> d:
                     a ^= m
             return out
+        low = self._neg_low
+        if low is not None:
+            # schoolbook product on the base-p digits as plain ints; each
+            # x^k with k >= d is folded down by x^d = low, and each
+            # coefficient takes one % p
+            p = self.p
+            ad, bd = _digits(a, p, d), _digits(b, p, d)
+            if ad.count(0) < bd.count(0):
+                ad, bd = bd, ad     # loop over the sparser operand
+            prod = [0] * (2 * d - 1)
+            for i, x in enumerate(ad):
+                if x:
+                    prod[i:i + d] = [u + x * y for u, y in zip(prod[i:i + d], bd)]
+            for k in range(2 * d - 2, d - 1, -1):
+                c = prod[k] % p
+                if c:
+                    prod[k - d:k] = [u + c * m for u, m in zip(prod[k - d:k], low)]
+            return _pack([c % p for c in prod[:d]], p)
         prod = _fq_mul(self._coef, _digits(a, r, d), _digits(b, r, d))
         return _pack(_fq_divmod(self._coef, prod, self.modulus)[1], r)
 
