@@ -14,8 +14,9 @@ operations.  A matrix product is one ``apply`` per column of the right
 factor, so over F_2 it runs on the packed rows too.
 
 ``LinearSolver`` factors a matrix once and answers many solve calls with
-one matrix-vector product each (the low-rate symmetric-error decoder lives
-on this); ``Matrix.solve`` is one such solver plus the kernel.
+one matrix-vector product each; the low-rate symmetric-error decoder takes
+its left inverse from one solver, once, at construction, and makes no solve
+per word.  ``Matrix.solve`` is one such solver plus the kernel.
 ``congruence_diagonalize`` computes T with T^t G T diagonal for a symmetric
 Gram matrix G, in any characteristic.
 """
@@ -252,7 +253,10 @@ class LinearSolver:
     a matrix E with rref(A) = E A.  Each solve is then the one product E b,
     O(nrows^2) instead of a fresh elimination: its rows past the rank are
     the consistency check and its pivot rows give x.  E is a ``Matrix``, so
-    over F_2 that product runs on its packed rows.
+    over F_2 that product runs on its packed rows.  When A has full row
+    rank, its solves on the unit vectors are the columns of a right
+    inverse, which is how the low-rate symmetric-error decoder gets its
+    left inverse.
     """
 
     def __init__(self, matrix: Matrix):

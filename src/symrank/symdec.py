@@ -5,10 +5,19 @@ with its transpose: symmetric errors vanish under Phi, so Phi(Y) only sees
 the codeword part, which can be recovered linearly.
 
 Low rate (matrix codes with C intersect Sym = 0, e.g. Gab_k o X^q with
-k < n/2): Phi restricted to C is injective, so C_hat is the unique solution
-of Phi|_C(X) = Phi(Y), whatever the error rank, even n.  Deterministic,
-no radius argument at all.  Phi is read on its n(n-1)/2 entries above the
-diagonal, and the rank of that system on C is the C intersect Sym = 0 test.
+k < n/2): Phi restricted to C is injective, so a word splits in at most one
+way as Y = C + S with S symmetric, whatever the error rank, even n.
+Deterministic, no radius argument at all.  Phi is read on its N = n(n-1)/2
+entries above the diagonal; the rank of that system on C is the
+C intersect Sym = 0 test, and a left inverse G of it (G Phi(C) is C's
+coefficient vector) is taken once per code.  A decode is the one fixed
+F_q-linear map from Phi(Y) to the word with coefficients G Phi(Y), then the
+check that the residual Y - C is symmetric.  That check is exact.  If the
+residual is symmetric, Phi(Y) = Phi(C), so Y = C + (Y - C) is valid, and by
+injectivity it is the only decomposition.  If a valid Y = C0 + S exists,
+Phi(Y) = Phi(C0), so G Phi(Y) is C0's coefficient vector and C0 is
+returned.  The decoder therefore answers on exactly the valid instances and
+raises InvalidInstanceError on every other word.
 
 High rate (Gabidulin, n/2 < k < n): Phi|_C has a kernel, so a preimage C' of
 Phi(Y) is only determined up to C intersect Sym_u, a subspace contained in
@@ -56,6 +65,11 @@ def unfold(mat: Matrix) -> tuple:
     return tuple(x for row in mat.data for x in row)
 
 
+def _fold(field, flat, n: int) -> Matrix:
+    """The n x n matrix whose ``unfold`` is ``flat``."""
+    return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
+
+
 def phi_matrix(mat: Matrix) -> Matrix:
     """Phi(M) = M - M^T; kernel = symmetric matrices, dim n(n+1)/2."""
     return mat - mat.transpose()
@@ -99,8 +113,7 @@ class MatrixCode:
         return f"MatrixCode(n={self.n}, dim={self.dim} over F_{self.field.q})"
 
     def combine(self, coeffs) -> Matrix:
-        flat, n = self._columns.apply(coeffs), self.n
-        return Matrix(self.field, [flat[i * n:(i + 1) * n] for i in range(n)])
+        return _fold(self.field, self._columns.apply(coeffs), self.n)
 
 
 def matrix_code_of(code: GabCode, setup: SymSetup) -> MatrixCode:
@@ -115,19 +128,25 @@ def matrix_code_of(code: GabCode, setup: SymSetup) -> MatrixCode:
 class LowRateDecoder:
     """Worst-case decoder for symmetric errors of any rank, 0 through n.
 
-    Requires C intersect Sym = 0.  One solver is factored per code, on Phi
-    read on its strict upper triangle; its rank is dim exactly when
-    C intersect Sym = 0, so that one elimination is also the check.  Each
-    decode is a pair of projections through it.
+    Requires C intersect Sym = 0.  One solver is factored per code, with a
+    row per generator holding Phi of it above the diagonal; its rank is dim
+    exactly when C intersect Sym = 0, so that one elimination is also the
+    check, and its solves on the dim unit vectors are the rows of the left
+    inverse G.  Each decode is one product of Phi(Y) above the diagonal with
+    the precomputed n^2 x N matrix P = (coefficients -> word) G, then the
+    residual check.
     """
 
     def __init__(self, code: MatrixCode):
-        cols = [_phi_upper(g) for g in code.generators]
-        self.code = code
-        self._solver = LinearSolver(Matrix(code.field, list(zip(*cols))))
-        if self._solver.rank != code.dim:
+        f = code.field
+        solver = LinearSolver(Matrix(f, [_phi_upper(g) for g in code.generators]))
+        if solver.rank != code.dim:
             raise ValueError("code contains a nonzero symmetric matrix; "
                              "the symmetric-error decoder cannot apply")
+        left_inverse = Matrix(f, [solver.solve(unit)
+                                  for unit in Matrix.identity(f, code.dim).data])
+        self.code = code
+        self._projection = code._columns @ left_inverse
 
     def decode(self, received: Matrix) -> tuple[Matrix, Matrix]:
         """(C_hat, E_hat) with received = C_hat + E_hat, E_hat symmetric.
@@ -138,11 +157,8 @@ class LowRateDecoder:
                 or (received.nrows, received.ncols) != (n, n)):
             raise ValueError("received word is not an n x n matrix over "
                              "the code's field")
-        coeffs = self._solver.solve(_phi_upper(received))
-        if coeffs is None:
-            raise InvalidInstanceError(
-                "Phi(Y) is outside Phi(C): not codeword + symmetric error")
-        codeword = self.code.combine(coeffs)
+        flat = self._projection.apply(_phi_upper(received))
+        codeword = _fold(self.code.field, flat, n)
         error = received - codeword
         if not error.is_symmetric():
             raise InvalidInstanceError(

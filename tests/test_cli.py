@@ -222,6 +222,9 @@ PINNED_SIMULATE = {
     ("sym-low", 3, 5, 2): (
         "cd83eb1725d05f2fa9b2c11d7815a2b13ca748357bd855cdd95aead7e0d7ff3a",
         "86deed3283c048a15c69a75569ce35008051fe3333dd145e32553f1e96b88784"),
+    ("sym-low", 4, 4, 1): (
+        "80f3263920a2eee534b7ed5c6528f085f07f23384f504e309433914b7235bc55",
+        "92cdb9b5c226139806dd46972ada374f91665a870c448351d2f05464bae5b51d"),
     ("sym-high", 2, 6, 4): (
         "f88266d7415c4fdb263bd325bc448bd336a23b59331d170c44be7c3099fb56b2",
         "754d9622d00057886e9d69dd9720f20a7bf7e11f3888c2a555ccd7af2355a6b5"),

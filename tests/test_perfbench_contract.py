@@ -48,6 +48,8 @@ def test_workload_trial_per_code(name):
 PINNED_DIGESTS = {
     ("standard", 1): "c13f465e825f8a901e027dbca24c15a7fbff5b6cae856f7e3036bbc4231bd6b8",
     ("sym-low", 1): "f422f6be701923ef8cd5c8419a415899766c3a4b8d8b0e27713bf0eab174038c",
+    ("sym-low", 2): "44d2463b84f26403532599ec503183a87d97e9c9ed1063c3c9d117ae6a0850ca",
+    ("sym-low", 3): "efdbe47348be566ac244d82e95e591abb2c9a26999b3cff355867abaf6dc5c90",
     ("sym-high", 1): "2181cae33622102b4149bf210784ad9352f46a93f309b7583ae1920f16f7fcef",
     ("sym-high-boundary", 1):
         "256d8f9d15f55a779d10d9fa959739af2c299e17a408038f4615829aef111da0",

@@ -11,6 +11,7 @@ from symrank import (
     GabCode,
     HighRateDecoder,
     InvalidInstanceError,
+    LinearSolver,
     LowRateDecoder,
     Matrix,
     MatrixCode,
@@ -119,20 +120,61 @@ def test_low_rate_exact_any_rank(p, n, k):
 
 
 def test_low_rate_rejects_invalid_instance():
-    st = get_setup(2, 1, 6)
-    f = st.field
-    dec = LowRateDecoder(matrix_code_of(GabCode(f, 2, 1), st))
-    rng = RngStream(11)
-    raised = 0
-    for _ in range(20):
-        y = Matrix(f.base, [[rng.randbelow(2) for _ in range(6)] for _ in range(6)])
-        try:
-            cw, err = dec.decode(y)
-        except InvalidInstanceError:
-            raised += 1
-        else:
-            assert err.is_symmetric() and cw + err == y
-    assert raised > 0
+    # the decoder raises exactly where the full-Phi reference finds no
+    # decomposition; half the words are random, half codeword + symmetric
+    for p, n, k in [(2, 6, 2), (3, 5, 2), (3, 6, 2)]:
+        st = get_setup(p, 1, n)
+        f = st.field.base
+        code = matrix_code_of(GabCode(st.field, k, 1), st)
+        dec = LowRateDecoder(code)
+        ref = _full_phi_system(code)
+        rng = RngStream(11)
+        outcomes = set()
+        for i in range(40):
+            if i % 2:
+                y = random_matrix(f, n, n, rng)
+            else:
+                y = code.combine([rng.randbelow(p) for _ in range(code.dim)]) \
+                    + random_symmetric_matrix(f, n, rng.randbelow(n + 1), rng)
+            want = _full_phi_decode(code, ref, y)
+            outcomes.add(want is None)
+            if want is None:
+                with pytest.raises(InvalidInstanceError):
+                    dec.decode(y)
+            else:
+                assert dec.decode(y) == want
+        # at (3,5,2) dim = n(n-1)/2: Phi maps C onto the whole upper
+        # triangle, so every word decomposes
+        assert outcomes == ({False} if code.dim == n * (n - 1) // 2
+                            else {True, False})
+
+
+def test_low_rate_decode_makes_no_solve(monkeypatch):
+    # the left inverse is taken once, as the decoder is built; a decode,
+    # valid or not, is one product and the residual check
+    calls = []
+    solve = LinearSolver.solve
+    monkeypatch.setattr(LinearSolver, "solve",
+                        lambda self, b: calls.append(b) or solve(self, b))
+    LinearSolver(Matrix.identity(BaseField(2), 1)).solve((1,))
+    assert len(calls) == 1     # the counter is live
+    for p, n, k in [(2, 8, 3), (3, 5, 2)]:
+        st = get_setup(p, 1, n)
+        f = st.field.base
+        code = matrix_code_of(GabCode(st.field, k, 1), st)
+        dec = LowRateDecoder(code)
+        rng = RngStream(17)
+        calls.clear()
+        for r in range(n + 1):
+            cw = code.combine([rng.randbelow(p) for _ in range(code.dim)])
+            err = random_symmetric_matrix(f, n, r, rng)
+            assert dec.decode(cw + err) == (cw, err)
+        for _ in range(10):
+            try:
+                dec.decode(random_matrix(f, n, n, rng))
+            except InvalidInstanceError:
+                pass
+        assert calls == []
 
 
 def test_low_rate_rejects_wrong_shape_or_field():
