@@ -14,11 +14,9 @@ from .channel import (RngStream, random_codeword, random_matrix,
 from .gabidulin import DecodeReport, GabCode, random_error, wb_decode
 from .gf import BaseField, ExtField, field_from_json, field_to_json, make_field
 from .linalg import LinearSolver, Matrix, congruence_diagonalize
-from .qpoly import (NEG_INF, QPoly, endo_matrix, matrix_of, matrix_to_qpoly,
-                    qpoly_rank)
+from .qpoly import NEG_INF, QPoly, matrix_of, matrix_to_qpoly, qpoly_rank
 from .symdec import (HighRateDecoder, InvalidInstanceError, LowRateDecoder,
-                     MatrixCode, matrix_code_of, phi_matrix, phi_qpoly,
-                     unfold)
+                     MatrixCode, matrix_code_of, phi_qpoly, unfold)
 
 __version__ = "0.1.0"
 
@@ -27,10 +25,10 @@ __all__ = [
     "Matrix", "LinearSolver", "congruence_diagonalize",
     "SymSetup", "OrthonormalBasisError", "trace_form", "gram_matrix",
     "select_twist", "orthonormal_basis",
-    "NEG_INF", "QPoly", "endo_matrix",
+    "NEG_INF", "QPoly",
     "qpoly_rank", "matrix_of", "matrix_to_qpoly",
     "GabCode", "DecodeReport", "wb_decode", "random_error",
-    "MatrixCode", "matrix_code_of", "phi_matrix",
+    "MatrixCode", "matrix_code_of",
     "phi_qpoly", "unfold", "LowRateDecoder", "HighRateDecoder",
     "InvalidInstanceError",
     "RngStream", "random_matrix", "random_symmetric_matrix",

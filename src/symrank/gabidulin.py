@@ -98,11 +98,6 @@ class GabCode:
     def __repr__(self):
         return f"GabCode(q={self.field.q}, n={self.n}, k={self.k}, s={self.s})"
 
-    @property
-    def min_distance(self) -> int:
-        """Minimum rank distance n - k + 1 (MRD)."""
-        return self.n - self.k + 1
-
     def encode(self, message) -> QPoly:
         message = list(message)
         if len(message) != self.k:
@@ -111,11 +106,6 @@ class GabCode:
         for i, m in enumerate(message):
             coeffs[self.s + i] = m
         return QPoly(self.field, coeffs)
-
-    def message_of(self, codeword: QPoly) -> tuple[int, ...]:
-        if not self.contains(codeword):
-            raise ValueError("q-polynomial is not in the code")
-        return tuple(codeword.coeffs[self.s:self.s + self.k])
 
     def contains(self, poly: QPoly) -> bool:
         lo, hi = self.s, self.s + self.k

@@ -18,13 +18,13 @@ discrete-log tables over a fixed generator whenever the field order fits in
 ``ExtField.TABLE_LIMIT``; larger fields fall back to direct polynomial
 arithmetic modulo the defining polynomial.  Over the coefficient field
 F_2 that product is a carry-less shift-xor product of the packed ints, and
-the inverse an extended Euclid on them.  Over F_p for odd p it is a
-schoolbook product on the base-p digits as plain ints, one ``% p`` per
-coefficient; only a coefficient field F_(p^e) with e > 1 multiplies
-digit lists through its own field operations.  In characteristic 2 the
-tables are built by doubling, two table lookups per element, since
-multiplication by a fixed element is F_2-linear on the packed bits; for
-odd p they take one product per element.
+the inverse an extended Euclid on them.  Over every larger coefficient
+field K, F_p for odd p and F_(p^e) alike, one sparse schoolbook product on
+the digits over K and one extended Euclid on digit lists serve, both with
+K's own ``add`` and ``mul``.  In characteristic 2 the tables are built by
+doubling, two table lookups per element, since multiplication by a fixed
+element is F_2-linear on the packed bits; for odd p they take one product
+per element.
 
 Addition, subtraction and negation are xor for p = 2 and ``% p`` on a
 prime field F_p.  Any other field with tables (odd p) uses its Zech
@@ -160,65 +160,7 @@ def _exp_log_tables(order: int, mul, p: int
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a field K (little-endian lists of packed K values)
-
-def _fq_trim(u: list[int]) -> list[int]:
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _fq_sub(base, u, v):
-    out = [0] * max(len(u), len(v))
-    for i, x in enumerate(u):
-        out[i] = x
-    for i, y in enumerate(v):
-        out[i] = base.sub(out[i], y)
-    return _fq_trim(out)
-
-
-def _fq_mul(base, u, v):
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v):
-                if y:
-                    out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return _fq_trim(out)
-
-
-def _fq_divmod(base, u, v):
-    u = list(u)
-    v = _fq_trim(list(v))
-    if not v:
-        raise ZeroDivisionError("polynomial division by zero")
-    dv = len(v) - 1
-    inv_lead = base.inv(v[-1])
-    quo = [0] * max(len(u) - dv, 0)
-    for i in range(len(u) - 1, dv - 1, -1):
-        c = base.mul(u[i], inv_lead)
-        if c:
-            quo[i - dv] = c
-            for j, vj in enumerate(v):
-                u[i - dv + j] = base.sub(u[i - dv + j], base.mul(c, vj))
-    return _fq_trim(quo), _fq_trim(u)
-
-
-def _fq_invmod(base, u, m):
-    # extended Euclid: s*u + t*m = gcd; returns s normalised so s*u = 1 mod m
-    r0, r1 = _fq_trim(list(m)), _fq_divmod(base, list(u), m)[1]
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _fq_divmod(base, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fq_sub(base, s0, _fq_mul(base, q, s1))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible modulo f")
-    c = base.inv(r0[0])
-    return _fq_trim([base.mul(c, x) for x in s0])
-
+# irreducible polynomials over a field K (little-endian lists of packed K values)
 
 def _fq_is_irreducible(base, poly) -> bool:
     """Rabin's test: f of degree n over K = F_q is irreducible iff
@@ -280,9 +222,10 @@ class _Field:
         self._exp = self._log = self._zech = None
         # the modulus as one int with bit i for x^i, for the xor product
         self._bits = _pack(self.modulus, 2) if self._radix == 2 else None
-        # -(m_0, ..., m_{d-1}) mod p, x^d in the digit product on an odd radix p
-        self._neg_low = (tuple(-c % p for c in self.modulus[:-1])
-                         if self._radix == p != 2 else None)
+        # the nonzero terms (j, -m_j) of x^d = -(m_0 + ... + m_(d-1) x^(d-1)),
+        # which fold x^k, k >= d, in the digit product on a radix above 2
+        self._fold = None if coef is None else tuple(
+            (j, coef.neg(c)) for j, c in enumerate(self.modulus[:-1]) if c)
         if use_tables:
             self._exp, self._log, self._zech = _exp_log_tables(
                 self.order, self._mul_raw, p)
@@ -308,26 +251,23 @@ class _Field:
                 if a >> d:
                     a ^= m
             return out
-        low = self._neg_low
-        if low is not None:
-            # schoolbook product on the base-p digits as plain ints; each
-            # x^k with k >= d is folded down by x^d = low, and each
-            # coefficient takes one % p
-            p = self.p
-            ad, bd = _digits(a, p, d), _digits(b, p, d)
-            if ad.count(0) < bd.count(0):
-                ad, bd = bd, ad     # loop over the sparser operand
-            prod = [0] * (2 * d - 1)
-            for i, x in enumerate(ad):
-                if x:
-                    prod[i:i + d] = [u + x * y for u, y in zip(prod[i:i + d], bd)]
-            for k in range(2 * d - 2, d - 1, -1):
-                c = prod[k] % p
-                if c:
-                    prod[k - d:k] = [u + c * m for u, m in zip(prod[k - d:k], low)]
-            return _pack([c % p for c in prod[:d]], p)
-        prod = _fq_mul(self._coef, _digits(a, r, d), _digits(b, r, d))
-        return _pack(_fq_divmod(self._coef, prod, self.modulus)[1], r)
+        # schoolbook product on the digits over K, nonzero digit against
+        # nonzero digit, with K's own add and mul; each x^k with k >= d is
+        # folded down by the nonzero terms of x^d
+        add, mul = self._coef.add, self._coef.mul
+        bd = [(j, y) for j, y in enumerate(_digits(b, r, d)) if y]
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(_digits(a, r, d)):
+            if x:
+                for j, y in bd:
+                    prod[i + j] = add(prod[i + j], mul(x, y))
+        fold = self._fold
+        for k in range(2 * d - 2, d - 1, -1):
+            c = prod[k]
+            if c:
+                for j, m in fold:
+                    prod[k - d + j] = add(prod[k - d + j], mul(c, m))
+        return _pack(prod[:d], r)
 
     def _inv_raw(self, a: int) -> int:
         # only table-free instances get here, fields or rings K[x]/(m) of a
@@ -346,8 +286,34 @@ class _Field:
             if r0 != 1:
                 raise ZeroDivisionError("element is not invertible modulo f")
             return s0
-        s = _fq_invmod(self._coef, _digits(a, self._radix, self._degree), self.modulus)
-        return _pack(s, self._radix)
+        # the same Euclid on little-endian digit lists over K: each step pops
+        # the leading digit of r0, cleared by r0 -= c x^shift r1, and does
+        # s0 -= c x^shift s1
+        coef = self._coef
+        sub, mul = coef.sub, coef.mul
+        r0, r1 = list(self.modulus), _digits(a, self._radix, self._degree)
+        while r1 and not r1[-1]:
+            r1.pop()
+        s0, s1 = [], [1]
+        while r1:
+            d, low = len(r1), r1[:-1]
+            lead = coef.inv(r1[-1])
+            while len(r0) >= d:
+                c = mul(r0.pop(), lead)
+                if c:
+                    shift = len(r0) + 1 - d
+                    for j, y in enumerate(low):
+                        r0[shift + j] = sub(r0[shift + j], mul(c, y))
+                    s0 += [0] * (shift + len(s1) - len(s0))
+                    for j, y in enumerate(s1):
+                        s0[shift + j] = sub(s0[shift + j], mul(c, y))
+            while r0 and not r0[-1]:
+                r0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if len(r0) != 1:
+            raise ZeroDivisionError("element is not invertible modulo f")
+        c = coef.inv(r0[0])
+        return _pack([mul(c, x) for x in s0], self._radix)
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
         """a + sign * b on the base-p digits, for an odd-p field without

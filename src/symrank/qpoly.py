@@ -268,16 +268,10 @@ class QPoly:
         return cls(field, [ext_from_json(field, c) for c in data])
 
 
-def endo_matrix(poly: QPoly) -> Matrix:
-    """Matrix of x -> P(x) over F_q in the polynomial basis 1, x, ..., x^(n-1)."""
-    fld = poly.field
-    return Matrix(fld.base, [fld.coeffs(poly.evaluate(fld.q**j))
-                             for j in range(fld.n)]).transpose()
-
-
 def qpoly_rank(poly: QPoly) -> int:
     """Rank of the induced endomorphism of F_{q^n}: the F_q rank of the
-    images P(x^j), j < n, which are the rows of ``endo_matrix``'s transpose.
+    images P(x^j), j < n, the columns of its matrix in the polynomial basis
+    1, x, ..., x^(n-1).
     Over F_2 a packed element already is its coordinate row, so the images
     go to the xor basis as ints."""
     fld = poly.field

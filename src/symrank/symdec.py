@@ -70,11 +70,6 @@ def _fold(field, flat, n: int) -> Matrix:
     return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
-def phi_matrix(mat: Matrix) -> Matrix:
-    """Phi(M) = M - M^T; kernel = symmetric matrices, dim n(n+1)/2."""
-    return mat - mat.transpose()
-
-
 def _phi_upper(mat: Matrix) -> tuple:
     """Phi(mat) above the diagonal, mat[i][j] - mat[j][i] for i < j; the rest
     of Phi(mat) is their negation (below) or zero (on the diagonal)."""

@@ -4,8 +4,8 @@ seeded random object builders (kept deterministic via RngStream)."""
 import itertools
 from functools import lru_cache
 
-from symrank import QPoly, RngStream, SymSetup, make_field
-from symrank.gf import _fq_divmod, _pow, _prime_factors
+from symrank import Matrix, QPoly, RngStream, SymSetup, make_field
+from symrank.gf import _pow, _prime_factors
 from symrank.linalg import _rref
 
 
@@ -40,6 +40,19 @@ def rand_nonzero_qpoly(field, rng: RngStream) -> QPoly:
         poly = rand_qpoly(field, rng)
         if not poly.is_zero():
             return poly
+
+
+def phi_matrix(mat):
+    """Phi(M) = M - M^T; kernel = symmetric matrices, dim n(n+1)/2."""
+    return mat - mat.transpose()
+
+
+def endo_matrix(poly):
+    """Matrix of x -> P(x) over F_q in the polynomial basis 1, x, ...,
+    x^(n-1), its rank the oracle for ``qpoly_rank``."""
+    fld = poly.field
+    return Matrix(fld.base, [fld.coeffs(poly.evaluate(fld.q**j))
+                             for j in range(fld.n)]).transpose()
 
 
 # Reference linear algebra on field operations only, one field call per
@@ -88,6 +101,68 @@ def projective_points(fld, kern):
                 if ci:
                     vec = [fld.add(v, fld.mul(ci, x)) for v, x in zip(vec, kv)]
             yield vec
+
+
+# Polynomials over a field K as little-endian lists of packed K values, one
+# field call per term: the oracle for the table-free product and inverse of
+# ``gf._Field`` and, through ``_fq_divmod``, for Rabin's test.
+
+def _fq_trim(u: list[int]) -> list[int]:
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def _fq_sub(base, u, v):
+    out = [0] * max(len(u), len(v))
+    for i, x in enumerate(u):
+        out[i] = x
+    for i, y in enumerate(v):
+        out[i] = base.sub(out[i], y)
+    return _fq_trim(out)
+
+
+def _fq_mul(base, u, v):
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v):
+                if y:
+                    out[i + j] = base.add(out[i + j], base.mul(x, y))
+    return _fq_trim(out)
+
+
+def _fq_divmod(base, u, v):
+    u = list(u)
+    v = _fq_trim(list(v))
+    if not v:
+        raise ZeroDivisionError("polynomial division by zero")
+    dv = len(v) - 1
+    inv_lead = base.inv(v[-1])
+    quo = [0] * max(len(u) - dv, 0)
+    for i in range(len(u) - 1, dv - 1, -1):
+        c = base.mul(u[i], inv_lead)
+        if c:
+            quo[i - dv] = c
+            for j, vj in enumerate(v):
+                u[i - dv + j] = base.sub(u[i - dv + j], base.mul(c, vj))
+    return _fq_trim(quo), _fq_trim(u)
+
+
+def _fq_invmod(base, u, m):
+    # extended Euclid: s*u + t*m = gcd; returns s normalised so s*u = 1 mod m
+    r0, r1 = _fq_trim(list(m)), _fq_divmod(base, list(u), m)[1]
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _fq_divmod(base, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _fq_sub(base, s0, _fq_mul(base, q, s1))
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible modulo f")
+    c = base.inv(r0[0])
+    return _fq_trim([base.mul(c, x) for x in s0])
 
 
 def irreducible_by_trial_division(base, poly) -> bool:

@@ -3,8 +3,8 @@ sampling (with a 2000-sample sweep), self-adjoint pullbacks, random codes."""
 
 import pytest
 
-from symrank import BaseField, Matrix, matrix_of, phi_matrix, qpoly_rank, unfold
-from helpers import get_setup, ref_rank
+from symrank import BaseField, Matrix, matrix_of, qpoly_rank, unfold
+from helpers import get_setup, phi_matrix, ref_rank
 from symrank.channel import (
     RngStream,
     random_codeword,

@@ -6,10 +6,9 @@ import hashlib
 import pytest
 
 from symrank import BaseField, ExtField, field_from_json, field_to_json, make_field
-from symrank.gf import (_Field, _digits, _exp_log_tables, _fq_divmod, _fq_invmod,
-                        _fq_is_irreducible, _fq_mul, _pack)
-from helpers import (get_field, irreducible_by_trial_division, rand_elt, rand_unit,
-                     ref_exp_log_tables)
+from symrank.gf import _Field, _digits, _exp_log_tables, _fq_is_irreducible, _pack
+from helpers import (_fq_divmod, _fq_invmod, _fq_mul, get_field,
+                     irreducible_by_trial_division, rand_elt, rand_unit, ref_exp_log_tables)
 from symrank.channel import RngStream
 
 
@@ -235,7 +234,9 @@ def test_list_ops_match_add_and_div_exhaustive(p, n):
 # sha256 of repr((_exp, _log)) per (p, e, n), ext then base, pinned from
 # the per-element build (one product by the generator per power, the
 # reference in helpers.py): every table build must reproduce them.  (2,2,8)
-# is radix 4 on 16 bits, (2,1,13) an odd bit count.
+# is radix 4 on 16 bits, (2,1,13) an odd bit count; (3,2,3) and (2,3,4) are
+# radix 9 and 8 and (5,1,4) an odd prime radix, whose moduli and tables come
+# from the table-free product and inverse.
 PINNED_TABLES = {
     (2, 1, 16): ("bb70e209c292345671b5312a2b3dfc0dfb3a05447aaa1ffeb30b55af10f6b78a",
                  "d2143c138ab652a72fd3894b4c1e83a0737b1e2ea6184ece8fa8a107a972700c"),
@@ -249,6 +250,12 @@ PINNED_TABLES = {
                 "83da1267f270ceb0f9c42ac87a22c38655b385e78499dad0a2bcb16b19691172"),
     (2, 1, 13): ("161964eb83f7abd977d6adf9752d87734f452858c6828ed38664ab272a439d5f",
                  "d2143c138ab652a72fd3894b4c1e83a0737b1e2ea6184ece8fa8a107a972700c"),
+    (3, 2, 3): ("1c9988578c0bd33d01dbfc3118638ea4ff1f78d6355d074376cb71dbb338afcb",
+                "57794f2d59131be2471c6878636e75e09fa1f034c2209f3f1a2e2cf3a70dac55"),
+    (2, 3, 4): ("e62ec1d3b1353425a34fa9f06e8638289c80f4232b9bd18bc7880af38b67ff0d",
+                "35b4832c03402ff6c5a2b29f84709c0308ffc5f66c5cf50d9158a87346a0bf7a"),
+    (5, 1, 4): ("1d587d47e52dc7dfb87a096eb3c03d40a7c2cc9465e577293e186f6b500ae2f5",
+                "a89e9abeb6290485d176979553c182fc87590d4402b7ac4478c9edf3aae30dea"),
 }
 
 
@@ -308,17 +315,32 @@ def _prime_radix_rings():
     return out
 
 
+def _coef_field_rings():
+    """Instances over a coefficient field F_(p^e), e > 1, radix 4, 8, 9 and
+    25: table-free extensions and rings F_(p^e)[x]/(m) of a reducible m."""
+    out = [ExtField(BaseField(p, e), n, use_tables=False)
+           for p, e, top in [(2, 2, 4), (2, 3, 3), (3, 2, 3), (5, 2, 2)]
+           for n in range(1, top + 1)]
+    out += [ExtField(BaseField(2, 2), 9, use_tables=False),
+            ExtField(BaseField(3, 2), 6, use_tables=False)]
+    # over F_4 = F_2[w]/(w^2 + w + 1), w = 2: (x + w)^2 = x^2 + (w + 1);
+    # over F_9 = F_3[y]/(y^2 + 1), y = 3: x(x + 1)(x + y) = x^3 + (y + 1)x^2 + yx
+    out += [_Field(2, BaseField(2, 2), (3, 0, 1), use_tables=False),
+            _Field(3, BaseField(3, 2), (0, 3, 4, 1), use_tables=False)]
+    return out
+
+
 def test_prime_radix_mul_matches_polynomial_product():
-    # the odd twin of the carry-less test: exhaustive up to 81 elements,
-    # zero operands and 300 random pairs above that
+    # the twin of the carry-less test for every radix above 2: exhaustive
+    # up to 81 elements, zero operands and 300 random pairs above that
     rng = RngStream(23)
-    for fld in _prime_radix_rings():
-        p, d, base = fld.p, fld._degree, fld._coef
-        assert fld._radix == p
+    for fld in _prime_radix_rings() + _coef_field_rings():
+        r, d, base = fld._radix, fld._degree, fld._coef
+        assert r > 2
 
         def want(a, b):
-            prod = _fq_mul(base, _digits(a, p, d), _digits(b, p, d))
-            return _pack(_fq_divmod(base, prod, fld.modulus)[1], p)
+            prod = _fq_mul(base, _digits(a, r, d), _digits(b, r, d))
+            return _pack(_fq_divmod(base, prod, fld.modulus)[1], r)
 
         if fld.order <= 81:
             pairs = [(a, b) for a in range(fld.order) for b in range(fld.order)]
@@ -342,6 +364,31 @@ def test_table_free_f2_inverse_matches_polynomial_euclid():
             assert fld._inv_raw(a) == want
             assert fld.mul(a, fld.inv(a)) == 1
 
+
+def test_radix_above_2_inverse_matches_polynomial_euclid():
+    # the odd and radix-p^e twin of the F_2 test at radix 3, 5, 7, 4, 8, 9
+    # and 25: every nonzero element up to 729, 100 random ones above; on a
+    # reducible ring the non-units raise ZeroDivisionError like the oracle
+    rng = RngStream(29)
+    for fld in _prime_radix_rings() + _coef_field_rings():
+        r, d, base = fld._radix, fld._degree, fld._coef
+        if fld.order <= 729:
+            units = range(1, fld.order)
+        else:
+            units = [rand_unit(fld, rng) for _ in range(100)]
+        non_units = 0
+        for a in units:
+            try:
+                want = _pack(_fq_invmod(base, _digits(a, r, d), fld.modulus), r)
+            except ZeroDivisionError:
+                non_units += 1
+                with pytest.raises(ZeroDivisionError):
+                    fld._inv_raw(a)
+                continue
+            got = fld._inv_raw(a)
+            assert got == want, (fld, a)
+            assert fld._mul_raw(a, got) == 1
+        assert (non_units > 0) == (type(fld) is _Field), fld
 
 def test_large_field_runs_without_tables():
     f = make_field(2, 1, 17)

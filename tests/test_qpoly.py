@@ -8,14 +8,14 @@ from symrank import (
     ExtField,
     Matrix,
     QPoly,
-    endo_matrix,
     matrix_of,
     matrix_to_qpoly,
     qpoly_rank,
     select_twist,
     trace_form,
 )
-from helpers import get_field, get_setup, rand_elt, rand_nonzero_qpoly, rand_qpoly, rand_unit
+from helpers import (endo_matrix, get_field, get_setup, rand_elt, rand_nonzero_qpoly, rand_qpoly,
+                     rand_unit)
 from symrank.channel import RngStream, random_matrix, random_selfadjoint_qpoly
 
 

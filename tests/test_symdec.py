@@ -19,13 +19,13 @@ from symrank import (
     make_field,
     matrix_code_of,
     matrix_of,
-    phi_matrix,
     phi_qpoly,
     qpoly_rank,
     unfold,
     wb_decode,
 )
-from helpers import get_field, get_setup, rand_elt, rand_qpoly, ref_rank, ref_solve
+from helpers import (get_field, get_setup, phi_matrix, rand_elt, rand_qpoly, ref_rank,
+                     ref_solve)
 from symrank.channel import (RngStream, random_codeword, random_matrix, random_matrix_code,
                              random_selfadjoint_qpoly, random_symmetric_matrix)
 
