@@ -60,9 +60,36 @@ scalar multiple of Lambda_E, and C determines L up to that scalar.
 Distinct members of the pencil are not proportional, so the candidates
 they yield are distinct and need no dedupe.
 
+Every walked member divides cleanly (the exact-division lemma).  Let L be a
+member, with q^t roots, and N = L o Y mod X^(q^n) - X, so deg_q N < k + t:
+
+  * X^(q^n) - X is central in the ring of q-polynomials (unreduced), and
+    L, a multiple of the subspace polynomial of its roots in F_{q^n},
+    right-divides it: X^(q^n) - X = M o L.  Then L o M o L = M o L o L,
+    and the ring has no zero divisors, so L o M = X^(q^n) - X as well;
+  * L o Y - N is a multiple of the central X^(q^n) - X, so it is
+    (X^(q^n) - X) o T = L o M o T for some T, and N = L o (Y - M o T)
+    exactly;
+  * so L left-divides N, and the quotient has q-degree deg_q N - t < k.
+
+The walked stage therefore yields exactly one candidate per member, and
+``walked`` counts the candidates.  The division check below stays, since
+it is what certifies each candidate.
+
 A division check certifies the distance: when L o Y = L o C exactly with
 deg_q C < k, the error Y - C satisfies L o (Y-C) = 0, so its image lies in
 ker L and its rank is at most tp automatically.
+
+A caller that keeps only some candidates can reject a member before its
+division (``keep``).  With N = L o Q and deg_q Q < k, the ends of N are
+N_0 = l_0 Q_0 and N_(k-1+t) = l_t Q_(k-1)^(q^t), so
+
+    Q_0 = N_0 / l_0,    Q_(k-1) = (N_(k-1+t) / l_t)^(q^(n-t)),
+
+two field operations each once N is known.  A full member is separable and
+of q-degree t, so l_0 and l_t are nonzero.  By the lemma these are the
+candidate's own coefficients, so rejecting on them drops exactly the
+candidates the caller would drop.
 """
 
 from __future__ import annotations
@@ -152,10 +179,26 @@ class DecodeReport:
         return cls("ok", found[0], received - found[0], found, diagnostics)
 
 
-def _try_localiser(vec, received: QPoly, k: int) -> QPoly | None:
-    """Divide L o Y by L; a clean quotient of q-degree < k is a codeword."""
-    loc = QPoly(received.field, vec)
-    quot, rem = loc.compose(received).left_divide(loc)
+def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
+    """Divide L o Y by L; a clean quotient of q-degree < k is a codeword.
+
+    With ``keep``, the quotient's outer coefficients Q_0 and Q_(k-1) are
+    read off N = L o Y first, and L is not divided when ``keep(Q_0,
+    Q_(k-1))`` is false (module docstring).  A localiser with l_0 = 0 or
+    l_t = 0, t = len(vec) - 1, has fewer than q^t roots, so it is no pencil
+    member; with ``keep`` it is dropped rather than divided by zero."""
+    fld = received.field
+    loc = QPoly(fld, vec)
+    num = loc.compose(received)
+    if keep is not None:
+        t = len(vec) - 1
+        if not (vec[0] and vec[t]):
+            return None
+        low = fld.div(num.coeffs[0], vec[0])
+        high = fld.frobenius(fld.div(num.coeffs[k - 1 + t], vec[t]), fld.n - t)
+        if not keep(low, high):
+            return None
+    quot, rem = num.left_divide(loc)
     if rem.is_zero() and quot.q_degree < k:
         return quot
     return None
@@ -221,7 +264,7 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
         yield list(k2)
 
 
-def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
+def wb_decode(code: GabCode, received: QPoly, t: int, keep=None) -> DecodeReport:
     """All codewords within rank distance t of ``received``, for
     0 <= t <= (n-k)//2, or t = (n-k)//2 + 1 when n-k is odd, and t < n
     (ValueError otherwise, or when ``received`` is not over the code's
@@ -236,10 +279,18 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
 
     ``diagnostics["kernel_dims"]`` lists the kernel dimension at the unique
     radius min(t, (n-k)//2), followed by that of the walked stage, if any.
-    ``diagnostics["walked"]`` counts the localisers divided there.
+    ``diagnostics["walked"]`` counts the pencil members tried there.  Each
+    divides cleanly into a candidate of its own (module docstring), so
+    without ``keep`` it is also the number of candidates.
     ``diagnostics["error_rank"]`` (on 'ok' only) is read off the stage that
     found the codeword: min(t, (n-k)//2) + 1 - kernel dimension at the
     unique radius, t at the walked stage.
+
+    ``keep(low, high)`` filters the walked stage only.  It receives the
+    coefficients c_s and c_(s+k-1) of a member's candidate, read off L o Y
+    before the division, and a member it rejects is not divided.  The
+    unique radius needs no filter: a codeword found there is the only one
+    within t.
     """
     fld = code.field
     if received.field is not fld:
@@ -270,7 +321,8 @@ def wb_decode(code: GabCode, received: QPoly, t: int) -> DecodeReport:
             walked = len(points)
         else:
             points = []     # no codeword within t (module docstring)
-        found = [c for c in (_try_localiser(v, y0, k) for v in points)
+        stage_keep = keep if tp > half else None
+        found = [c for c in (_try_localiser(v, y0, k, stage_keep) for v in points)
                  if c is not None]
         if found:
             break

@@ -83,6 +83,19 @@ def _digits(value: int, radix: int, length: int) -> list[int]:
     return out
 
 
+def _nonzero_digits(value: int, radix: int) -> list[tuple[int, int]]:
+    """The (index, digit) pairs of the nonzero digits of ``value``, low
+    first; the loop stops when the rest of ``value`` is 0."""
+    out = []
+    i = 0
+    while value:
+        value, r = divmod(value, radix)
+        if r:
+            out.append((i, r))
+        i += 1
+    return out
+
+
 def _pack(digits, radix: int) -> int:
     out = 0
     for d in reversed(list(digits)):
@@ -255,12 +268,11 @@ class _Field:
         # nonzero digit, with K's own add and mul; each x^k with k >= d is
         # folded down by the nonzero terms of x^d
         add, mul = self._coef.add, self._coef.mul
-        bd = [(j, y) for j, y in enumerate(_digits(b, r, d)) if y]
+        bd = _nonzero_digits(b, r)
         prod = [0] * (2 * d - 1)
-        for i, x in enumerate(_digits(a, r, d)):
-            if x:
-                for j, y in bd:
-                    prod[i + j] = add(prod[i + j], mul(x, y))
+        for i, x in _nonzero_digits(a, r):
+            for j, y in bd:
+                prod[i + j] = add(prod[i + j], mul(x, y))
         fold = self._fold
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]

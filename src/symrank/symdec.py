@@ -31,10 +31,18 @@ Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k.  Since
 Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
 candidate S' is self-adjoint exactly when S' is; candidates are filtered
 on that, which reads only the reduced support n-k..k and stops at the first
-coefficient pair that breaks it.  The survivors get their status from
-``DecodeReport.of``, the same rule as ``wb_decode``.  The error of an 'ok'
-report is ranked once, by an F_q elimination that is independent of the
-kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
+coefficient pair that breaks it.  The outermost pair,
+c_k = c_(n-k)^(q^k) u^(q^k - 1), is tested first, inside the walk: its two
+coefficients are read off L o Y before a walked member is divided
+(``wb_decode``'s ``keep``), and at the boundary about four members in five
+fail it and are never divided.  ``is_self_adjoint`` then reads the inner
+pairs of the rest.  The survivors get their status from
+``DecodeReport.of``, the same rule as ``wb_decode``.  ``wb_status`` and
+``error_rank`` still describe the walk without the test: every walked
+member divides cleanly into a candidate of its own (the lemma in
+``gabidulin``), so that walk found one candidate per member.  The error of
+an 'ok' report is ranked once, by an F_q elimination that is independent of
+the kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
 verified before it is returned: the codeword lies in the code, the error is
 self-adjoint, and its rank is at most n-k.  Below the boundary
 (rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
@@ -184,6 +192,8 @@ class HighRateDecoder:
         self.code = GabCode(fld, k, 1)
         self.reduced = GabCode(fld, 2 * k - n + 1, n - k)
         self.radius = n - k
+        # u^(q^k - 1), the twist of the outermost pair (``_outer_pair``)
+        self._twist = fld.div(fld.frobenius(setup.u, k), setup.u)
         # theta + theta^(q^(n/2)) = 1 splits the self-paired middle degree
         self._theta = None
         if n % 2 == 0:
@@ -206,18 +216,33 @@ class HighRateDecoder:
             coeffs[n // 2] = fld.mul(self._theta, d[n // 2])
         return QPoly(fld, coeffs)
 
+    def _outer_pair(self, low: int, high: int) -> bool:
+        """Whether a candidate with c_(n-k) = low and c_k = high passes the
+        outermost pair of the self-adjointness test:
+        c_k = c_(n-k)^(q^k) u^(q^k - 1)."""
+        fld = self.setup.field
+        return high == fld.mul(fld.frobenius(low, self.k), self._twist)
+
     def decode(self, received: QPoly) -> DecodeReport:
         """ValueError when ``received`` is not over the code's field."""
         if received.field is not self.setup.field:
             raise ValueError("received word is not over the code's field")
         u = self.setup.u
         pre = self._preimage(received)
-        rep = wb_decode(self.reduced, received - pre, self.radius)
+        rep = wb_decode(self.reduced, received - pre, self.radius,
+                        keep=self._outer_pair)
         # received - pre is self-adjoint, so received - (pre + c) is too
         # exactly when c is
         survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
-        out = DecodeReport.of(received, survivors, None, dict(
-            rep.diagnostics, wb_status=rep.status, survivors=len(survivors)))
+        diagnostics = dict(rep.diagnostics, wb_status=rep.status,
+                           survivors=len(survivors))
+        walked = rep.diagnostics["walked"]
+        if walked:
+            # the walk without the pair test found one candidate per member
+            # (the lemma in ``gabidulin``); report its status and rank
+            diagnostics["wb_status"] = "ok" if walked == 1 else "ambiguous"
+            diagnostics["error_rank"] = self.radius if walked == 1 else None
+        out = DecodeReport.of(received, survivors, None, diagnostics)
         if out.status != "ok":
             return out
         error = out.error

@@ -4,7 +4,8 @@ seeded random object builders (kept deterministic via RngStream)."""
 import itertools
 from functools import lru_cache
 
-from symrank import Matrix, QPoly, RngStream, SymSetup, make_field
+from symrank import (DecodeReport, Matrix, QPoly, RngStream, SymSetup, make_field,
+                     qpoly_rank, wb_decode)
 from symrank.gf import _pow, _prime_factors
 from symrank.linalg import _rref
 
@@ -86,6 +87,23 @@ def ref_solve(mat, b):
     for r, c in pivots:
         x[c] = rows[r][n]
     return tuple(x)
+
+
+def high_rate_reference(dec, received):
+    """``HighRateDecoder.decode`` composed from its parts with no test
+    before the division: plain ``wb_decode`` of the residual, the
+    ``is_self_adjoint`` filter, ``DecodeReport.of`` and the rank of an 'ok'
+    error.  The oracle for the decoder's outer-pair test."""
+    u = dec.setup.u
+    pre = dec._preimage(received)
+    rep = wb_decode(dec.reduced, received - pre, dec.radius)
+    survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
+    out = DecodeReport.of(received, survivors, None, dict(
+        rep.diagnostics, wb_status=rep.status, survivors=len(survivors)))
+    if out.status == "ok":
+        error = out.error
+        out.diagnostics["error_rank"] = 0 if error.is_zero() else qpoly_rank(error)
+    return out
 
 
 def projective_points(fld, kern):

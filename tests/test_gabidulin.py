@@ -216,8 +216,21 @@ def test_walked_kernel_has_dimension_2_within_radius(p, n, k):
 
 def _assert_pencil_is_walk(monkeypatch, code, y, t):
     """wb_decode through the pencil against the reference: the walked
-    stage enumerated point by point by the test oracle."""
-    rep = wb_decode(code, y, t)
+    stage enumerated point by point by the test oracle.  Every member the
+    pencil yields divides L o Y with zero remainder into a quotient of
+    q-degree below k (the exact-division lemma in ``gabidulin``), so each
+    gives a candidate of its own."""
+    members = []
+    pencil_points = gabidulin._pencil_points
+
+    def recording(fld, kern, tp):
+        for vec in pencil_points(fld, kern, tp):
+            members.append(list(vec))
+            yield vec
+
+    with monkeypatch.context() as m:
+        m.setattr(gabidulin, "_pencil_points", recording)
+        rep = wb_decode(code, y, t)
     with monkeypatch.context() as m:
         m.setattr(gabidulin, "_pencil_points",
                   lambda fld, kern, tp: projective_points(fld, kern))
@@ -226,14 +239,22 @@ def _assert_pencil_is_walk(monkeypatch, code, y, t):
     assert rep.diagnostics["walked"] <= ref.diagnostics["walked"]
     assert rep.status == ref.status
     assert rep.candidates == ref.candidates
+    y0 = y.compose_monomial(code.n - code.s) if code.s else y
+    assert len(members) == rep.diagnostics["walked"] == len(rep.candidates)
+    for vec in members:
+        loc = QPoly(y.field, vec)
+        quot, rem = loc.compose(y0).left_divide(loc)
+        assert rem.is_zero()
+        assert quot.q_degree < code.k
     return rep
 
 
 @pytest.mark.parametrize("p,e,n,k", [
     (2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 5), (2, 1, 7, 4), (3, 1, 4, 3),
-    (2, 2, 4, 3), (3, 2, 3, 2)])
+    (2, 2, 4, 3), (3, 2, 3, 2), (5, 1, 4, 3)])
 def test_pencil_matches_uncapped_walk_high_rate(monkeypatch, p, e, n, k):
-    # boundary HighRateDecoder instances: wb_decode of the residual at rank n-k
+    # boundary HighRateDecoder instances: wb_decode of the residual at rank
+    # n-k, over q = 2, 3, 4, 5 and 9
     st = get_setup(p, e, n)
     dec = HighRateDecoder(st, k)
     rng = RngStream(59)
@@ -352,8 +373,8 @@ def test_walked_members_never_repeat_a_candidate(monkeypatch, p, n, k):
     divided = []
     try_localiser = gabidulin._try_localiser
 
-    def recording(vec, received, k):
-        cand = try_localiser(vec, received, k)
+    def recording(vec, received, k, keep=None):
+        cand = try_localiser(vec, received, k, keep)
         if cand is not None:
             divided.append(cand.coeffs)
         return cand
@@ -370,9 +391,10 @@ def test_walked_members_never_repeat_a_candidate(monkeypatch, p, n, k):
 
 
 def test_table_free_field_still_walks():
-    # the same tower without exp/log tables runs the same pencil: wb_decode
-    # past (n-k)//2 on Gab_1 over F_16, and boundary HighRateDecoder decodes
-    # at (2, 10, 7), give the tabled field's reports
+    # the same tower without exp/log tables runs the same pencil and the
+    # same outer-pair test: wb_decode past (n-k)//2 on Gab_1 over F_16, and
+    # boundary HighRateDecoder decodes at (2, 10, 7) and (3, 6, 4), give the
+    # tabled field's reports
     tabled = get_field(2, 1, 4)
     raw = ExtField(tabled.base, 4, use_tables=False)
     assert raw.modulus == tabled.modulus
@@ -386,21 +408,23 @@ def test_table_free_field_still_walks():
         assert walk.status == rep.status
         assert [c.coeffs for c in walk.candidates] == [c.coeffs for c in rep.candidates]
 
-    st = get_setup(2, 1, 10)
-    raw_st = SymSetup(ExtField(st.field.base, 10, use_tables=False))
-    assert raw_st.field.modulus == st.field.modulus
-    assert (raw_st.u, raw_st.basis) == (st.u, st.basis)
-    dec, raw_dec = HighRateDecoder(st, 7), HighRateDecoder(raw_st, 7)
-    rng = RngStream(69)
-    for _ in range(6):
-        y = (random_codeword(dec.code, rng)
-             + random_selfadjoint_qpoly(dec.radius, st, rng))
-        rep = dec.decode(y)
-        walk = raw_dec.decode(QPoly(raw_st.field, y.coeffs))
-        assert rep.status in ("ok", "ambiguous")
-        assert walk.status == rep.status
-        assert walk.diagnostics == rep.diagnostics
-        assert [c.coeffs for c in walk.candidates] == [c.coeffs for c in rep.candidates]
+    for p, n, k in [(2, 10, 7), (3, 6, 4)]:
+        st = get_setup(p, 1, n)
+        raw_st = SymSetup(ExtField(st.field.base, n, use_tables=False))
+        assert raw_st.field.modulus == st.field.modulus
+        assert (raw_st.u, raw_st.basis) == (st.u, st.basis)
+        dec, raw_dec = HighRateDecoder(st, k), HighRateDecoder(raw_st, k)
+        rng = RngStream(69)
+        for _ in range(6):
+            y = (random_codeword(dec.code, rng)
+                 + random_selfadjoint_qpoly(dec.radius, st, rng))
+            rep = dec.decode(y)
+            walk = raw_dec.decode(QPoly(raw_st.field, y.coeffs))
+            assert rep.status in ("ok", "ambiguous")
+            assert walk.status == rep.status
+            assert walk.diagnostics == rep.diagnostics
+            assert ([c.coeffs for c in walk.candidates]
+                    == [c.coeffs for c in rep.candidates])
 
 
 def _check_ok_ranks(rep, ranks):

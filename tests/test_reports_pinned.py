@@ -53,6 +53,12 @@ PINNED_HIGH = {
         "f229bde8fed636bd9be48d2e5e18f549162240eebfa54cde9274728511adf3aa",
     (2, 10, 7):
         "45850669286257ac4feaac3a882247f44b5ba9428899f2bfecbf267889015b57",
+    (3, 6, 4):
+        "0e67b817372bc472064888d02deb7e6ad57b1c2eb4e157ac2f6f9c13a6ab238a",
+    (3, 4, 3):
+        "2db86ade18fd2c5d1bbf37b870e31b69c212b6461f3d4650ba1dc7d3b75de6c0",
+    (5, 4, 3):
+        "30c0b8392afdf8018e3ace354740bca440783129cf45fb441a4fb8e132402399",
 }
 
 

@@ -2,7 +2,7 @@
 low-rate (any rank) decoder and the high-rate (adjoint reduction) decoder."""
 
 import itertools
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -16,16 +16,18 @@ from symrank import (
     Matrix,
     MatrixCode,
     QPoly,
+    gabidulin,
     make_field,
     matrix_code_of,
     matrix_of,
+    matrix_to_qpoly,
     phi_qpoly,
     qpoly_rank,
     unfold,
     wb_decode,
 )
-from helpers import (get_field, get_setup, phi_matrix, rand_elt, rand_qpoly, ref_rank,
-                     ref_solve)
+from helpers import (get_field, get_setup, high_rate_reference, phi_matrix, rand_elt,
+                     rand_qpoly, ref_rank, ref_solve)
 from symrank.channel import (RngStream, random_codeword, random_matrix, random_matrix_code,
                              random_selfadjoint_qpoly, random_symmetric_matrix)
 
@@ -437,6 +439,101 @@ def test_high_rate_filter_reads_candidate_alone(p, n, k):
             assert (y - (pre + c)).is_self_adjoint(st.u) == want
             seen.add(want)
     assert seen == {True, False}
+
+
+def _high_rate_words(dec, rng, count: int):
+    """``count`` (kind, word) pairs for ``dec``, the kinds in turn: a
+    codeword plus a self-adjoint error of rank n-k ('boundary'), of a
+    random rank below n-k ('below'), and a uniformly random word
+    ('random')."""
+    st = dec.setup
+    for trial in range(count):
+        kind = ("boundary", "below", "random")[trial % 3]
+        if kind == "random":
+            yield kind, rand_qpoly(st.field, rng)
+            continue
+        rank = dec.radius if kind == "boundary" else rng.randbelow(dec.radius)
+        yield kind, (random_codeword(dec.code, rng)
+                     + random_selfadjoint_qpoly(rank, st, rng))
+
+
+@pytest.mark.parametrize("p,e,n,k", [
+    (2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 6), (3, 1, 6, 4), (2, 1, 5, 3),
+    (3, 1, 4, 3), (5, 1, 4, 3), (2, 2, 4, 3)])
+def test_high_rate_matches_unfiltered_composition(p, e, n, k):
+    # the outer pair tested before the division leaves the whole report as
+    # it was: candidates, statuses, wb_status, walked and error_rank
+    dec = HighRateDecoder(get_setup(p, e, n), k)
+    for kind, y in _high_rate_words(dec, RngStream(89), 18):
+        rep = dec.decode(y)
+        assert rep.to_json() == high_rate_reference(dec, y).to_json()
+        # a boundary word has nothing within n-k-1, so it always walks
+        assert rep.diagnostics["walked"] or kind != "boundary"
+
+
+@pytest.mark.parametrize("members", [1, 2])
+def test_high_rate_short_walk_matches_unfiltered_composition(monkeypatch, members):
+    # a walk of one member reports wb_status 'ok' and error_rank n-k even
+    # when the pair test drops that member, and a walk of two reports
+    # 'ambiguous' and no rank; the pencil is cut to its first members so
+    # that both arise on random words
+    pencil_points = gabidulin._pencil_points
+    monkeypatch.setattr(gabidulin, "_pencil_points", lambda fld, kern, tp:
+                        itertools.islice(pencil_points(fld, kern, tp), members))
+    st = get_setup(2, 1, 6)
+    dec = HighRateDecoder(st, 4)
+    rng = RngStream(101)
+    seen = Counter()
+    for _ in range(30):
+        y = rand_qpoly(st.field, rng)
+        rep = dec.decode(y)
+        assert rep.to_json() == high_rate_reference(dec, y).to_json()
+        seen[rep.diagnostics["walked"], rep.status] += 1
+    assert seen[members, "fail"] and seen[members, "ok"]
+
+
+def _outside(poly: QPoly, k: int) -> tuple:
+    """The coefficients of ``poly`` outside the support 1..k of Gab_k o X^q."""
+    return tuple(c for i, c in enumerate(poly.coeffs) if not 1 <= i <= k)
+
+
+def _selfadjoint_buckets(st, k: int, rank: int) -> dict:
+    """Every self-adjoint q-polynomial of rank <= ``rank``, the image under
+    ``matrix_to_qpoly`` of every symmetric matrix of that rank, bucketed by
+    its coefficients outside 1..k."""
+    base, n = st.field.base, st.field.n
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    buckets = defaultdict(list)
+    for values in itertools.product(range(base.order), repeat=len(cells)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(cells, values):
+            rows[i][j] = rows[j][i] = v
+        mat = Matrix(base, rows)
+        if mat.rank() <= rank:
+            err = matrix_to_qpoly(mat, st)
+            buckets[_outside(err, k)].append(err)
+    return buckets
+
+
+@pytest.mark.parametrize("p,n,k,errors", [(2, 5, 3, 652), (3, 4, 3, 81)])
+def test_high_rate_candidate_sets_match_error_buckets(p, n, k, errors):
+    # an oracle independent of the key equation: a codeword of Gab_k o X^q
+    # is zero outside 1..k, so Y = C + E forces E to agree with Y there, and
+    # the valid decompositions of Y are Y - E over the bucket of Y's own
+    # coefficients outside 1..k; random words fail exactly on an empty bucket
+    st = get_setup(p, 1, n)
+    dec = HighRateDecoder(st, k)
+    buckets = _selfadjoint_buckets(st, k, dec.radius)
+    assert sum(map(len, buckets.values())) == errors
+    seen = Counter()
+    for kind, y in _high_rate_words(dec, RngStream(97), 90):
+        want = {(y - err).coeffs for err in buckets.get(_outside(y, k), ())}
+        rep = dec.decode(y)
+        assert {c.coeffs for c in rep.candidates} == want
+        assert rep.status == ("fail" if not want else
+                              "ok" if len(want) == 1 else "ambiguous")
+        seen[kind, rep.status] += 1
+    assert seen["boundary", "ambiguous"] and seen["random", "fail"]
 
 
 @pytest.mark.parametrize("n,k", [(10, 7), (12, 8)])
