@@ -188,7 +188,7 @@ def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
     l_t = 0, t = len(vec) - 1, has fewer than q^t roots, so it is no pencil
     member; with ``keep`` it is dropped rather than divided by zero."""
     fld = received.field
-    loc = QPoly(fld, vec)
+    loc = QPoly._of(fld, tuple(vec) + (fld.zero,) * (fld.n - len(vec)))
     num = loc.compose(received)
     if keep is not None:
         t = len(vec) - 1
@@ -199,7 +199,7 @@ def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
         if not keep(low, high):
             return None
     quot, rem = num.left_divide(loc)
-    if rem.is_zero() and quot.q_degree < k:
+    if rem.is_zero() and not any(quot.coeffs[k:]):
         return quot
     return None
 

@@ -31,10 +31,23 @@ and stops at the first mismatch, without building the adjoint.
 
 from __future__ import annotations
 
+from operator import xor
+
 from .gf import ExtField, ext_from_json, ext_to_json
 from .linalg import Matrix, xor_rank
 
 NEG_INF = float("-inf")
+
+
+def _add_of(field: ExtField):
+    """``field.add`` as a callable for inner loops: the builtin xor in
+    characteristic 2, where add and sub are both xor, else the method."""
+    return xor if field._char2 else field.add
+
+
+def _sub_of(field: ExtField):
+    """``field.sub`` as a callable for inner loops (see ``_add_of``)."""
+    return xor if field._char2 else field.sub
 
 
 class QPoly:
@@ -92,7 +105,7 @@ class QPoly:
         return f"QPoly({list(self.coeffs)})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def q_degree(self):
@@ -105,16 +118,14 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         if other.field is not self.field:
             raise ValueError("q-polynomials over different fields")
-        add = self.field.add
-        return QPoly._of(self.field,
-                         [add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return QPoly._of(self.field, map(_add_of(self.field), self.coeffs,
+                                         other.coeffs))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         if other.field is not self.field:
             raise ValueError("q-polynomials over different fields")
-        sub = self.field.sub
-        return QPoly._of(self.field,
-                         [sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return QPoly._of(self.field, map(_sub_of(self.field), self.coeffs,
+                                         other.coeffs))
 
     def evaluate(self, x: int) -> int:
         fld = self.field
@@ -140,7 +151,7 @@ class QPoly:
         """Ring product: (P o Q)(x) = P(Q(x)), exponents folded mod n."""
         fld = self.field
         n = fld.n
-        add, exp, log = fld.add, fld._exp, fld._log
+        add, exp, log = _add_of(fld), fld._exp, fld._log
         out = [fld.zero] * n
         if exp is None:
             mul, frob = fld.mul, fld.frobenius
@@ -180,7 +191,7 @@ class QPoly:
         dl = divisor.q_degree
         if dl is NEG_INF:
             raise ZeroDivisionError("left division by the zero q-polynomial")
-        sub, exp, log = fld.sub, fld._exp, fld._log
+        sub, exp, log = _sub_of(fld), fld._exp, fld._log
         rem = list(self.coeffs)
         quo = [fld.zero] * n
         # quotient coefficient c at i needs lead * c^(q^dl) = rem[i + dl], so
@@ -207,9 +218,10 @@ class QPoly:
         low = [(j, log[lj], frob_exp[j])
                for j, lj in enumerate(divisor.coeffs[:dl]) if lj]
         for da in range(n - 1, dl - 1, -1):
-            if rem[da]:
+            r = rem[da]
+            if r:
                 i = da - dl
-                lc = (log[rem[da]] - lead_log) % units * back % units
+                lc = (log[r] - lead_log) * back % units
                 quo[i] = exp[lc]
                 rem[da] = fld.zero
                 for j, lj, fe in low:
