@@ -101,7 +101,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .gf import ExtField
 from .linalg import Matrix
-from .qpoly import QPoly, qpoly_rank
+from .qpoly import QPoly, _basis_images, qpoly_rank
 
 
 class GabCode:
@@ -222,13 +222,13 @@ def _tabulate(fld: ExtField, vec) -> list[int]:
     each block of q^j values is one ``add_each`` over the table of the
     elements below q^j.  That table covers all of F below q^(n-1); at the
     top only the d = 1 block is built.  The scalar multiple is a field
-    ``mul``: at e > 1 the packed d is not d repeated additions."""
-    loc = QPoly(fld, vec)
+    ``mul``: at e > 1 the packed d is not d repeated additions.  The packed
+    q^j is x^j, so the columns L(q^j) are the basis images of
+    ``qpoly._basis_images``, read from the field's table of Frobenius logs."""
     add_each, mul, q, n = fld.add_each, fld.mul, fld.q, fld.n
     table = [0]     # L at every element below q^j
     lines = []
-    for j in range(n):
-        col = loc.evaluate(q**j)
+    for j, col in enumerate(_basis_images(QPoly(fld, vec))):
         lead = add_each(table, col)
         lines += lead
         if j < n - 1:

@@ -546,6 +546,12 @@ class ExtField(_Field):
         self.n = n
         self.q = base.q
         self._frob_exp = [pow(self.q, i, self.order - 1) for i in range(n)]
+        # row j holds log((x^j)^(q^i)) for i < n, the logs that the images
+        # of the polynomial basis under a q-polynomial are read from
+        # (``qpoly._basis_images``)
+        self._basis_frob_logs = None if self._exp is None else [
+            [self._log[self.q**j] * fe % (self.order - 1) for fe in self._frob_exp]
+            for j in range(n)]
 
     def __repr__(self):
         return f"ExtField(q={self.q}, n={self.n})"

@@ -15,6 +15,26 @@ is one table index, with the logs of the fixed operand taken once per call.
 ``evaluate`` is the same sum with c = x, one lookup per term.  Fields
 without tables run the same loops on ``mul`` and ``frobenius``.
 
+A boundary decode composes one received word Y with every walked localiser,
+so on a field with tables a right operand of ``compose`` keeps the rows it
+is composed through: row i lists (i + j mod n, log y_j * q^i mod (q^n - 1))
+over the nonzero y_j, built the first time a left operand with p_i != 0
+needs it, after which each product is exp[log p_i + entry].  The rows are
+built only from an operand's second composition on.  Building them costs
+1.2-1.3 times a plain composition, which a word composed once (a standard
+or below-boundary decode) would pay for nothing; reading them costs about
+half of one.  In process, one Xeon vCPU, Python 3.11, a localiser of
+q-degree t composed with a full Y: plain 5.9, 8.7, 7.1 and 14.1 us, rows
+read 2.6, 4.2, 4.5 and 6.6 us at (q, n, t) = (2, 8, 2), (2, 10, 3), (3, 6, 2)
+and (2, 16, 4).  The coefficient tuple never changes, so the rows cannot go
+stale, and two builds of a row are equal, so threads that share an operand
+can only repeat work; the rows take no part in equality, hashing or JSON.
+
+The images P(x^j), j < n, of the polynomial basis (``_basis_images``, for
+the rank and the localiser pencil) take log((x^j)^(q^i)) from a table the
+field builds once beside its tables, n^2 ints, so an image costs one lookup
+per nonzero coefficient and no product of logs.
+
 The adjoint with respect to the twisted trace form <a,b> = Tr(u a b) is the
 closed formula
 
@@ -53,7 +73,7 @@ def _sub_of(field: ExtField):
 class QPoly:
     """A q-polynomial in canonical form: exactly n coefficients."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_rows")
 
     def __init__(self, field: ExtField, coeffs=()):
         n = field.n
@@ -66,6 +86,7 @@ class QPoly:
                 folded[j] = field.add(folded[j], c) if folded[j] else c
         self.field = field
         self.coeffs = tuple(folded)
+        self._rows = None
 
     @classmethod
     def _of(cls, field: ExtField, coeffs) -> "QPoly":
@@ -74,6 +95,7 @@ class QPoly:
         poly = cls.__new__(cls)
         poly.field = field
         poly.coeffs = tuple(coeffs)
+        poly._rows = None
         return poly
 
     @classmethod
@@ -148,7 +170,9 @@ class QPoly:
         return acc
 
     def compose(self, other: "QPoly") -> "QPoly":
-        """Ring product: (P o Q)(x) = P(Q(x)), exponents folded mod n."""
+        """Ring product: (P o Q)(x) = P(Q(x)), exponents folded mod n.  On a
+        field with tables, Q keeps the rows of its products from its second
+        composition as the right operand on (module docstring)."""
         fld = self.field
         n = fld.n
         add, exp, log = _add_of(fld), fld._exp, fld._log
@@ -166,16 +190,38 @@ class QPoly:
             return QPoly._of(fld, out)
         units = fld.order - 1
         frob_exp = fld._frob_exp
-        q_logs = [(j, log[q]) for j, q in enumerate(other.coeffs) if q]
+        rows = other._rows
+        if rows is None:
+            # first use as a right operand: the plain loop, and room for the
+            # rows that later uses build
+            other._rows = [None] * n
+            q_logs = [(j, log[q]) for j, q in enumerate(other.coeffs) if q]
+            for i, p in enumerate(self.coeffs):
+                if p:
+                    lp, fe = log[p], frob_exp[i]
+                    for j, lq in q_logs:
+                        k = i + j
+                        if k >= n:
+                            k -= n
+                        acc, term = out[k], exp[lp + lq * fe % units]
+                        out[k] = add(acc, term) if acc else term
+            return QPoly._of(fld, out)
+        char2 = fld._char2
         for i, p in enumerate(self.coeffs):
             if p:
-                lp, fe = log[p], frob_exp[i]
-                for j, lq in q_logs:
-                    k = i + j
-                    if k >= n:
-                        k -= n
-                    acc, term = out[k], exp[lp + lq * fe % units]
-                    out[k] = add(acc, term) if acc else term
+                row = rows[i]
+                if row is None:
+                    fe = frob_exp[i]
+                    row = rows[i] = [(k - n if k >= n else k, log[q] * fe % units)
+                                     for k, q in enumerate(other.coeffs, i) if q]
+                lp = log[p]
+                if char2:
+                    for k, lr in row:
+                        out[k] ^= exp[lp + lr]
+                else:
+                    for k, lr in row:
+                        acc, term = out[k], exp[lp + lr]
+                        out[k] = add(acc, term) if acc else term
         return QPoly._of(fld, out)
 
     def compose_monomial(self, s: int) -> "QPoly":
@@ -280,15 +326,36 @@ class QPoly:
         return cls(field, [ext_from_json(field, c) for c in data])
 
 
+def _basis_images(poly: QPoly) -> list[int]:
+    """The images P(x^j), j < n, of the polynomial basis 1, x, ...,
+    x^(n-1).  With tables each term is exp[log p_i + log((x^j)^(q^i))], the
+    second log read from the field's ``_basis_frob_logs``; without, one
+    ``evaluate`` per image."""
+    fld = poly.field
+    exp = fld._exp
+    if exp is None:
+        return [poly.evaluate(fld.q**j) for j in range(fld.n)]
+    add, log = _add_of(fld), fld._log
+    p_logs = [(i, log[p]) for i, p in enumerate(poly.coeffs) if p]
+    images = []
+    for row in fld._basis_frob_logs:
+        acc = 0
+        for i, lp in p_logs:
+            term = exp[lp + row[i]]
+            acc = add(acc, term) if acc else term
+        images.append(acc)
+    return images
+
+
 def qpoly_rank(poly: QPoly) -> int:
     """Rank of the induced endomorphism of F_{q^n}: the F_q rank of the
-    images P(x^j), j < n, the columns of its matrix in the polynomial basis
-    1, x, ..., x^(n-1).
+    images P(x^j), j < n (``_basis_images``), the columns of its matrix in
+    the polynomial basis 1, x, ..., x^(n-1).
     Over F_2 a packed element already is its coordinate row, so the images
     go to the xor basis as ints."""
     fld = poly.field
     q = fld.q
-    images = [poly.evaluate(q**j) for j in range(fld.n)]
+    images = _basis_images(poly)
     if q == 2:
         return xor_rank(images)
     return Matrix(fld.base, [fld.coeffs(v) for v in images]).rank()

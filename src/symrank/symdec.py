@@ -29,14 +29,24 @@ theta + theta^(q^(n/2)) = 1 when n is even, and every other c_j = 0.  No
 linear system is solved, and every word has a preimage.  The residual
 Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k.  Since
 Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
-candidate S' is self-adjoint exactly when S' is; candidates are filtered
-on that, which reads only the reduced support n-k..k and stops at the first
-coefficient pair that breaks it.  The outermost pair,
-c_k = c_(n-k)^(q^k) u^(q^k - 1), is tested first, inside the walk: its two
-coefficients are read off L o Y before a walked member is divided
+candidate S' is self-adjoint exactly when S' is.  Only the outermost pair
+of that test, c_k = c_(n-k)^(q^k) u^(q^k - 1), is checked, inside the walk:
+its two coefficients are read off L o Y before a walked member is divided
 (``wb_decode``'s ``keep``), and at the boundary about four members in five
-fail it and are never divided.  ``is_self_adjoint`` then reads the inner
-pairs of the rest.  The survivors get their status from
+fail it and are never divided.  No other pair needs a test.  Let R = Y - C'
+(self-adjoint) and c a candidate of the reduced code, within n-k of R, so
+E' = R - c has rank at most n-k.  Then c - c^adj = E'^adj - E' has rank at
+most 2(n-k).  The adjoint sends degree j to n-j, so c - c^adj lies in the
+reduced code, of dimension 2k-n+1 and minimum rank distance 2(n-k):
+
+  * a candidate found at the unique radius n-k-1 has rank E' <= n-k-1, so
+    c - c^adj has rank at most 2(n-k) - 2 and is 0;
+  * a walked candidate that passes the outer pair has c - c^adj zero at
+    degrees n-k and k, so it lies in the shifted Gabidulin code on degrees
+    n-k+1..k-1, of minimum rank distance 2(n-k) + 2, and is 0.
+
+Every candidate that reaches the decoder is therefore self-adjoint, and
+each gives a survivor.  The survivors get their status from
 ``DecodeReport.of``, the same rule as ``wb_decode``.  ``wb_status`` and
 ``error_rank`` still describe the walk without the test: every walked
 member divides cleanly into a candidate of its own (the lemma in
@@ -231,9 +241,9 @@ class HighRateDecoder:
         pre = self._preimage(received)
         rep = wb_decode(self.reduced, received - pre, self.radius,
                         keep=self._outer_pair)
-        # received - pre is self-adjoint, so received - (pre + c) is too
-        # exactly when c is
-        survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
+        # every candidate that reaches here is self-adjoint (module
+        # docstring), so its error received - (pre + c) is too
+        survivors = [pre + c for c in rep.candidates]
         diagnostics = dict(rep.diagnostics, wb_status=rep.status,
                            survivors=len(survivors))
         walked = rep.diagnostics["walked"]

@@ -11,7 +11,8 @@ import pytest
 
 from symrank import (ExtField, GabCode, HighRateDecoder, Matrix, QPoly, SymSetup,
                      gabidulin, qpoly, qpoly_rank, random_error, symdec, wb_decode)
-from helpers import get_field, get_setup, projective_points, rand_elt
+from helpers import (endo_matrix, get_field, get_setup, projective_points, rand_elt,
+                     rand_qpoly, ref_rank)
 from symrank.channel import RngStream, random_codeword, random_selfadjoint_qpoly
 
 
@@ -153,6 +154,48 @@ def test_wb_exhaustive_agreement_with_nearest_codeword():
         else:
             assert rep.status == "ambiguous"
             assert set(rep.candidates) == set(nearest)
+
+
+def test_wb_walked_candidate_sets_match_error_buckets():
+    # an oracle independent of the key equation and of ``qpoly_rank`` for
+    # the standard walked stage at (2,4,1), t = 2.  Every map of rank <= 2
+    # is a sum of at most two maps a Tr(b x); each is ranked by elimination
+    # on its matrix, and their count is that of the 4 x 4 binary matrices
+    # of rank <= 2.  A codeword of Gab_1 is zero outside degree 0, so the
+    # codewords within 2 of Y are Y - E over the errors E that agree with
+    # Y there
+    f = get_field(2, 1, 4)
+    n, k, t, q = 4, 1, 2, 2
+    units = range(1, f.order)
+    rank1 = {tuple(f.mul(a, f.frobenius(b, i)) for i in range(n))
+             for a in units for b in units}
+    errors = ({(0,) * n} | rank1
+              | {tuple(map(f.add, r, s)) for r, s in itertools.combinations(rank1, 2)})
+    want_count = 0
+    for r in range(t + 1):
+        num = den = 1
+        for i in range(r):
+            num *= (q**n - q**i) ** 2
+            den *= q**r - q**i
+        want_count += num // den
+    assert len(errors) == want_count == 7576
+    buckets = {}
+    for err in errors:
+        assert ref_rank(endo_matrix(QPoly(f, err))) <= t
+        buckets.setdefault(err[k:], []).append(err)
+    code = GabCode(f, k)
+    rng = RngStream(53)
+    seen = Counter()
+    for _ in range(300):
+        y = rand_qpoly(f, rng)
+        want = {tuple(f.sub(a, b) for a, b in zip(y.coeffs[:k], err[:k]))
+                + (0,) * (n - k) for err in buckets.get(y.coeffs[k:], ())}
+        rep = wb_decode(code, y, t)
+        assert {c.coeffs for c in rep.candidates} == want
+        assert rep.status == ("fail" if not want else
+                              "ok" if len(want) == 1 else "ambiguous")
+        seen[rep.status, bool(rep.diagnostics["walked"])] += 1
+    assert seen["ambiguous", True] and seen["ok", True] and seen["fail", False]
 
 
 def test_wb_fail_status():

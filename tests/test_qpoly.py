@@ -17,6 +17,7 @@ from symrank import (
 from helpers import (endo_matrix, get_field, get_setup, rand_elt, rand_nonzero_qpoly, rand_qpoly,
                      rand_unit)
 from symrank.channel import RngStream, random_matrix, random_selfadjoint_qpoly
+from symrank.qpoly import _basis_images
 
 
 def test_constructor_folds_high_indices():
@@ -159,6 +160,20 @@ def test_compose_left_divide_tables_vs_raw(p, e, n):
         assert rem.q_degree < div.q_degree == dl
         if kind == 2:
             assert rem.is_zero() and quot == c
+    # a right operand reads its cached rows from its second composition on:
+    # two right operands interleaved, with zero coefficients (one all zero),
+    # each composed with left operands of every q-degree 0..n-1
+    for trial in range(10):
+        rights = [QPoly(tabled, [rand_elt(tabled, rng) if rng.randbelow(2) else 0
+                                 for _ in range(n)]) for _ in range(2)]
+        if trial == 0:
+            rights[1] = QPoly.zero(tabled)
+        for d in range(n):
+            for right in rights:
+                left = _rand_of_degree(tabled, d, rng)
+                assert (left.compose(right).coeffs
+                        == on_raw(left).compose(on_raw(right)).coeffs)
+        assert rights[0]._rows[n - 1] is not None
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 6), (3, 1, 4), (3, 1, 6), (2, 2, 3)])
@@ -195,6 +210,8 @@ def test_evaluate_adjoint_rank_tables_vs_raw(p, e, n):
                 == qpoly_rank(on_raw(poly))
             for x in (0, rand_elt(tabled, rng), rand_unit(tabled, rng)):
                 assert poly.evaluate(x) == on_raw(poly).evaluate(x)
+            images = [on_raw(poly).evaluate(tabled.q**j) for j in range(n)]
+            assert _basis_images(poly) == images == _basis_images(on_raw(poly))
             for u in twists:
                 adj = poly.adjoint(u)
                 assert adj.coeffs == on_raw(poly).adjoint(u).coeffs

@@ -418,12 +418,16 @@ def test_high_rate_rejects_word_over_another_field():
                 dec.decode(rand_qpoly(other, rng))
 
 
-@pytest.mark.parametrize("p,n,k", [(2, 6, 4), (3, 5, 3), (2, 8, 6)])
-def test_high_rate_filter_reads_candidate_alone(p, n, k):
+@pytest.mark.parametrize("p,e,n,k", [(2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 6),
+                                     (2, 2, 4, 3), (3, 2, 4, 3)],
+                         ids=["2-6-4", "3-5-3", "2-8-6", "4-4-3", "9-4-3"])
+def test_high_rate_filter_reads_candidate_alone(p, e, n, k):
     # Phi(C') = Phi(Y) makes Y - C' self-adjoint, so the implied error
     # Y - (C' + c) is self-adjoint exactly when the reduced candidate c is;
-    # boundary words and random words, both outcomes seen
-    st = get_setup(p, 1, n)
+    # boundary words and random words, both outcomes seen.  A candidate
+    # that passes the outer pair is always self-adjoint (the proof in the
+    # ``symdec`` docstring), which is why the decoder tests no other pair
+    st = get_setup(p, e, n)
     dec = HighRateDecoder(st, k)
     rng = RngStream(37)
     seen = set()
@@ -437,6 +441,8 @@ def test_high_rate_filter_reads_candidate_alone(p, n, k):
         for c in wb_decode(dec.reduced, y - pre, dec.radius).candidates:
             want = c.is_self_adjoint(st.u)
             assert (y - (pre + c)).is_self_adjoint(st.u) == want
+            if dec._outer_pair(c.coeffs[n - k], c.coeffs[k]):
+                assert want
             seen.add(want)
     assert seen == {True, False}
 
