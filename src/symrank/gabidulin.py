@@ -184,16 +184,14 @@ def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
 
     With ``keep``, the quotient's outer coefficients Q_0 and Q_(k-1) are
     read off N = L o Y first, and L is not divided when ``keep(Q_0,
-    Q_(k-1))`` is false (module docstring).  A localiser with l_0 = 0 or
-    l_t = 0, t = len(vec) - 1, has fewer than q^t roots, so it is no pencil
-    member; with ``keep`` it is dropped rather than divided by zero."""
+    Q_(k-1))`` is false (module docstring).  ``keep`` comes only with
+    walked members, which have q^t distinct roots, t = len(vec) - 1, so
+    l_0 and l_t are nonzero."""
     fld = received.field
     loc = QPoly._of(fld, tuple(vec) + (fld.zero,) * (fld.n - len(vec)))
     num = loc.compose(received)
     if keep is not None:
         t = len(vec) - 1
-        if not (vec[0] and vec[t]):
-            return None
         low = fld.div(num.coeffs[0], vec[0])
         high = fld.frobenius(fld.div(num.coeffs[k - 1 + t], vec[t]), fld.n - t)
         if not keep(low, high):

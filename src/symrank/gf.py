@@ -13,7 +13,7 @@ embed into F_{q^n} unchanged, 0 and 1 are the identities at every level, and
 element equality is plain integer equality.  At either level the base-p
 digits of a packed element are its coordinates over F_p.
 
-Multiplication, division, inversion, powers and the Frobenius x -> x^q run on
+Multiplication, division, inversion and the Frobenius x -> x^q run on
 discrete-log tables over a fixed generator whenever the field order fits in
 ``ExtField.TABLE_LIMIT``; larger fields fall back to direct polynomial
 arithmetic modulo the defining polynomial.  Over the coefficient field
@@ -449,10 +449,8 @@ class _Field:
             if m < 0:
                 raise ZeroDivisionError(f"negative power of zero in {self!r}")
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * m) % (self.order - 1)]
         # a^(order - 1) = 1, so any m, negative too, reduces mod order - 1
-        return _pow(self._mul_raw, a, m % (self.order - 1))
+        return _pow(self.mul, a, m % (self.order - 1))
 
     def is_square(self, a: int) -> bool:
         """Quadratic residue test; trivially true in characteristic 2."""

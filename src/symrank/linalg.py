@@ -16,7 +16,8 @@ factor, so over F_2 it runs on the packed rows too.
 ``LinearSolver`` factors a matrix once and answers many solve calls with
 one matrix-vector product each; the low-rate symmetric-error decoder takes
 its left inverse from one solver, once, at construction, and makes no solve
-per word.  ``Matrix.solve`` is one such solver plus the kernel.
+per word.  ``Matrix.solve`` is one such solver, which reads the kernel off
+the same reduction.
 ``congruence_diagonalize`` computes T with T^t G T diagonal for a symmetric
 Gram matrix G, in any characteristic.
 """
@@ -239,8 +240,9 @@ class Matrix:
     def solve(self, b):
         """Solve A x = b.  Returns (particular, kernel_basis) or None when
         inconsistent; a unique solution shows up as an empty kernel basis."""
-        x = LinearSolver(self).solve(b)
-        return None if x is None else (x, self.kernel())
+        solver = LinearSolver(self)
+        x = solver.solve(b)
+        return None if x is None else (x, solver._kernel)
 
     def to_json(self) -> list[list]:
         return [list(row) for row in self.data]
@@ -256,7 +258,8 @@ class LinearSolver:
     over F_2 that product runs on its packed rows.  When A has full row
     rank, its solves on the unit vectors are the columns of a right
     inverse, which is how the low-rate symmetric-error decoder gets its
-    left inverse.
+    left inverse.  The same reduction gives the null basis of A that
+    ``Matrix.solve`` returns.
     """
 
     def __init__(self, matrix: Matrix):
@@ -272,6 +275,8 @@ class LinearSolver:
         self.rank = len(pivots)
         # the row operations applied to I, so rref(A) = E A
         self._e = Matrix(f, [row[n:] for row in aug])
+        # the first n columns are rref(A), so they give its null space too
+        self._kernel = _null_basis(f, aug, pivots, n)
 
     def solve(self, b):
         """Particular solution of A x = b, or None when inconsistent."""

@@ -8,12 +8,17 @@ stores (a tuple of exactly n packed coefficients).
 
 Composition folds exponents i+j mod n directly.  Division is one-sided:
 ``left_divide(A, L)`` finds Q, R with A = L o Q + R and deg_q R < deg_q L,
-which is the only direction the decoders need.  Both are the inner loop of
-the decoders' localiser walk; when the field has exp/log tables they work in
-the log domain, where p * c^(q^i) = exp[log p + log c * q^i mod (q^n - 1)]
-is one table index, with the logs of the fixed operand taken once per call.
-``evaluate`` is the same sum with c = x, one lookup per term.  Fields
-without tables run the same loops on ``mul`` and ``frobenius``.
+which is the only direction the decoders need.
+
+A job keeps a log-domain path beside its ``mul``/``frobenius`` loop only
+because a decode runs it: ``compose`` and ``left_divide`` (every localiser
+tried), ``adjoint`` (the high-rate preimage and final verification) and
+``_basis_images`` (the localiser pencil and the rank).  When the field has
+exp/log tables they use p * c^(q^i) = exp[log p + log c * q^i mod (q^n - 1)],
+one table index, with the logs of the fixed operand taken once per call.
+Fields without tables run the same jobs on ``mul`` and ``frobenius``, and so
+does ``evaluate`` on every field: with tables, only ``matrix_of`` (sym-low
+set-up and the CLI's sym-low picture) and tests evaluate at a single point.
 
 A boundary decode composes one received word Y with every walked localiser,
 so on a field with tables a right operand of ``compose`` keeps the rows it
@@ -45,8 +50,8 @@ In the log domain each coefficient is one lookup, with no inverse of u:
 
     p^(q^j) * u^(q^j - 1) = exp[((log p + log u) q^j - log u) mod (q^n - 1)]
 
-``is_self_adjoint`` compares each pair (c_j, c_(n-j)) through that lookup
-and stops at the first mismatch, without building the adjoint.
+``is_self_adjoint`` builds the adjoint and compares; the high-rate decoder
+calls it once per answer, in its final verification.
 """
 
 from __future__ import annotations
@@ -150,23 +155,13 @@ class QPoly:
                                          other.coeffs))
 
     def evaluate(self, x: int) -> int:
+        """P(x) = sum p_i x^(q^i), on ``mul`` and ``frobenius`` on every
+        field (module docstring)."""
         fld = self.field
-        exp = fld._exp
-        if exp is None:
-            acc = fld.zero
-            for i, p in enumerate(self.coeffs):
-                if p:
-                    acc = fld.add(acc, fld.mul(p, fld.frobenius(x, i)))
-            return acc
-        if not x:
-            return fld.zero
-        add, log, units = fld.add, fld._log, fld.order - 1
-        lx = log[x]
         acc = fld.zero
-        for p, fe in zip(self.coeffs, fld._frob_exp):
+        for i, p in enumerate(self.coeffs):
             if p:
-                term = exp[log[p] + lx * fe % units]
-                acc = add(acc, term) if acc else term
+                acc = fld.add(acc, fld.mul(p, fld.frobenius(x, i)))
         return acc
 
     def compose(self, other: "QPoly") -> "QPoly":
@@ -299,24 +294,8 @@ class QPoly:
         return QPoly._of(fld, out)
 
     def is_self_adjoint(self, u: int) -> bool:
-        """P == P.adjoint(u), compared coefficient pair by coefficient pair
-        with an early exit when the field has tables."""
-        fld = self.field
-        exp = fld._exp
-        if exp is None or u == 0:
-            return self == self.adjoint(u)
-        n, c = fld.n, self.coeffs
-        log, units, frob_exp = fld._log, fld.order - 1, fld._frob_exp
-        lu = log[u]
-        # the coefficient map c_i -> c_(n-i) of the adjoint is an involution
-        # pair by pair, so the pairs (i, n-i) with i <= n/2 decide it, and
-        # i = 0 always matches
-        for i in range(1, n // 2 + 1):
-            p, j = c[i], n - i
-            if c[j] != (exp[((log[p] + lu) * frob_exp[j] - lu) % units]
-                        if p else fld.zero):
-                return False
-        return True
+        """P == P.adjoint(u); ValueError for u = 0, as ``adjoint``."""
+        return self == self.adjoint(u)
 
     def to_json(self) -> list:
         return [ext_to_json(self.field, c) for c in self.coeffs]

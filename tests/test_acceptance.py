@@ -9,6 +9,7 @@ against the theoretical radius curves, so run the module as a whole.
 import csv
 import itertools
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
@@ -236,19 +237,20 @@ def test_criterion_4_exhaustive_small_field(capsys):
             code = GabCode(f, k)
             t = (n - k) // 2
             errors = [QPoly.zero(f)] if t == 0 else selfadj_rank1
+            # y - e lies in Gab_k exactly when e agrees with y outside
+            # degrees 0..k-1, so the patterns bucketed by those coefficients
+            # give the whole candidate set at distance <= t in one lookup
+            bucket = defaultdict(list)
+            for ec in rank_le1:
+                bucket[ec[k:]].append(QPoly(f, ec))
             for msg in itertools.product(f.elements(), repeat=k):
                 cw = code.encode(msg)
                 for err in errors:
                     y = cw + err
-                    # brute-force candidate set at distance <= t
                     if t == 0:
                         nearest = [y] if code.contains(y) else []
                     else:
-                        nearest = []
-                        for ec in rank_le1:
-                            cand = y - QPoly(f, ec)
-                            if code.contains(cand):
-                                nearest.append(cand)
+                        nearest = [y - e for e in bucket.get(y.coeffs[k:], [])]
                     assert nearest == [cw], "oracle must find exactly the truth"
                     rep = wb_decode(code, y, t)
                     assert rep.status == "ok"
@@ -259,10 +261,15 @@ def test_criterion_4_exhaustive_small_field(capsys):
         dec = LowRateDecoder(mcode)
         words = [mcode.combine(cs)
                  for cs in itertools.product(range(2), repeat=mcode.dim)]
+        # y - w is symmetric exactly when w - w^T = y - y^T, so the codewords
+        # bucketed by w - w^T give the valid ones in one lookup
+        by_skew = defaultdict(list)
+        for w in words:
+            by_skew[(w - w.transpose()).data].append(w)
         for cw in words:
             for err in sym_matrices:
                 y = cw + err
-                valid = [w for w in words if (y - w).is_symmetric()]
+                valid = by_skew.get((y - y.transpose()).data, [])
                 assert valid == [cw]
                 got_c, got_e = dec.decode(y)
                 assert got_c == cw and got_e == err

@@ -262,7 +262,9 @@ def _assert_pencil_is_walk(monkeypatch, code, y, t):
     stage enumerated point by point by the test oracle.  Every member the
     pencil yields divides L o Y with zero remainder into a quotient of
     q-degree below k (the exact-division lemma in ``gabidulin``), so each
-    gives a candidate of its own."""
+    gives a candidate of its own.  Each member has q^tp distinct roots, so
+    its end coefficients l_0 and l_tp are nonzero, which ``_try_localiser``
+    divides by without a check."""
     members = []
     pencil_points = gabidulin._pencil_points
 
@@ -285,6 +287,7 @@ def _assert_pencil_is_walk(monkeypatch, code, y, t):
     y0 = y.compose_monomial(code.n - code.s) if code.s else y
     assert len(members) == rep.diagnostics["walked"] == len(rep.candidates)
     for vec in members:
+        assert vec[0] and vec[-1]
         loc = QPoly(y.field, vec)
         quot, rem = loc.compose(y0).left_divide(loc)
         assert rem.is_zero()

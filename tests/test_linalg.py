@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from symrank import BaseField, LinearSolver, Matrix, congruence_diagonalize
+from symrank import (BaseField, LinearSolver, Matrix, congruence_diagonalize,
+                     linalg)
 from helpers import get_field, rand_elt, ref_apply, ref_rank, ref_solve
 from symrank.channel import RngStream
 
@@ -114,6 +115,29 @@ def test_solve_and_kernel_oracle():
     assert a.apply(x) == (1, 2)
     assert len(kern) == 1
     assert a.apply(kern[0]) == (0, 0)
+
+
+def test_solve_is_one_elimination(monkeypatch):
+    # the solver's reduction of [A | I] also gives the kernel of A, so a
+    # solve eliminates once, consistent or not
+    calls = []
+    rref = linalg._rref
+
+    def counting(*args):
+        calls.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(linalg, "_rref", counting)
+    f5 = BaseField(5)
+    a = Matrix(f5, [[1, 2, 0], [2, 4, 1]])
+    for b in ((1, 3), (0, 0)):
+        calls.clear()
+        x, kern = a.solve(b)
+        assert len(calls) == 1
+        assert a.apply(x) == b and kern == a.kernel()
+    calls.clear()
+    assert Matrix(f5, [[1, 2], [2, 4]]).solve((1, 3)) is None
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 4), (3, 1, 3), (2, 2, 2)])

@@ -1,9 +1,9 @@
 """The decode benchmark's contract with the library: every name that
 ``perfbench/spans.py`` wraps still exists, one trial per code of every
-workload still samples, decodes and judges as the benchmark expects, and one
+workload still samples, decodes and judges as the benchmark expects, one
 pass of each workload reproduces its pinned outcome digest, and a traced
-boundary pass passes the benchmark's trace checks.  Reads ``perfbench/`` from
-the checkout and changes nothing there."""
+pass of each workload passes the benchmark's trace checks.  Reads
+``perfbench/`` from the checkout and changes nothing there."""
 
 import json
 import os
@@ -76,14 +76,15 @@ def test_workload_pass_digest_pinned(name, seed):
     assert bench.digest() == PINNED_DIGESTS[(name, seed)]
 
 
-def test_boundary_trace_checks_pass():
-    # the benchmark's own fidelity checks on one traced pass of the boundary
-    # workload; a child process, so that the tracer's patching of the
-    # library cannot reach the other tests
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_boundary_trace_checks_pass(name):
+    # the benchmark's own fidelity checks on one traced pass of each
+    # workload, the boundary one included; a child process, so that the
+    # tracer's patching of the library cannot reach the other tests
     root = os.path.dirname(PERFBENCH)
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
-         "sym-high-boundary", "--seconds", "0", "--trace", "1"],
+         name, "--seconds", "0", "--trace", "1"],
         cwd=root, stdout=subprocess.PIPE, text=True, timeout=300, check=True)
     lines = proc.stdout.strip().splitlines()
     assert not [line for line in lines if line.startswith("trace check failed")]

@@ -178,10 +178,12 @@ def test_compose_left_divide_tables_vs_raw(p, e, n):
 
 @pytest.mark.parametrize("p,e,n", [(2, 1, 6), (3, 1, 4), (3, 1, 6), (2, 2, 3)])
 def test_evaluate_adjoint_rank_tables_vs_raw(p, e, n):
-    # the log-domain evaluate, adjoint, self-adjointness test and the rank on
-    # the images against the mul/frobenius loops of the same field without
-    # tables and the rank of endo_matrix; (2,2,3) has q = 4, where the F_2
-    # rank on packed images must not fire
+    # the log-domain adjoint, basis images and rank against the mul/frobenius
+    # loops of the same field without tables and the rank of endo_matrix;
+    # evaluate against the same loop on both fields; self-adjointness under
+    # the setup's twist against the symmetry of matrix_of, which shares no
+    # code with adjoint; (2,2,3) has q = 4, where the F_2 rank on packed
+    # images must not fire
     st = get_setup(p, e, n)
     tabled = st.field
     raw = ExtField(tabled.base, n, tabled.modulus, use_tables=False)
@@ -200,8 +202,8 @@ def test_evaluate_adjoint_rank_tables_vs_raw(p, e, n):
         r = trial % (n + 1)
         polys = [rand_qpoly(tabled, rng), random_selfadjoint_qpoly(r, st, rng)]
         assert qpoly_rank(polys[1]) == r == endo_matrix(polys[1]).rank()
-        # a self-adjoint polynomial with one coefficient moved: the early
-        # exit is reached at every position
+        # a self-adjoint polynomial with one coefficient moved, at each
+        # position in turn
         moved = list(polys[1].coeffs)
         moved[trial % n] = tabled.add(moved[trial % n], rand_unit(tabled, rng))
         polys.append(QPoly(tabled, moved))
@@ -219,6 +221,8 @@ def test_evaluate_adjoint_rank_tables_vs_raw(p, e, n):
                 assert poly.is_self_adjoint(u) == want
                 assert on_raw(poly).is_self_adjoint(u) == want
                 outcomes.add(want)
+            assert (poly.is_self_adjoint(st.u)
+                    == matrix_of(poly, st).is_symmetric())
         assert polys[1].is_self_adjoint(st.u)
     assert outcomes == {True, False}
     for poly in (QPoly.x(tabled), QPoly.x(raw)):
