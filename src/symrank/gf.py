@@ -38,6 +38,16 @@ with no method call per entry), and ``div_many`` divides two lists entry by
 entry as exp[log a - log b].  Callers get whole lists and never see the
 table format.
 
+A caller that loops over many entries takes its callables from here and
+never tests the field itself.  ``_add_of`` and ``_sub_of`` give one
+element's sum or difference: the builtin xor in characteristic 2, else the
+method (the q-polynomial loops).  ``_add_rows_of`` and ``_sub_rows_of``
+give the entrywise sum and difference of two sequences, ``map(xor)`` in
+characteristic 2 and plain int sums or differences with one ``% p`` per
+entry on a prime field; ``_dot_of`` gives a dot product, which on a prime
+field sums the int products and reduces once.  Every other field runs on
+its methods.  ``linalg.Matrix`` adds, subtracts and applies with these.
+
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
 given (p, e, n) always denotes the same concrete tower.  Either way a
@@ -46,6 +56,10 @@ K[x]/(m) with the field's own table-free product and inverse.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import partial
+from operator import xor
 
 
 def _is_prime(m: int) -> bool:
@@ -472,6 +486,64 @@ class _Field:
         if len(cs) != self._degree or any(not (0 <= c < self._radix) for c in cs):
             raise ValueError(f"bad coefficient vector for {self!r} element")
         return _pack(cs, self._radix)
+
+
+# ---------------------------------------------------------------------------
+# inner loops over many entries: the callables a caller loops with, chosen
+# once per loop from the field, so that no caller tests the field itself
+
+def _add_of(field):
+    """``field.add`` as a callable for inner loops: the builtin xor in
+    characteristic 2, where add and sub are both xor, else the method."""
+    return xor if field._char2 else field.add
+
+
+def _sub_of(field):
+    """``field.sub`` as a callable for inner loops (see ``_add_of``)."""
+    return xor if field._char2 else field.sub
+
+
+def _rows_of(field, op, method):
+    """(a, b) -> iterator of the entrywise ``op`` of two sequences of equal
+    length: ``map(xor)`` in characteristic 2, ``op`` on the residues then
+    one ``% p`` on a prime field, ``method`` per entry otherwise."""
+    if field._char2:
+        return partial(map, xor)
+    p = field.p
+    if field.order == p:
+        mod = p.__rmod__
+        return lambda a, b: map(mod, map(op, a, b))
+    return partial(map, method)
+
+
+def _add_rows_of(field):
+    """(a, b) -> iterator of a_i + b_i (``_rows_of``)."""
+    return _rows_of(field, operator.add, field.add)
+
+
+def _sub_rows_of(field):
+    """(a, b) -> iterator of a_i - b_i (``_rows_of``)."""
+    return _rows_of(field, operator.sub, field.sub)
+
+
+def _dot_of(field):
+    """(row, vec) -> sum of row_i vec_i.  On a prime field the products of
+    residues are summed as plain ints and reduced once, ``% p`` per dot
+    product rather than per term (the delayed reduction of FFLAS-FFPACK:
+    Dumas, Giorgi and Pernet, ACM TOMS 2008); every other field takes
+    ``mul`` per pair of nonzero entries and sums with ``_add_of``."""
+    p = field.p
+    if field.order == p:
+        return lambda row, vec: sum(map(operator.mul, row, vec)) % p
+    add, mul, zero = _add_of(field), field.mul, field.zero
+
+    def dot(row, vec):
+        acc = zero
+        for a, x in zip(row, vec):
+            if a and x:
+                acc = add(acc, mul(a, x))
+        return acc
+    return dot
 
 
 class BaseField(_Field):

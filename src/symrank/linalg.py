@@ -1,17 +1,23 @@
-"""Dense linear algebra over an arbitrary finite field object.
+"""Dense linear algebra over the finite fields of ``gf``, F_q and F_{q^n}.
 
-The field is duck-typed: anything exposing add/sub/neg/mul/inv plus zero and
-one attributes works, so the same code serves F_q and F_{q^n}.  Matrices are
-immutable tuples of tuples of packed field elements.
+Matrices are immutable tuples of tuples of packed field elements over one
+field object; a sum, difference or product with a matrix over another field
+object raises ValueError.  Sums, differences and the dot products of a
+matrix-vector product take the field's inner-loop operations from ``gf``
+(``_add_rows_of``, ``_sub_rows_of``, ``_dot_of``): ``map(xor)`` in
+characteristic 2, one ``% p`` per entry or per dot product on a prime field
+F_p, and the field methods on every other field.  So on F_2 and F_p no
+field method runs per entry.  The symmetry test compares the rows with the
+columns, the same on every field.  Elimination (rank, kernel, solve) runs
+on the field methods.
 
 Over F_2 (a field of order 2) a matrix also keeps its rows as ints, bit j
 for column j, packed once on first use (the M4RI idea: Albrecht, Bard and
 Hart, ACM TOMS 2010).  The matrix is immutable, so that cache never goes
 stale.  On those rows a matrix-vector product is an and plus a popcount
 parity per row (``int.bit_count``, Python >= 3.10) and the rank is an xor
-basis, with no field call at all.  Every other field runs on its field
-operations.  A matrix product is one ``apply`` per column of the right
-factor, so over F_2 it runs on the packed rows too.
+basis, with no field call at all.  A matrix product is one ``apply`` per
+column of the right factor, so over F_2 it runs on the packed rows too.
 
 ``LinearSolver`` factors a matrix once and answers many solve calls with
 one matrix-vector product each; the low-rate symmetric-error decoder takes
@@ -23,6 +29,8 @@ Gram matrix G, in any characteristic.
 """
 
 from __future__ import annotations
+
+from .gf import _add_rows_of, _dot_of, _sub_rows_of
 
 
 def _rref(field, rows: list[list[int]], pivot_cols: int) -> list[tuple[int, int]]:
@@ -117,8 +125,8 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "data", "_bits")
 
     def __init__(self, field, data):
-        data = tuple(tuple(row) for row in data)
-        if data and any(len(row) != len(data[0]) for row in data):
+        data = tuple(map(tuple, data))
+        if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         self.field = field
         self.nrows = len(data)
@@ -166,23 +174,25 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", rows_of, what: str) -> "Matrix":
+        """The matrix of entrywise ``rows_of(field)`` of two matrices of one
+        shape over one field; ValueError for any other operand."""
+        if other.field is not self.field:
+            raise ValueError(f"matrix {what} over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in matrix sum")
-        add = self.field.add
-        return Matrix(self.field,
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+            raise ValueError(f"dimension mismatch in matrix {what}")
+        return Matrix._shaped(self.field, map(rows_of(self.field), self.data,
+                                              other.data), self.ncols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, _add_rows_of, "sum")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in matrix difference")
-        sub = self.field.sub
-        return Matrix(self.field,
-                      [[sub(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.data, other.data)])
+        return self._entrywise(other, _sub_rows_of, "difference")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if other.field is not self.field:
+            raise ValueError("matrix product over different fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
         # one apply per column of other: the rows of the product's transpose
@@ -201,24 +211,12 @@ class Matrix:
         rows = self._packed()
         if rows is not None:
             v = _pack_bits(vec)
-            return tuple((row & v).bit_count() & 1 for row in rows)
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = []
-        for row in self.data:
-            acc = zero
-            for a, x in zip(row, vec):
-                if a != zero and x != zero:
-                    acc = add(acc, mul(a, x))
-            out.append(acc)
-        return tuple(out)
+            return tuple([(row & v).bit_count() & 1 for row in rows])
+        dot = _dot_of(self.field)
+        return tuple([dot(row, vec) for row in self.data])
 
     def is_symmetric(self) -> bool:
-        if self.nrows != self.ncols:
-            return False
-        d = self.data
-        return all(d[i][j] == d[j][i]
-                   for i in range(self.nrows) for j in range(i + 1, self.ncols))
+        return self.nrows == self.ncols and tuple(zip(*self.data)) == self.data
 
     def is_zero(self) -> bool:
         z = self.field.zero

@@ -8,7 +8,10 @@ stores (a tuple of exactly n packed coefficients).
 
 Composition folds exponents i+j mod n directly.  Division is one-sided:
 ``left_divide(A, L)`` finds Q, R with A = L o Q + R and deg_q R < deg_q L,
-which is the only direction the decoders need.
+which is the only direction the decoders need.  Sums and differences of
+coefficients in these loops, and in ``+`` and ``-``, use the callables of
+``gf._add_of`` and ``gf._sub_of``: the builtin xor in characteristic 2,
+else the field's ``add`` and ``sub``.
 
 A job keeps a log-domain path beside its ``mul``/``frobenius`` loop only
 because a decode runs it: ``compose`` and ``left_divide`` (every localiser
@@ -56,23 +59,10 @@ calls it once per answer, in its final verification.
 
 from __future__ import annotations
 
-from operator import xor
-
-from .gf import ExtField, ext_from_json, ext_to_json
+from .gf import ExtField, _add_of, _sub_of, ext_from_json, ext_to_json
 from .linalg import Matrix, xor_rank
 
 NEG_INF = float("-inf")
-
-
-def _add_of(field: ExtField):
-    """``field.add`` as a callable for inner loops: the builtin xor in
-    characteristic 2, where add and sub are both xor, else the method."""
-    return xor if field._char2 else field.add
-
-
-def _sub_of(field: ExtField):
-    """``field.sub`` as a callable for inner loops (see ``_add_of``)."""
-    return xor if field._char2 else field.sub
 
 
 class QPoly:

@@ -68,8 +68,11 @@ that has none reports 'fail'.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .bilinear import SymSetup
 from .gabidulin import DecodeReport, GabCode, wb_decode
+from .gf import _sub_rows_of
 from .linalg import LinearSolver, Matrix
 from .qpoly import QPoly, matrix_of, qpoly_rank
 
@@ -89,10 +92,13 @@ def _fold(field, flat, n: int) -> Matrix:
 
 
 def _phi_upper(mat: Matrix) -> tuple:
-    """Phi(mat) above the diagonal, mat[i][j] - mat[j][i] for i < j; the rest
-    of Phi(mat) is their negation (below) or zero (on the diagonal)."""
-    sub, d, n = mat.field.sub, mat.data, mat.nrows
-    return tuple(sub(d[i][j], d[j][i]) for i in range(n) for j in range(i + 1, n))
+    """Phi(mat) above the diagonal, mat[i][j] - mat[j][i] for i < j, row by
+    row: row i right of the diagonal minus column i below it.  The rest of
+    Phi(mat) is their negation (below) or zero (on the diagonal)."""
+    sub = _sub_rows_of(mat.field)
+    return tuple(chain.from_iterable(
+        sub(row[i:], col[i:]) for i, (row, col)
+        in enumerate(zip(mat.data, zip(*mat.data)), 1)))
 
 
 def phi_qpoly(poly: QPoly, u: int) -> QPoly:

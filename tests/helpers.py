@@ -44,8 +44,10 @@ def rand_nonzero_qpoly(field, rng: RngStream) -> QPoly:
 
 
 def phi_matrix(mat):
-    """Phi(M) = M - M^T; kernel = symmetric matrices, dim n(n+1)/2."""
-    return mat - mat.transpose()
+    """Phi(M) = M - M^T; kernel = symmetric matrices, dim n(n+1)/2.  On the
+    entrywise oracle ``ref_sub``, so it shares no code with ``Matrix``'s
+    own difference."""
+    return ref_sub(mat, mat.transpose())
 
 
 def endo_matrix(poly):
@@ -57,11 +59,25 @@ def endo_matrix(poly):
 
 
 # Reference linear algebra on field operations only, one field call per
-# term, for checking the packed F_2 paths of ``Matrix`` and ``LinearSolver``
-# against something that does not share them.
+# term, for checking the packed F_2 rows, the xor and ``% p`` paths of
+# ``Matrix`` and ``LinearSolver`` against something that does not share them.
 
 def ref_rank(mat) -> int:
     return len(_rref(mat.field, [list(r) for r in mat.data], mat.ncols))
+
+
+def ref_add(a, b):
+    """a + b, one ``field.add`` per entry."""
+    f = a.field
+    return Matrix._shaped(f, [[f.add(x, y) for x, y in zip(ra, rb)]
+                              for ra, rb in zip(a.data, b.data)], a.ncols)
+
+
+def ref_sub(a, b):
+    """a - b, one ``field.sub`` per entry."""
+    f = a.field
+    return Matrix._shaped(f, [[f.sub(x, y) for x, y in zip(ra, rb)]
+                              for ra, rb in zip(a.data, b.data)], a.ncols)
 
 
 def ref_apply(mat, vec) -> tuple:

@@ -2,18 +2,21 @@
 diagonalization (including the characteristic-2 cases)."""
 
 import json
+import operator
 
 import pytest
 
 from symrank import (BaseField, LinearSolver, Matrix, congruence_diagonalize,
                      linalg)
-from helpers import get_field, rand_elt, ref_apply, ref_rank, ref_solve
+from helpers import (get_field, phi_matrix, rand_elt, ref_add, ref_apply, ref_rank,
+                     ref_solve, ref_sub)
 from symrank.channel import RngStream
+from symrank.symdec import _phi_upper
 
 
 def rand_matrix(field, nrows, ncols, rng):
-    return Matrix(field, [[rand_elt(field, rng) for _ in range(ncols)]
-                          for _ in range(nrows)])
+    return Matrix._shaped(field, [[rand_elt(field, rng) for _ in range(ncols)]
+                                  for _ in range(nrows)], ncols)
 
 
 def test_small_oracles_f5():
@@ -96,6 +99,68 @@ def test_sum_of_mismatched_shapes_rejected():
             x + y
         with pytest.raises(ValueError):
             x - y
+
+
+def test_operands_over_another_field_rejected():
+    # an F_3 matrix and an F_2 matrix of one shape, or two matrices over
+    # distinct F_2 objects: no sum, difference or product mixes them
+    f2, f3 = BaseField(2), BaseField(3)
+    a = Matrix(f3, [[1, 2], [2, 0]])
+    for b in (Matrix(f2, [[1, 0], [1, 1]]), Matrix(BaseField(3), a.data)):
+        for x, y in ((a, b), (b, a)):
+            for op in (operator.add, operator.sub, operator.matmul):
+                with pytest.raises(ValueError, match="different fields"):
+                    op(x, y)
+    assert a + Matrix(f3, a.data) == Matrix(f3, [[2, 1], [1, 0]])
+
+
+def _oracle_shapes(f, rng):
+    """Matrices with no row, 1 x 1, non-square and square, among them a
+    symmetric one and the same with one off-diagonal entry changed."""
+    rows = [[rand_elt(f, rng) for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    bumped = [list(r) for r in rows]
+    bumped[1][3] = f.add(bumped[1][3], f.one)
+    yield rand_matrix(f, 0, 3, rng)
+    yield Matrix(f, [])
+    for shape in ((1, 1), (3, 5), (4, 2), (5, 5), (6, 6)):
+        yield rand_matrix(f, *shape, rng)
+    yield Matrix(f, rows)
+    yield Matrix(f, bumped)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, None), (3, 1, None), (5, 1, None),
+                                   (7, 1, None), (2, 2, None), (3, 2, None),
+                                   (3, 1, 3)],
+                         ids=["F2", "F3", "F5", "F7", "F4", "F9", "F27"])
+def test_entrywise_dot_and_symmetry_match_field_op_oracle(p, e, n):
+    # xor in characteristic 2, one % p on a prime field and the field
+    # methods elsewhere (F_4, F_9, F_27 with tables) against one field call
+    # per entry
+    f = BaseField(p, e) if n is None else get_field(p, e, n)
+    rng = RngStream(37)
+    symmetric = set()
+    for a in _oracle_shapes(f, rng):
+        b = rand_matrix(f, a.nrows, a.ncols, rng)
+        assert a + b == ref_add(a, b)
+        assert a - b == ref_sub(a, b)
+        vec = tuple(rand_elt(f, rng) for _ in range(a.ncols))
+        assert a.apply(vec) == ref_apply(a, vec)
+        c = rand_matrix(f, a.ncols, 3, rng)
+        ct = c.transpose()
+        assert a @ c == Matrix._shaped(f, [ref_apply(ct, row) for row in a.data], 3)
+        d, size = a.data, a.nrows
+        want = size == a.ncols and all(d[i][j] == d[j][i]
+                                       for i in range(size) for j in range(size))
+        assert a.is_symmetric() == want
+        symmetric.add(want)
+        if size == a.ncols:
+            ph = phi_matrix(a).data
+            assert _phi_upper(a) == tuple(ph[i][j] for i in range(size)
+                                          for j in range(i + 1, size))
+    assert symmetric == {True, False}
 
 
 def _dot(field, xs, ys):

@@ -193,26 +193,33 @@ def test_low_rate_rejects_wrong_shape_or_field():
 
 
 def test_low_rate_f2_decode_makes_no_field_products(monkeypatch):
-    # over F_2 the solve and the codeword rebuild run on packed rows
-    st = get_setup(2, 1, 8)
-    mcode = matrix_code_of(GabCode(st.field, 3, 1), st)
-    dec = LowRateDecoder(mcode)
-    rng = RngStream(13)
+    # no field method per entry: over F_2 the projection runs on packed rows
+    # and Phi, the residual and its check on xor; over F_3 on one % 3 per
+    # entry or per dot product
     cases = []
-    for r in range(9):
-        cw = mcode.combine([rng.randbelow(2) for _ in range(mcode.dim)])
-        cases.append((cw, random_symmetric_matrix(st.field.base, 8, r, rng)))
+    for p, n, k in [(2, 8, 3), (3, 5, 2)]:
+        st = get_setup(p, 1, n)
+        mcode = matrix_code_of(GabCode(st.field, k, 1), st)
+        dec = LowRateDecoder(mcode)
+        rng = RngStream(13)
+        for r in range(n + 1):
+            cw = mcode.combine([rng.randbelow(p) for _ in range(mcode.dim)])
+            err = random_symmetric_matrix(st.field.base, n, r, rng)
+            cases.append((dec, cw + err, (cw, err)))
     calls = Counter()
-    for name in ("mul", "inv"):
+    ops = ("add", "sub", "neg", "mul", "inv")
+    for name in ops:
         def counted(self, *args, _op=getattr(BaseField, name), _name=name):
             calls[_name] += 1
             return _op(self, *args)
         monkeypatch.setattr(BaseField, name, counted)
-    st.field.base.inv(st.field.base.mul(1, 1))
-    assert calls == {"mul": 1, "inv": 1}     # the counters are live
+    f3 = get_setup(3, 1, 5).field.base
+    for name in ops:
+        getattr(f3, name)(*[1] * (1 if name in ("neg", "inv") else 2))
+    assert calls == dict.fromkeys(ops, 1)     # the counters are live
     calls.clear()
-    for cw, err in cases:
-        assert dec.decode(cw + err) == (cw, err)
+    for dec, received, want in cases:
+        assert dec.decode(received) == want
     assert calls == Counter()
 
 
@@ -521,13 +528,18 @@ def _selfadjoint_buckets(st, k: int, rank: int) -> dict:
     return buckets
 
 
-@pytest.mark.parametrize("p,n,k,errors", [(2, 5, 3, 652), (3, 4, 3, 81)])
-def test_high_rate_candidate_sets_match_error_buckets(p, n, k, errors):
+@pytest.mark.parametrize("p,e,n,k,errors", [
+    pytest.param(2, 1, 5, 3, 652, id="2-5-3-652"),
+    pytest.param(3, 1, 4, 3, 81, id="3-4-3-81"),
+    # at radius 1 the errors are 0 and the c v v^T, q - 1 scalars c on each
+    # of the (q^n - 1)/(q - 1) lines through v: q^n symmetric matrices
+    (2, 2, 3, 2, 4 ** 3), (5, 1, 3, 2, 5 ** 3)])
+def test_high_rate_candidate_sets_match_error_buckets(p, e, n, k, errors):
     # an oracle independent of the key equation: a codeword of Gab_k o X^q
     # is zero outside 1..k, so Y = C + E forces E to agree with Y there, and
     # the valid decompositions of Y are Y - E over the bucket of Y's own
     # coefficients outside 1..k; random words fail exactly on an empty bucket
-    st = get_setup(p, 1, n)
+    st = get_setup(p, e, n)
     dec = HighRateDecoder(st, k)
     buckets = _selfadjoint_buckets(st, k, dec.radius)
     assert sum(map(len, buckets.values())) == errors
@@ -539,7 +551,12 @@ def test_high_rate_candidate_sets_match_error_buckets(p, n, k, errors):
         assert rep.status == ("fail" if not want else
                               "ok" if len(want) == 1 else "ambiguous")
         seen[kind, rep.status] += 1
-    assert seen["boundary", "ambiguous"] and seen["random", "fail"]
+    if len(buckets) == errors == st.field.order ** (n - k):
+        # one error for each value of the n - k coefficients outside 1..k:
+        # every word is one codeword plus one error, as at n = 3, k = 2
+        assert set(seen) == {(kind, "ok") for kind in ("boundary", "below", "random")}
+    else:
+        assert seen["boundary", "ambiguous"] and seen["random", "fail"]
 
 
 @pytest.mark.parametrize("n,k", [(10, 7), (12, 8)])
