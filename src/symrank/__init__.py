@@ -9,8 +9,7 @@ decoder correcting self-adjoint errors up to rank n-k.
 from .bilinear import (OrthonormalBasisError, SymSetup, gram_matrix,
                        orthonormal_basis, select_twist, trace_form)
 from .channel import (RngStream, random_codeword, random_matrix,
-                      random_matrix_code, random_selfadjoint_qpoly,
-                      random_symmetric_matrix)
+                      random_selfadjoint_qpoly, random_symmetric_matrix)
 from .gabidulin import DecodeReport, GabCode, random_error, wb_decode
 from .gf import BaseField, ExtField, field_from_json, field_to_json, make_field
 from .linalg import LinearSolver, Matrix, congruence_diagonalize
@@ -32,5 +31,5 @@ __all__ = [
     "phi_qpoly", "unfold", "LowRateDecoder", "HighRateDecoder",
     "InvalidInstanceError",
     "RngStream", "random_matrix", "random_symmetric_matrix",
-    "random_selfadjoint_qpoly", "random_codeword", "random_matrix_code",
+    "random_selfadjoint_qpoly", "random_codeword",
 ]

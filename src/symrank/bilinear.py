@@ -99,10 +99,8 @@ def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -
     return out
 
 
-def orthonormal_basis(field: ExtField, u: int | None = None) -> tuple[int, ...]:
+def orthonormal_basis(field: ExtField, u: int) -> tuple[int, ...]:
     """Basis b_0..b_{n-1} of F_{q^n} with Tr(u b_i b_j) = delta_ij."""
-    if u is None:
-        u = select_twist(field)
     if u == 0:
         raise OrthonormalBasisError("twist u must be nonzero")
     n = field.n
@@ -147,9 +145,6 @@ class SymSetup:
 
     def __repr__(self):
         return f"SymSetup(q={self.field.q}, n={self.field.n}, u={self.u})"
-
-    def pair(self, a: int, b: int) -> int:
-        return trace_form(self.field, self.u, a, b)
 
     def coords(self, a: int) -> tuple[int, ...]:
         fld = self.field

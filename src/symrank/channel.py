@@ -24,7 +24,6 @@ from .bilinear import SymSetup
 from .gf import BaseField
 from .linalg import Matrix
 from .qpoly import QPoly, matrix_to_qpoly
-from .symdec import LowRateDecoder, MatrixCode
 
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
@@ -118,22 +117,3 @@ def random_codeword(code, rng: RngStream) -> QPoly:
     fld = code.field
     return code.encode([rng.randbelow(fld.order) for _ in range(code.k)])
 
-
-def random_matrix_code(field: BaseField, n: int, dim: int, rng: RngStream,
-                       sym_free: bool = True) -> MatrixCode:
-    """Random matrix code of the given F_q-dimension, resampled until the
-    generators are independent (and, if requested, until the code is
-    symmetric-free, which ``LowRateDecoder`` checks as it is built)."""
-    max_dim = n * n - n * (n + 1) // 2
-    if sym_free and dim > max_dim:
-        raise ValueError(f"sym-free codes need dim <= n(n-1)/2 = {max_dim}")
-    for _ in range(_RESAMPLE_CAP):
-        gens = [random_matrix(field, n, n, rng) for _ in range(dim)]
-        try:
-            code = MatrixCode(gens)
-            if sym_free:
-                LowRateDecoder(code)
-        except ValueError:
-            continue
-        return code
-    raise ArithmeticError("matrix-code sampling exceeded the resample cap")

@@ -158,9 +158,6 @@ class Matrix:
         z, o = field.zero, field.one
         return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.data)
 
@@ -267,7 +264,6 @@ class LinearSolver:
                for i, r in enumerate(matrix.data)]
         pivots = _rref(f, aug, n)
         self.field = f
-        self.nrows = m
         self.ncols = n
         self.pivots = pivots
         self.rank = len(pivots)

@@ -98,11 +98,6 @@ class QPoly:
         return cls._of(field, [field.zero] * field.n)
 
     @classmethod
-    def x(cls, field: ExtField) -> "QPoly":
-        """The identity map X."""
-        return cls(field, (field.one,))
-
-    @classmethod
     def monomial(cls, field: ExtField, i: int, c: int | None = None) -> "QPoly":
         """c * X^(q^i), defaulting to the monic monomial."""
         if c is None:

@@ -47,12 +47,11 @@ reduced code, of dimension 2k-n+1 and minimum rank distance 2(n-k):
 
 Every candidate that reaches the decoder is therefore self-adjoint, and
 each gives a survivor.  The survivors get their status from
-``DecodeReport.of``, the same rule as ``wb_decode``.  ``wb_status`` and
-``error_rank`` still describe the walk without the test: every walked
-member divides cleanly into a candidate of its own (the lemma in
-``gabidulin``), so that walk found one candidate per member.  The error of
-an 'ok' report is ranked once, by an F_q elimination that is independent of
-the kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
+``DecodeReport.of``, the same rule as ``wb_decode``.  The diagnostics are
+the walk's own, with the test, plus ``survivors``; ``error_rank`` is set
+on 'ok' only, as ``DecodeReport.of`` documents.  The error of an 'ok'
+report is ranked once, by an F_q elimination that is independent of the
+kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
 verified before it is returned: the codeword lies in the code, the error is
 self-adjoint, and its rank is at most n-k.  Below the boundary
 (rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
@@ -250,15 +249,8 @@ class HighRateDecoder:
         # every candidate that reaches here is self-adjoint (module
         # docstring), so its error received - (pre + c) is too
         survivors = [pre + c for c in rep.candidates]
-        diagnostics = dict(rep.diagnostics, wb_status=rep.status,
-                           survivors=len(survivors))
-        walked = rep.diagnostics["walked"]
-        if walked:
-            # the walk without the pair test found one candidate per member
-            # (the lemma in ``gabidulin``); report its status and rank
-            diagnostics["wb_status"] = "ok" if walked == 1 else "ambiguous"
-            diagnostics["error_rank"] = self.radius if walked == 1 else None
-        out = DecodeReport.of(received, survivors, None, diagnostics)
+        out = DecodeReport.of(received, survivors, None,
+                              dict(rep.diagnostics, survivors=len(survivors)))
         if out.status != "ok":
             return out
         error = out.error

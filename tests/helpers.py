@@ -4,8 +4,9 @@ seeded random object builders (kept deterministic via RngStream)."""
 import itertools
 from functools import lru_cache
 
-from symrank import (DecodeReport, Matrix, QPoly, RngStream, SymSetup, make_field,
-                     qpoly_rank, wb_decode)
+from symrank import (DecodeReport, LowRateDecoder, Matrix, MatrixCode, QPoly, RngStream,
+                     SymSetup, make_field, qpoly_rank, random_matrix, wb_decode)
+from symrank.channel import _RESAMPLE_CAP
 from symrank.gf import _pow, _prime_factors
 from symrank.linalg import _rref
 
@@ -41,6 +42,26 @@ def rand_nonzero_qpoly(field, rng: RngStream) -> QPoly:
         poly = rand_qpoly(field, rng)
         if not poly.is_zero():
             return poly
+
+
+def random_matrix_code(field, n: int, dim: int, rng: RngStream,
+                       sym_free: bool = True) -> MatrixCode:
+    """Random matrix code of the given F_q-dimension, resampled until the
+    generators are independent (and, if requested, until the code is
+    symmetric-free, which ``LowRateDecoder`` checks as it is built)."""
+    max_dim = n * n - n * (n + 1) // 2
+    if sym_free and dim > max_dim:
+        raise ValueError(f"sym-free codes need dim <= n(n-1)/2 = {max_dim}")
+    for _ in range(_RESAMPLE_CAP):
+        gens = [random_matrix(field, n, n, rng) for _ in range(dim)]
+        try:
+            code = MatrixCode(gens)
+            if sym_free:
+                LowRateDecoder(code)
+        except ValueError:
+            continue
+        return code
+    raise ArithmeticError("matrix-code sampling exceeded the resample cap")
 
 
 def phi_matrix(mat):
@@ -109,13 +130,14 @@ def high_rate_reference(dec, received):
     """``HighRateDecoder.decode`` composed from its parts with no test
     before the division: plain ``wb_decode`` of the residual, the
     ``is_self_adjoint`` filter, ``DecodeReport.of`` and the rank of an 'ok'
-    error.  The oracle for the decoder's outer-pair test."""
+    error, which is the only report that carries one.  The oracle for the
+    decoder's outer-pair test."""
     u = dec.setup.u
     pre = dec._preimage(received)
     rep = wb_decode(dec.reduced, received - pre, dec.radius)
     survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
     out = DecodeReport.of(received, survivors, None, dict(
-        rep.diagnostics, wb_status=rep.status, survivors=len(survivors)))
+        rep.diagnostics, error_rank=None, survivors=len(survivors)))
     if out.status == "ok":
         error = out.error
         out.diagnostics["error_rank"] = 0 if error.is_zero() else qpoly_rank(error)

@@ -31,14 +31,13 @@ from symrank import (
     qpoly_rank,
     random_codeword,
     random_error,
-    random_matrix_code,
     random_selfadjoint_qpoly,
     random_symmetric_matrix,
     select_twist,
     trace_form,
     wb_decode,
 )
-from helpers import get_field, get_setup, rand_elt, rand_qpoly
+from helpers import get_field, get_setup, rand_elt, rand_qpoly, random_matrix_code
 from symrank.cli import main as cli_main
 
 TRIALS = 500

@@ -99,7 +99,7 @@ def test_setup_pair_on_basis():
     st = get_setup(3, 1, 4)
     for i, bi in enumerate(st.basis):
         for j, bj in enumerate(st.basis):
-            assert st.pair(bi, bj) == (1 if i == j else 0)
+            assert trace_form(st.field, st.u, bi, bj) == (1 if i == j else 0)
 
 
 def test_setup_json_roundtrip():

@@ -4,12 +4,11 @@ sampling (with a 2000-sample sweep), self-adjoint pullbacks, random codes."""
 import pytest
 
 from symrank import BaseField, Matrix, matrix_of, qpoly_rank, unfold
-from helpers import get_setup, phi_matrix, ref_rank
+from helpers import get_setup, phi_matrix, random_matrix_code, ref_rank
 from symrank.channel import (
     RngStream,
     random_codeword,
     random_matrix,
-    random_matrix_code,
     random_selfadjoint_qpoly,
     random_symmetric_matrix,
 )

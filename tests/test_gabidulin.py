@@ -47,7 +47,7 @@ def test_encode_message_roundtrip():
         assert code.contains(cw)
         assert cw.coeffs[1:3] == msg
     assert code.encode((0, 0)).is_zero()
-    assert not code.contains(QPoly.x(f))  # support {0} not in 1..2
+    assert not code.contains(QPoly.monomial(f, 0))  # support {0} not in 1..2
     with pytest.raises(ValueError):
         code.encode((1,))
 
@@ -567,8 +567,8 @@ def test_wb_rejects_bad_radius():
         code = GabCode(f, k)
         for t in bad:
             with pytest.raises(ValueError):
-                wb_decode(code, QPoly.x(f), t)
-    assert wb_decode(GabCode(f, 1), QPoly.x(f), 2).status == "ok"
+                wb_decode(code, QPoly.monomial(f, 0), t)
+    assert wb_decode(GabCode(f, 1), QPoly.monomial(f, 0), 2).status == "ok"
 
 
 def test_wb_rejects_word_over_another_field():

@@ -38,7 +38,7 @@ def test_matmul_apply_transpose():
     assert len(got) == 3
     assert a.apply(v) == tuple(
         # manual dot product as reference
-        _dot(f, a.row(i), v) for i in range(3)
+        _dot(f, a.data[i], v) for i in range(3)
     )
 
 

@@ -34,7 +34,7 @@ def test_q_degree():
     f = get_field(2, 1, 4)
     assert QPoly.zero(f).q_degree == NEG_INF
     assert QPoly.zero(f).q_degree < 0
-    assert QPoly.x(f).q_degree == 0
+    assert QPoly.monomial(f, 0).q_degree == 0
     assert QPoly.monomial(f, 3).q_degree == 3
     assert QPoly(f, [1, 0, 7, 0]).q_degree == 2
 
@@ -48,7 +48,7 @@ def test_evaluate_is_semilinear():
         c = rng.randbelow(f.q)  # constants packed below q form the F_q line
         assert p.evaluate(f.add(a, b)) == f.add(p.evaluate(a), p.evaluate(b))
         assert p.evaluate(f.mul(c, a)) == f.mul(c, p.evaluate(a))
-    assert QPoly.x(f).evaluate(7) == 7
+    assert QPoly.monomial(f, 0).evaluate(7) == 7
     assert QPoly.monomial(f, 1).evaluate(7) == f.frobenius(7, 1)
 
 
@@ -225,7 +225,7 @@ def test_evaluate_adjoint_rank_tables_vs_raw(p, e, n):
                     == matrix_of(poly, st).is_symmetric())
         assert polys[1].is_self_adjoint(st.u)
     assert outcomes == {True, False}
-    for poly in (QPoly.x(tabled), QPoly.x(raw)):
+    for poly in (QPoly.monomial(tabled, 0), QPoly.monomial(raw, 0)):
         with pytest.raises(ValueError):
             poly.is_self_adjoint(0)
 
@@ -280,7 +280,7 @@ def test_adjoint_involution_anticommutes():
 def test_adjoint_rejects_zero_twist():
     f = get_field(2, 1, 4)
     with pytest.raises(ValueError):
-        QPoly.x(f).adjoint(0)
+        QPoly.monomial(f, 0).adjoint(0)
 
 
 def _span(field, vecs):
@@ -293,8 +293,9 @@ def _span(field, vecs):
 
 def test_endo_matrix_rank_kernel():
     f = get_field(2, 1, 4)
-    assert qpoly_rank(QPoly.x(f)) == 4
-    assert endo_matrix(QPoly.x(f)) == matrix_of(QPoly.x(f), get_setup(2, 1, 4))
+    ident = QPoly.monomial(f, 0)
+    assert qpoly_rank(ident) == 4
+    assert endo_matrix(ident) == matrix_of(ident, get_setup(2, 1, 4))
     frob_minus_id = QPoly(f, [f.neg(1), 1])
     assert qpoly_rank(frob_minus_id) == 3
     kern = [f.from_coeffs(v) for v in endo_matrix(frob_minus_id).kernel()]
@@ -309,7 +310,7 @@ def test_matrix_of_is_ring_iso():
     st = get_setup(3, 1, 3)
     f = st.field
     rng = RngStream(33)
-    assert matrix_of(QPoly.x(f), st) == Matrix.identity(f.base, 3)
+    assert matrix_of(QPoly.monomial(f, 0), st) == Matrix.identity(f.base, 3)
     for _ in range(30):
         p, q = rand_qpoly(f, rng), rand_qpoly(f, rng)
         assert matrix_of(p + q, st) == matrix_of(p, st) + matrix_of(q, st)
@@ -330,7 +331,7 @@ def test_matrix_to_qpoly_roundtrip():
             poly = matrix_to_qpoly(m, st)
             assert matrix_of(poly, st) == m
             assert matrix_to_qpoly(matrix_of(poly, st), st) == poly
-        assert matrix_to_qpoly(Matrix.identity(f.base, n), st) == QPoly.x(f)
+        assert matrix_to_qpoly(Matrix.identity(f.base, n), st) == QPoly.monomial(f, 0)
 
 
 def test_qpoly_json_roundtrip():

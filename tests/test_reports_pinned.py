@@ -46,19 +46,19 @@ def test_wb_reports_pinned(p, n, k):
 
 PINNED_HIGH = {
     (2, 6, 4):
-        "a2e9f91b65b7c17266f4da2c1a2b8916ce8fba354a7bca835c7d719e6e454849",
+        "ca986dce4cd15a459e53609f19dfc60d6aa2d2dd658c0f2e12ca6f82bab7c447",
     (3, 5, 3):
-        "348b32f9d97477077dc4719f5824a8fe4568c5cc2271334188e0e093c35fdd3c",
+        "4a3a9caf051f55988ac50e8687cafe0e0b239e13909347207d4d3ca6b69bf3b2",
     (2, 8, 6):
-        "f229bde8fed636bd9be48d2e5e18f549162240eebfa54cde9274728511adf3aa",
+        "130cc7ac61bee8322efb97248b551281f40fb36f59ee88fd2822ced56d5b75f2",
     (2, 10, 7):
-        "45850669286257ac4feaac3a882247f44b5ba9428899f2bfecbf267889015b57",
+        "07a5a56fd437d6d53fdfef715d7e86095e2308accf5e3223637e6fb4ba1a8fff",
     (3, 6, 4):
-        "0e67b817372bc472064888d02deb7e6ad57b1c2eb4e157ac2f6f9c13a6ab238a",
+        "8ebd81c3955404f5c27d9700631f5e9582abc46059c8a0d53a6c11e7fbaa509d",
     (3, 4, 3):
-        "2db86ade18fd2c5d1bbf37b870e31b69c212b6461f3d4650ba1dc7d3b75de6c0",
+        "4309aaf7700d113f7a19bc4d36963350bd4464b013cc6e46e88cfec7ecb3f43f",
     (5, 4, 3):
-        "30c0b8392afdf8018e3ace354740bca440783129cf45fb441a4fb8e132402399",
+        "c2bd5a66d3c601746e3523ba382a75e23ea403ca7477f6ffabebfcf3774b21d3",
 }
 
 
