@@ -12,7 +12,7 @@ from .channel import (RngStream, random_codeword, random_matrix,
                       random_selfadjoint_qpoly, random_symmetric_matrix)
 from .gabidulin import DecodeReport, GabCode, random_error, wb_decode
 from .gf import BaseField, ExtField, field_from_json, field_to_json, make_field
-from .linalg import LinearSolver, Matrix, congruence_diagonalize
+from .linalg import LinearSolver, Matrix
 from .qpoly import NEG_INF, QPoly, matrix_of, matrix_to_qpoly, qpoly_rank
 from .symdec import (HighRateDecoder, InvalidInstanceError, LowRateDecoder,
                      MatrixCode, matrix_code_of, phi_qpoly, unfold)
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaseField", "ExtField", "make_field", "field_to_json", "field_from_json",
-    "Matrix", "LinearSolver", "congruence_diagonalize",
+    "Matrix", "LinearSolver",
     "SymSetup", "OrthonormalBasisError", "trace_form", "gram_matrix",
     "select_twist", "orthonormal_basis",
     "NEG_INF", "QPoly",

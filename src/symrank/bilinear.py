@@ -3,7 +3,8 @@
 The pairing is <a, b> = Tr(u * a * b) for a fixed twist u in F_{q^n}^*.
 Everything downstream (matrix pictures of q-polynomials, the adjoint, the
 symmetric-error decoders) is phrased relative to a basis of F_{q^n} that is
-orthonormal for this pairing.  Such a basis exists whenever
+orthonormal for this pairing (a trace-orthogonal basis: Seroussi and Lempel,
+SIAM J. Comput. 1980).  Such a basis exists whenever
 
   * q is even, or
   * q and n are both odd (u = 1 works), or
@@ -12,12 +13,44 @@ orthonormal for this pairing.  Such a basis exists whenever
 and ``select_twist`` picks the canonical such u.  For a bad twist
 ``orthonormal_basis`` raises ``OrthonormalBasisError`` rather than returning
 something approximate.
+
+The orthogonal basis comes from a symmetric elimination run on n field
+elements v_0..v_{n-1}, starting at the polynomial basis x^j, with each form
+value read with ``trace_form`` when it is needed; no Gram matrix is kept.
+It is congruence diagonalisation T^t G T of the Gram matrix G of x^j, done
+on the elements: column j of T holds the coordinates of v_j in the basis
+1, x, ..., so adding c times column i to column j is v_j += c v_i, and
+scaling or swapping columns scales or swaps elements.  T^t G T is the Gram
+matrix of the current elements, so a form value read on demand is the
+entry that the matrix route would hold, and every choice below is the one
+it makes.  Each round pivots on the first unfinished element of nonzero
+norm <v, v> and clears it from the later ones.  When every unfinished norm
+is zero, the first nonzero pairing <v_r, v_c> is repaired: for odd q,
+v_r += v_c has norm 2 <v_r, v_c> != 0; for even q, v_c is scaled to
+<v_r, v_c> = 1, the pair is cleared from the other unfinished elements,
+and r, c are merged with an earlier element w of norm d into r + w,
+d c + w and w + r' + c', pairwise orthogonal and each of norm d.
+
+Two branches of the matrix route cannot be reached by the trace form, and
+raise ``ArithmeticError`` as impossible:
+
+  * an unfinished block that is identically zero.  Its elements are
+    orthogonal to the finished ones too, so they would lie in the radical
+    of the form; but for u != 0 and a != 0 the functional
+    b -> Tr(u a b) is nonzero, since Tr is onto and u a b runs over the
+    whole field, so the radical is 0.
+  * for even q, no earlier element of nonzero norm.  In characteristic 2
+    the norm v -> Tr(u v^2) = Tr(sqrt(u) v)^2 is additive and satisfies
+    <c v, c v> = c^2 <v, v>, so if every norm were zero at the first round,
+    it would vanish on the whole field; but Tr(sqrt(u) v) is a nonzero
+    functional of v.  Hence the first round pivots, and each later round
+    keeps every finished element at a nonzero norm, so w is v_0.
 """
 
 from __future__ import annotations
 
 from .gf import ExtField, ext_from_json, ext_to_json, field_from_json, field_to_json
-from .linalg import Matrix, congruence_diagonalize
+from .linalg import Matrix
 
 
 class OrthonormalBasisError(ValueError):
@@ -58,7 +91,8 @@ def select_twist(field: ExtField) -> int:
 
 
 def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -> list[int]:
-    """Turn an orthogonal basis with Gram diag(d_i) into an orthonormal one."""
+    """Turn an orthogonal basis with Gram diag(d_i) into an orthonormal one;
+    d_i = ``trace_form`` of vecs[i] with itself."""
     base = field.base
     if any(d == 0 for d in diag):
         raise OrthonormalBasisError("twisted trace form is degenerate")
@@ -99,20 +133,73 @@ def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -
     return out
 
 
+def _orthogonal_basis(field: ExtField, u: int) -> list[int]:
+    """Basis of F_{q^n} orthogonal for Tr(u a b), by elimination on the
+    elements from the polynomial basis x^j; each form value is read with
+    ``trace_form`` when needed (module docstring)."""
+    n = field.n
+    base = field.base
+    add, mul = field.add, field.mul
+    v = [field.q**j for j in range(n)]
+
+    def form(i: int, j: int) -> int:
+        return trace_form(field, u, v[i], v[j])
+
+    def addmul(dst: int, src: int, c: int):
+        # v_dst <- v_dst + c * v_src
+        if c:
+            v[dst] = add(v[dst], mul(c, v[src]))
+
+    done = 0
+    while done < n:
+        # pivot on the first unfinished element of nonzero norm
+        d = 0
+        for j in range(done, n):
+            d = form(j, j)
+            if d:
+                v[done], v[j] = v[j], v[done]
+                break
+        if d:
+            s = base.neg(base.inv(d))
+            for j in range(done + 1, n):
+                addmul(j, done, base.mul(s, form(done, j)))
+            done += 1
+            continue
+        # every unfinished norm is zero: take the first nonzero pairing
+        r, c = next(((i, j) for i in range(done, n) for j in range(i + 1, n)
+                     if form(i, j)), (-1, -1))
+        if r < 0:
+            raise ArithmeticError("trace form has a radical (impossible)")
+        if base.p != 2:
+            # the new norm of v_r is 2 <v_r, v_c> != 0
+            addmul(r, c, 1)
+            continue
+        # characteristic 2: make the pair hyperbolic, clear it from the
+        # other unfinished elements, then merge it with the first earlier
+        # element w of nonzero norm d, which is v_0 since every finished
+        # element keeps a nonzero norm: r' = r + w, c' = d c + w and
+        # w' = w + r' + c' = w + r + d c are pairwise orthogonal and each
+        # has norm d
+        if done == 0:
+            raise ArithmeticError("no earlier non-isotropic element (impossible)")
+        v[c] = mul(base.inv(form(r, c)), v[c])
+        for j in range(done, n):
+            if j != r and j != c:
+                addmul(j, r, form(j, c))
+                addmul(j, c, form(j, r))
+        w, vr, vc = v[0], v[r], mul(form(0, 0), v[c])
+        v[r], v[c], v[0] = add(vr, w), add(vc, w), add(add(w, vr), vc)
+    return v
+
+
 def orthonormal_basis(field: ExtField, u: int) -> tuple[int, ...]:
     """Basis b_0..b_{n-1} of F_{q^n} with Tr(u b_i b_j) = delta_ij."""
     if u == 0:
         raise OrthonormalBasisError("twist u must be nonzero")
-    n = field.n
-    poly_basis = [field.q**j for j in range(n)]
-    gram = gram_matrix(field, u, poly_basis)
-    t, d = congruence_diagonalize(gram)
-    # columns of T give the orthogonal basis in poly_basis coordinates, and
-    # poly_basis[i] = x^i, so a column is an element's coefficient vector
-    vecs = [field.from_coeffs(t.col(j)) for j in range(n)]
-    diag = [d.data[i][i] for i in range(n)]
+    vecs = _orthogonal_basis(field, u)
+    diag = [trace_form(field, u, b, b) for b in vecs]
     vecs = _rescale_to_orthonormal(field, vecs, diag)
-    if gram_matrix(field, u, vecs) != Matrix.identity(field.base, n):
+    if gram_matrix(field, u, vecs) != Matrix.identity(field.base, field.n):
         raise ArithmeticError("orthonormalisation lost exactness (impossible)")
     return tuple(vecs)
 

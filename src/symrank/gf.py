@@ -24,7 +24,8 @@ the digits over K and one extended Euclid on digit lists serve, both with
 K's own ``add`` and ``mul``.  In characteristic 2 the tables are built by
 doubling, two table lookups per element, since multiplication by a fixed
 element is F_2-linear on the packed bits; for odd p they take one product
-per element.
+per element.  F_q always runs on its tables, so ``BaseField`` refuses a q
+above the limit.
 
 Addition, subtraction and negation are xor for p = 2 and ``% p`` on a
 prime field F_p.  Any other field with tables (odd p) uses its Zech
@@ -552,13 +553,20 @@ class BaseField(_Field):
     ``modulus`` is the little-endian coefficient tuple of g (length e + 1,
     monic).  Omitting it picks the first monic irreducible of degree e in
     ascending packed-coefficient order.
+
+    F_q always runs on its tables, so a q above ``ExtField.TABLE_LIMIT`` is
+    refused with ValueError before any table is built.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("extension degree e must be >= 1")
+        limit = ExtField.TABLE_LIMIT
+        # p >= 2, so p**e > limit once e reaches the bit length of limit
+        if p**min(e, limit.bit_length()) > limit:
+            raise ValueError(f"q = {p}^{e} exceeds the base field limit {limit}")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         prime = BaseField(p) if e > 1 else None
         if modulus is None:
             # y is the first monic polynomial of degree 1

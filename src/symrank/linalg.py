@@ -24,8 +24,6 @@ one matrix-vector product each; the low-rate symmetric-error decoder takes
 its left inverse from one solver, once, at construction, and makes no solve
 per word.  ``Matrix.solve`` is one such solver, which reads the kernel off
 the same reduction.
-``congruence_diagonalize`` computes T with T^t G T diagonal for a symmetric
-Gram matrix G, in any characteristic.
 """
 
 from __future__ import annotations
@@ -282,117 +280,3 @@ class LinearSolver:
         for (r, c) in self.pivots:
             x[c] = eb[r]
         return tuple(x)
-
-
-def congruence_diagonalize(gram: Matrix) -> tuple[Matrix, Matrix]:
-    """Change of basis T with T^t G T = D diagonal, G symmetric.
-
-    Works over any characteristic.  In characteristic 2 a symmetric form
-    with an identically zero diagonal is alternating and has no orthogonal
-    basis at all; that case raises ValueError.  Otherwise zero-diagonal
-    blocks are repaired: for odd characteristic by the column addition
-    x_r <- x_r + x_c (the new diagonal entry is 2*G[r][c] != 0), and in
-    characteristic 2 by splitting off a hyperbolic pair and merging it with
-    a previously found non-isotropic vector.
-    """
-    f = gram.field
-    n = gram.nrows
-    if n != gram.ncols or not gram.is_symmetric():
-        raise ValueError("congruence_diagonalize needs a symmetric matrix")
-    a = [list(row) for row in gram.data]
-    t = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
-    add, mul, inv, neg, zero = f.add, f.mul, f.inv, f.neg, f.zero
-    char2 = f.p == 2
-
-    def col_addmul(dst: int, src: int, c):
-        # x_dst <- x_dst + c * x_src; updates A congruently and T
-        if c == zero:
-            return
-        for i in range(n):
-            v = a[i][src]
-            if v != zero:
-                a[i][dst] = add(a[i][dst], mul(c, v))
-        for i in range(n):
-            v = a[src][i]
-            if v != zero:
-                a[dst][i] = add(a[dst][i], mul(c, v))
-        for i in range(n):
-            v = t[i][src]
-            if v != zero:
-                t[i][dst] = add(t[i][dst], mul(c, v))
-
-    def col_scale(j: int, c):
-        for i in range(n):
-            a[i][j] = mul(c, a[i][j])
-        for i in range(n):
-            a[j][i] = mul(c, a[j][i])
-        for i in range(n):
-            t[i][j] = mul(c, t[i][j])
-
-    def col_swap(i: int, j: int):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            t[r][i], t[r][j] = t[r][j], t[r][i]
-
-    done = 0
-    while done < n:
-        # prefer a column with nonzero diagonal in the unfinished block
-        pivot = -1
-        for j in range(done, n):
-            if a[j][j] != zero:
-                pivot = j
-                break
-        if pivot >= 0:
-            if pivot != done:
-                col_swap(done, pivot)
-            d = a[done][done]
-            s = neg(inv(d))
-            for j in range(done + 1, n):
-                if a[done][j] != zero:
-                    col_addmul(j, done, mul(s, a[done][j]))
-            done += 1
-            continue
-        # zero diagonal everywhere in the block; find an off-diagonal entry
-        r = c = -1
-        for i in range(done, n):
-            for j in range(i + 1, n):
-                if a[i][j] != zero:
-                    r, c = i, j
-                    break
-            if r >= 0:
-                break
-        if r < 0:
-            # block is identically zero: remaining vectors are in the radical
-            break
-        if not char2:
-            col_addmul(r, c, f.one)
-            continue
-        # characteristic 2: make the pair hyperbolic, clear it from the
-        # other columns, then merge with an earlier non-isotropic column
-        col_scale(c, inv(a[r][c]))
-        for s_ in range(done, n):
-            if s_ in (r, c):
-                continue
-            col_addmul(s_, r, a[s_][c])
-            col_addmul(s_, c, a[s_][r])
-        w = -1
-        for j in range(done):
-            if a[j][j] != zero:
-                w = j
-                break
-        if w < 0:
-            raise ValueError(
-                "alternating form in characteristic 2 has no orthogonal basis")
-        # with B(r,c)=1, B(w,w)=d: r'=r+w, c'=d*c+w, w'=w+r'+c' are pairwise
-        # orthogonal and each has norm d
-        d = a[w][w]
-        col_addmul(r, w, f.one)
-        col_scale(c, d)
-        col_addmul(c, w, f.one)
-        col_addmul(w, r, f.one)
-        col_addmul(w, c, f.one)
-    diag = Matrix(f, [[a[i][j] if i == j else zero for j in range(n)]
-                      for i in range(n)])
-    return Matrix(f, t), diag

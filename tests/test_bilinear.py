@@ -1,5 +1,8 @@
 """Twisted trace form tests: twist selection, orthonormal bases, SymSetup."""
 
+import hashlib
+import json
+
 import pytest
 
 from symrank import (
@@ -76,6 +79,33 @@ def test_orthonormal_exists_iff_norm_nonsquare(p, e, n):
         else:
             with pytest.raises(OrthonormalBasisError):
                 orthonormal_basis(f, u)
+
+
+# every twist u of each field, 0 and the bad twists included: the basis, or
+# the refusal's class and message.  Some twist of every characteristic-2
+# field here with n >= 3, (2,4) among them, takes the characteristic-2
+# repair of a zero-norm block, and some twist of every odd field, (3,4)
+# among them, the odd repair, so both are pinned with the pivot rounds.
+BASIS_GRID = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 1, 6),
+              (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 1, 3), (3, 1, 4),
+              (5, 1, 2), (5, 1, 3), (7, 1, 2), (3, 2, 2)]
+PINNED_BASIS_GRID = (
+    "ac12e45acb398d90c1dc90dfdcdd8343e258ac57ce87a0e19c0b97f292fc9551")
+
+
+def test_orthonormal_basis_grid_pinned():
+    lines = []
+    for p, e, n in BASIS_GRID:
+        f = get_field(p, e, n)
+        for u in range(f.order):
+            try:
+                out = list(orthonormal_basis(f, u))
+            except Exception as exc:
+                out = [type(exc).__name__, str(exc)]
+            lines.append(json.dumps([p, e, n, u, out]))
+    assert len(lines) == 601
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_BASIS_GRID
 
 
 def test_setup_coords_roundtrip():

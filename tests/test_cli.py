@@ -56,6 +56,41 @@ def test_setup_explicit_moduli(tmp_path, capsys):
     capsys.readouterr()
 
 
+# SHA-256 of the setup JSON on stdout, per (p, e, n); (2,1,17) is past
+# TABLE_LIMIT, so its basis is built on table-free arithmetic
+PINNED_SETUP = {
+    (2, 1, 8):
+        "fd381560842589e946b2a59046f0d7a70334e56e91db0e5591259ae0a71a2f1b",
+    (3, 1, 6):
+        "6cf609653659f648e081bdf5f303a72d870a31bf3d3293663d1f0bc40b915e79",
+    (3, 1, 4):
+        "9eb20c0fb98a4b3e0d2c064728514fa801e6c2a3a05721b7618d959a1c3e855d",
+    (5, 1, 4):
+        "d6d19eb94947bee6ea53337f0102886aadebedf25db74a65eb74272fa5dca63b",
+    (2, 2, 4):
+        "1f467f0e53fad0c63e98c7c7ac45ae6a801f91ec5d7881949dfdb619dd1c4c75",
+    (2, 1, 17):
+        "07c439853b5d540bbc7faa8dd42c0a421b4cb4abe125c16bab7518992f49f746",
+}
+
+
+@pytest.mark.parametrize("p,e,n", sorted(PINNED_SETUP))
+def test_setup_output_pinned(p, e, n, capsys):
+    assert main(["setup", "--p", str(p), "--e", str(e), "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SETUP[(p, e, n)]
+
+
+def test_setup_base_field_past_table_limit_exits_3(capsys):
+    # F_q always runs on tables, so q > TABLE_LIMIT is a config error; each
+    # q is just past the limit, so even building its tables would be cheap
+    for flags in (["--p", "2", "--e", "17", "--n", "1"],
+                  ["--p", "65537", "--n", "2"],
+                  ["--p", "257", "--e", "2", "--n", "1"]):
+        assert main(["setup"] + flags) == 3
+        assert "exceeds the base field limit" in capsys.readouterr().err
+
+
 def test_roundtrip_standard_success(tmp_path):
     out = tmp_path / "report.json"
     code = main(["roundtrip", "--p", "2", "--n", "8", "--k", "2",

@@ -520,6 +520,20 @@ def test_bad_parameters_rejected():
         ExtField(BaseField(3), 4, modulus=(2, 1, 0, 1, 1))
 
 
+def test_base_field_refuses_q_past_table_limit(monkeypatch):
+    # F_q always builds its tables; the refusal comes before any table
+    def no_tables(*args):
+        raise AssertionError("tables built for a refused base field")
+    monkeypatch.setattr("symrank.gf._exp_log_tables", no_tables)
+    for p, e in [(2, 17), (2, 28), (3, 11), (1000003, 1), (257, 2)]:
+        with pytest.raises(ValueError, match="exceeds the base field limit"):
+            BaseField(p, e)
+    with pytest.raises(ValueError, match="exceeds the base field limit"):
+        make_field(2, 17, 1)
+    monkeypatch.undo()
+    assert BaseField(2, 16).q == ExtField.TABLE_LIMIT
+
+
 def test_make_field_explicit_moduli():
     f = make_field(2, 2, 2, g=(1, 1, 1), f=(2, 1, 1))
     assert f.modulus == (2, 1, 1)

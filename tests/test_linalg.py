@@ -1,13 +1,11 @@
-"""Matrix/solver tests over packed-int fields, plus symmetric congruence
-diagonalization (including the characteristic-2 cases)."""
+"""Matrix/solver tests over packed-int fields."""
 
 import json
 import operator
 
 import pytest
 
-from symrank import (BaseField, LinearSolver, Matrix, congruence_diagonalize,
-                     linalg)
+from symrank import BaseField, LinearSolver, Matrix, linalg
 from helpers import (get_field, phi_matrix, rand_elt, ref_add, ref_apply, ref_rank,
                      ref_solve, ref_sub)
 from symrank.channel import RngStream
@@ -291,45 +289,6 @@ def test_packed_f2_matches_field_op_reference():
                     consistent += 1
                     assert ref_apply(a, want) == rhs
     assert consistent and inconsistent
-
-
-@pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (2, 1), (2, 2)])
-def test_congruence_diagonalize_random(p, e):
-    f = BaseField(p, e)
-    rng = RngStream(41)
-    for trial in range(40):
-        n = 1 + rng.randbelow(4)
-        raw = rand_matrix(f, n, n, rng)
-        gram = raw + raw.transpose()
-        if f.p == 2:
-            # a + a^T has zero diagonal in char 2; put back a random diagonal
-            # so the form is not alternating (those are rejected, see below).
-            gram = gram + Matrix(f, [[rand_elt(f, rng) if i == j else 0
-                                      for j in range(n)] for i in range(n)])
-            if all(gram.data[i][i] == 0 for i in range(n)):
-                continue
-        t, d = congruence_diagonalize(gram)
-        assert t.transpose() @ gram @ t == d
-        assert all(d.data[i][j] == 0 for i in range(n) for j in range(n) if i != j)
-        assert t.rank() == n
-        assert d.rank() == gram.rank()
-
-
-def test_congruence_char2_alternating_rejected():
-    f2 = BaseField(2)
-    with pytest.raises(ValueError):
-        congruence_diagonalize(Matrix(f2, [[0, 1], [1, 0]]))
-
-
-def test_congruence_char2_zero_diagonal_block():
-    # Diagonal entry exists elsewhere, so the hyperbolic 2x2 block can be
-    # folded into it.
-    f2 = BaseField(2)
-    gram = Matrix(f2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
-    t, d = congruence_diagonalize(gram)
-    assert t.transpose() @ gram @ t == d
-    assert all(d.data[i][j] == 0 for i in range(3) for j in range(3) if i != j)
-    assert t.rank() == 3
 
 
 def test_matrix_json_roundtrip():
