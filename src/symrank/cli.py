@@ -106,11 +106,13 @@ _CONFIG_TYPES = {**dict.fromkeys(("p", "e", "n", "k", "rank", "trials", "seed"),
 def _resolve(args) -> dict:
     cfg = {key: getattr(args, key) for key in _CONFIG_KEYS}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:   # bad JSON or bytes that are not UTF-8
                 raise ConfigError(f"bad config JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(doc) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

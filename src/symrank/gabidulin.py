@@ -9,9 +9,10 @@ basis.
 ``wb_decode`` solves the key equation L o Y = N coefficient-wise.  For a
 guessed error rank tp the unknown localiser (l_0..l_tp) must kill the
 coefficients of L o Y at indices k+tp..n-1, an (n-k-tp) x (tp+1) linear
-system over F_{q^n}.  The radius t is at most (n-k)//2, or (n-k)//2 + 1
-when n-k is odd, so the decoder solves the system at most twice: at the
-unique radius tu = min(t, (n-k)//2), then at t > tu when nothing was found:
+system over F_{q^n} (``_key_kernel``).  The radius t is at most (n-k)//2,
+or (n-k)//2 + 1 when n-k is odd, so the decoder solves the system at most
+twice, in two straight-line stages: at the unique radius
+tu = min(t, (n-k)//2), then at t > tu when nothing was found:
 
   * at tu any single nonzero solution yields the unique codeword within tu
     if one exists (Loidreau's decoder), so only kern[0] is tested.  If
@@ -179,6 +180,20 @@ class DecodeReport:
         return cls("ok", found[0], received - found[0], found, diagnostics)
 
 
+def _key_kernel(y0: QPoly, k: int, tp: int) -> list:
+    """A basis of the localisers L = (l_0, ..., l_tp) that solve the key
+    equation at radius tp: the kernel of the (n-k-tp) x (tp+1) system
+    sum_i l_i Y_(j-i)^(q^i) = 0 (indices mod n) for j = k+tp..n-1 over
+    F_{q^n}, which says (L o Y)_j = 0 there.  When n - k <= tp the system
+    has no rows and every L solves it: the identity basis."""
+    fld, n = y0.field, y0.field.n
+    if n - k <= tp:
+        return Matrix.identity(fld, tp + 1).data
+    ys, frob = y0.coeffs, fld.frobenius
+    return Matrix(fld, [[frob(ys[(j - i) % n], i) for i in range(tp + 1)]
+                        for j in range(k + tp, n)]).kernel()
+
+
 def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
     """Divide L o Y by L; a clean quotient of q-degree < k is a codeword.
 
@@ -200,15 +215,6 @@ def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
     if rem.is_zero() and not any(quot.coeffs[k:]):
         return quot
     return None
-
-
-def _axpy(fld: ExtField, vec: list, c: int, kv) -> list:
-    """vec + c * kv coordinate-wise, in place; vec itself when c = 0."""
-    if c:
-        for pos, x in enumerate(kv):
-            if x:
-                vec[pos] = fld.add(vec[pos], fld.mul(c, x))
-    return vec
 
 
 def _tabulate(fld: ExtField, vec) -> list[int]:
@@ -250,14 +256,14 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
     The keys are the ratios K1(x)/K2(x), from ``ExtField.div_many``; the
     root lines of K2, at most (q^tp - 1)/(q - 1), are counted apart."""
     k1, k2 = kern
-    q = fld.q
+    q, add, mul = fld.q, fld.add, fld.mul
     t1, t2 = _tabulate(fld, k1), _tabulate(fld, k2)
     counts = Counter(fld.div_many(compress(t1, t2), filter(None, t2)))
     on_k2 = list(compress(t1, map(not_, t2)))   # K1 on the root lines of K2
     common = on_k2.count(0)                     # root lines of both
     full = (q**tp - 1) // (q - 1) - common
     for c in sorted(fld.neg(r) for r, count in counts.items() if count == full):
-        yield _axpy(fld, list(k1), c, k2)
+        yield [add(a, mul(c, b)) if b else a for a, b in zip(k1, k2)]
     if len(on_k2) - common == full:
         yield list(k2)
 
@@ -299,35 +305,25 @@ def wb_decode(code: GabCode, received: QPoly, t: int, keep=None) -> DecodeReport
     if not 0 <= t <= top:
         raise ValueError(f"decoding radius t = {t} out of range 0..{top}")
     y0 = received.compose_monomial(n - s) if s else received
-    ycoeffs = y0.coeffs
-    frob = fld.frobenius
 
-    kernel_dims: list[int] = []
+    tu = min(t, half)
+    kern = _key_kernel(y0, k, tu)
+    kernel_dims = [len(kern)]
+    found = [c for c in (_try_localiser(v, y0, k) for v in kern[:1]) if c is not None]
+    rank = tu + 1 - len(kern)
     walked = 0
-    for tp in range(min(t, half), t + 1):
-        if n - k > tp:
-            sys_rows = [[frob(ycoeffs[(j - i) % n], i) for i in range(tp + 1)]
-                        for j in range(k + tp, n)]
-            kern = Matrix(fld, sys_rows).kernel()
-        else:
-            kern = Matrix.identity(fld, tp + 1).data
+    if not found and t > half:
+        kern = _key_kernel(y0, k, t)
         kernel_dims.append(len(kern))
-        if tp <= half:
-            points = kern[:1]
-        elif len(kern) == 2:
-            points = list(_pencil_points(fld, kern, tp))
-            walked = len(points)
-        else:
-            points = []     # no codeword within t (module docstring)
-        stage_keep = keep if tp > half else None
-        found = [c for c in (_try_localiser(v, y0, k, stage_keep) for v in points)
+        # a kernel of dimension 3 or more: no codeword within t (module docstring)
+        members = list(_pencil_points(fld, kern, t)) if len(kern) == 2 else []
+        walked = len(members)
+        found = [c for c in (_try_localiser(v, y0, k, keep) for v in members)
                  if c is not None]
-        if found:
-            break
+        rank = t
 
     if s:
         found = [c.compose_monomial(s) for c in found]
-    rank = tp if tp > half else tp + 1 - len(kern)
     return DecodeReport.of(received, found, rank, {
         "kernel_dims": kernel_dims,
         "walked": walked,

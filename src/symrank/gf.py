@@ -555,7 +555,8 @@ class BaseField(_Field):
     ascending packed-coefficient order.
 
     F_q always runs on its tables, so a q above ``ExtField.TABLE_LIMIT`` is
-    refused with ValueError before any table is built.
+    refused with ValueError before any table is built; ``sqrt`` reads its
+    logs.
     """
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -580,22 +581,23 @@ class BaseField(_Field):
         super().__init__(p, prime, modulus)
         self.e = e
         self.q = self.order
-        self._sqrt_table: dict[int, int] | None = None
 
     def __repr__(self):
         return f"BaseField(p={self.p}, e={self.e})"
 
     def sqrt(self, a: int) -> int:
-        """A square root of a, via an exhaustive table (q is desk-sized)."""
-        if self._sqrt_table is None:
-            table: dict[int, int] = {}
-            for b in range(self.q):
-                table.setdefault(self.mul(b, b), b)
-            self._sqrt_table = table
-        try:
-            return self._sqrt_table[a]
-        except KeyError:
-            raise ValueError(f"{a} is not a square in F_{self.q}") from None
+        """The smaller of the square roots r, -r of a, read off the logs.
+
+        For odd p the squares are the even logs, and an odd log raises
+        ValueError.  In characteristic 2 the unit group has odd order
+        q - 1, so every log halves modulo q - 1."""
+        if not a:
+            return 0
+        la = self._log[a]
+        if la % 2 and not self._char2:
+            raise ValueError(f"{a} is not a square in F_{self.q}")
+        r = self._exp[(la + la % 2 * (self.q - 1)) // 2]
+        return min(r, self.neg(r))
 
 
 class ExtField(_Field):

@@ -383,6 +383,14 @@ def test_config_errors_exit_3(tmp_path, capsys):
         bad.write_text(json.dumps(dict({"p": 2, "n": 6, "k": 2,
                                         "mode": "standard"}, **wrong)))
         assert main(["roundtrip", "--config", str(bad)]) == 3
+    # a config document that is not a JSON object, or not UTF-8
+    for raw in (b"5", b"null", b'"abc"', b"[1, 2]", b"\xff\xfe",
+                '{"p": "\u00e9"}'.encode("latin-1")):
+        bad.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["setup", "--config", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("symrank: error:") == 1 and "unknown config keys" not in err
     # a setup file fixes the field: a field flag or config key that names
     # another field is an error, never silently overridden by the file
     setup_file.write_text(json.dumps(SymSetup(get_field(2, 1, 6)).to_json()))

@@ -156,16 +156,25 @@ def test_wb_exhaustive_agreement_with_nearest_codeword():
             assert set(rep.candidates) == set(nearest)
 
 
-def test_wb_walked_candidate_sets_match_error_buckets():
+@pytest.mark.parametrize("n,k,planted,count,tally", [
+    (4, 1, 0, 7576, {("ambiguous", True): 206, ("ok", True): 72,
+                     ("ok", False): 19, ("fail", False): 3}),
+    # no word at (2,5,2) has a lone codeword at distance exactly 2 (the
+    # tails with one error are those of the 962 errors of rank <= 1), so
+    # the planted words are all 'ambiguous' at the walked stage
+    (5, 2, 30, 145112, {("ambiguous", True): 320, ("ok", False): 10}),
+], ids=["2-4-1", "2-5-2"])
+def test_wb_walked_candidate_sets_match_error_buckets(n, k, planted, count, tally):
     # an oracle independent of the key equation and of ``qpoly_rank`` for
-    # the standard walked stage at (2,4,1), t = 2.  Every map of rank <= 2
-    # is a sum of at most two maps a Tr(b x); each is ranked by elimination
-    # on its matrix, and their count is that of the 4 x 4 binary matrices
-    # of rank <= 2.  A codeword of Gab_1 is zero outside degree 0, so the
-    # codewords within 2 of Y are Y - E over the errors E that agree with
-    # Y there
-    f = get_field(2, 1, 4)
-    n, k, t, q = 4, 1, 2, 2
+    # the standard walked stage over F_2 at t = (n-k+1)//2 = 2.  Every map
+    # of rank <= 2 is a sum of at most two maps a Tr(b x); each is ranked
+    # by elimination on its matrix, and their count is that of the n x n
+    # binary matrices of rank <= 2.  A codeword of Gab_k is zero in degrees
+    # k..n-1, so the codewords within 2 of Y are Y - E over the errors E
+    # that agree with Y there.  300 random words, then ``planted`` words
+    # codeword + rank-2 error
+    f = get_field(2, 1, n)
+    t, q = 2, 2
     units = range(1, f.order)
     rank1 = {tuple(f.mul(a, f.frobenius(b, i)) for i in range(n))
              for a in units for b in units}
@@ -178,16 +187,17 @@ def test_wb_walked_candidate_sets_match_error_buckets():
             num *= (q**n - q**i) ** 2
             den *= q**r - q**i
         want_count += num // den
-    assert len(errors) == want_count == 7576
+    assert len(errors) == want_count == count
     buckets = {}
     for err in errors:
         assert ref_rank(endo_matrix(QPoly(f, err))) <= t
         buckets.setdefault(err[k:], []).append(err)
     code = GabCode(f, k)
     rng = RngStream(53)
+    words = [rand_qpoly(f, rng) for _ in range(300)]
+    words += [rand_codeword(code, rng) + random_error(f, t, rng) for _ in range(planted)]
     seen = Counter()
-    for _ in range(300):
-        y = rand_qpoly(f, rng)
+    for y in words:
         want = {tuple(f.sub(a, b) for a, b in zip(y.coeffs[:k], err[:k]))
                 + (0,) * (n - k) for err in buckets.get(y.coeffs[k:], ())}
         rep = wb_decode(code, y, t)
@@ -195,7 +205,7 @@ def test_wb_walked_candidate_sets_match_error_buckets():
         assert rep.status == ("fail" if not want else
                               "ok" if len(want) == 1 else "ambiguous")
         seen[rep.status, bool(rep.diagnostics["walked"])] += 1
-    assert seen["ambiguous", True] and seen["ok", True] and seen["fail", False]
+    assert seen == tally
 
 
 def test_wb_fail_status():
@@ -539,16 +549,18 @@ def test_error_rank_high_rate(monkeypatch, p, e, n, k):
 
 
 @pytest.mark.parametrize("p,n,k,s", [(2, 8, 4, 0), (3, 6, 2, 0), (2, 8, 3, 2),
-                                     (2, 16, 8, 0)])
+                                     (2, 16, 8, 0), (2, 7, 2, 0), (3, 6, 1, 0)])
 def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
     # t <= (n-k)//2: one kernel, its first vector tested, no walk and no
-    # rank elimination
+    # rank elimination.  At t = (n-k)//2 + 1 (n-k odd) an error of rank
+    # <= (n-k)//2 is found at the unique radius, which ends the decode: the
+    # walked stage's kernel is never built
     f = get_field(p, 1, n)
     code = GabCode(f, k, s)
     half = (n - k) // 2
     rng = RngStream(79)
     words = [(t, rand_codeword(code, rng) + random_error(f, r, rng))
-             for t in range(half + 1) for r in sorted({1, t})]
+             for t in range((n - k + 1) // 2 + 1) for r in sorted({1, min(t, half)})]
     calls = Counter()
     for owner, name in ((Matrix, "kernel"), (qpoly, "qpoly_rank"),
                         (gabidulin, "qpoly_rank"), (gabidulin, "_pencil_points")):
@@ -558,6 +570,7 @@ def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
         rep = wb_decode(code, y, t)
         assert calls == {"kernel": 1}
         assert len(rep.diagnostics["kernel_dims"]) == 1
+        assert rep.status == "ok" or t == 0
 
 
 def test_wb_rejects_bad_radius():
