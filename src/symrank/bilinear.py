@@ -45,6 +45,9 @@ raise ``ArithmeticError`` as impossible:
     it would vanish on the whole field; but Tr(sqrt(u) v) is a nonzero
     functional of v.  Hence the first round pivots, and each later round
     keeps every finished element at a nonzero norm, so w is v_0.
+
+So every element of the orthogonal basis is finished by a pivot, at a
+nonzero norm, and ``_rescale_to_orthonormal`` needs no check for a zero one.
 """
 
 from __future__ import annotations
@@ -92,17 +95,14 @@ def select_twist(field: ExtField) -> int:
 
 def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -> list[int]:
     """Turn an orthogonal basis with Gram diag(d_i) into an orthonormal one;
-    d_i = ``trace_form`` of vecs[i] with itself."""
+    d_i = ``trace_form`` of vecs[i] with itself, nonzero (module docstring).
+
+    Each v_i with d_i a square is scaled by 1/sqrt(d_i); in characteristic 2
+    squaring is onto, so that is every v_i and no pair is left.  For odd q
+    the non-square norms are paired up and each pair rotated to norm 1."""
     base = field.base
-    if any(d == 0 for d in diag):
-        raise OrthonormalBasisError("twisted trace form is degenerate")
     n = len(vecs)
     out = list(vecs)
-    if base.p == 2:
-        # squaring is an automorphism: every d has a square root
-        for i in range(n):
-            out[i] = field.mul(out[i], base.inv(base.sqrt(diag[i])))
-        return out
     nonsq = []
     for i in range(n):
         if base.is_square(diag[i]):

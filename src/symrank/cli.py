@@ -177,8 +177,11 @@ def _load(cfg: dict, with_setup: bool) -> tuple[ExtField, SymSetup | None]:
     construction error of user input surfaces here as a ConfigError."""
     try:
         if cfg["setup_file"]:
-            with open(cfg["setup_file"]) as fh:
-                setup = SymSetup.from_json(json.load(fh))
+            with open(cfg["setup_file"], encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ConfigError("setup file must be a JSON object")
+            setup = SymSetup.from_json(doc)
             _check_field_flags(cfg, setup.field)
             return setup.field, setup
         field = _make_field(cfg)

@@ -185,13 +185,12 @@ def _key_kernel(y0: QPoly, k: int, tp: int) -> list:
     equation at radius tp: the kernel of the (n-k-tp) x (tp+1) system
     sum_i l_i Y_(j-i)^(q^i) = 0 (indices mod n) for j = k+tp..n-1 over
     F_{q^n}, which says (L o Y)_j = 0 there.  When n - k <= tp the system
-    has no rows and every L solves it: the identity basis."""
+    has no rows and every L solves it: the kernel of the empty system is the
+    identity basis, unit vectors in order."""
     fld, n = y0.field, y0.field.n
-    if n - k <= tp:
-        return Matrix.identity(fld, tp + 1).data
     ys, frob = y0.coeffs, fld.frobenius
-    return Matrix(fld, [[frob(ys[(j - i) % n], i) for i in range(tp + 1)]
-                        for j in range(k + tp, n)]).kernel()
+    return Matrix._shaped(fld, [[frob(ys[(j - i) % n], i) for i in range(tp + 1)]
+                                for j in range(k + tp, n)], tp + 1).kernel()
 
 
 def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:

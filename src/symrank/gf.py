@@ -51,9 +51,12 @@ its methods.  ``linalg.Matrix`` adds, subtracts and applies with these.
 
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
-given (p, e, n) always denotes the same concrete tower.  Either way a
-modulus m passes Rabin's irreducibility test, which runs in the ring
-K[x]/(m) with the field's own table-free product and inverse.
+given (p, e, n) always denotes the same concrete tower.  Both levels take
+their modulus from one rule, ``_modulus``: a supplied g or f is used as
+given, monic of the right degree with int coefficients in range, never
+reduced or rewritten.  Either way a modulus m passes Rabin's
+irreducibility test, which runs in the ring K[x]/(m) with the field's own
+table-free product and inverse.
 """
 
 from __future__ import annotations
@@ -220,6 +223,26 @@ def _find_irreducible_fq(base, n: int) -> tuple[int, ...]:
         if _fq_is_irreducible(base, cand):
             return tuple(cand)
     raise ArithmeticError("no irreducible polynomial found (impossible)")
+
+
+def _modulus(coef, order: int, degree: int, modulus, name: str) -> tuple[int, ...]:
+    """The modulus of K[x]/(m), K = ``coef`` of ``order`` elements (None for
+    F_p itself).  With no ``modulus``, the default: x over F_p, else the
+    first monic irreducible of ``degree`` in ascending packed order.  A
+    supplied one is returned as given, after checking that it is monic of
+    ``degree`` with int coefficients in 0..order-1 and, over a coefficient
+    field, irreducible (Rabin's test); ValueError names it ``name``."""
+    if modulus is None:
+        # x is the first monic polynomial of degree 1
+        return (0, 1) if coef is None else _find_irreducible_fq(coef, degree)
+    modulus = tuple(modulus)
+    if len(modulus) != degree + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus {name} must be monic of degree {degree}")
+    if any(type(c) is not int or not 0 <= c < order for c in modulus):
+        raise ValueError(f"modulus {name} must have int coefficients in 0..{order - 1}")
+    if coef is not None and not _fq_is_irreducible(coef, modulus):
+        raise ValueError(f"modulus {name} is reducible over F_{order}")
+    return modulus
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +574,9 @@ class BaseField(_Field):
     """F_q = F_p[y]/(g) acting on packed integer elements in [0, q).
 
     ``modulus`` is the little-endian coefficient tuple of g (length e + 1,
-    monic).  Omitting it picks the first monic irreducible of degree e in
-    ascending packed-coefficient order.
+    monic, coefficients in 0..p-1).  Omitting it picks the first monic
+    irreducible of degree e in ascending packed-coefficient order
+    (``_modulus``).
 
     F_q always runs on its tables, so a q above ``ExtField.TABLE_LIMIT`` is
     refused with ValueError before any table is built; ``sqrt`` reads its
@@ -569,16 +593,7 @@ class BaseField(_Field):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         prime = BaseField(p) if e > 1 else None
-        if modulus is None:
-            # y is the first monic polynomial of degree 1
-            modulus = (0, 1) if prime is None else _find_irreducible_fq(prime, e)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise ValueError("modulus g must be monic of degree e")
-            if prime is not None and not _fq_is_irreducible(prime, modulus):
-                raise ValueError("modulus g is reducible over F_p")
-        super().__init__(p, prime, modulus)
+        super().__init__(p, prime, _modulus(prime, p, e, modulus, "g"))
         self.e = e
         self.q = self.order
 
@@ -609,19 +624,10 @@ class ExtField(_Field):
                  use_tables: bool | None = None):
         if n < 1:
             raise ValueError("extension degree n must be >= 1")
-        if modulus is None:
-            modulus = _find_irreducible_fq(base, n)
-        else:
-            modulus = tuple(int(c) for c in modulus)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus f must be monic of degree n")
-            if any(not (0 <= c < base.q) for c in modulus):
-                raise ValueError("modulus f has out-of-range coefficients")
-            if not _fq_is_irreducible(base, modulus):
-                raise ValueError("modulus f is reducible over F_q")
         if use_tables is None:
             use_tables = base.q**n <= self.TABLE_LIMIT
-        super().__init__(base.p, base, modulus, use_tables)
+        super().__init__(base.p, base, _modulus(base, base.q, n, modulus, "f"),
+                         use_tables)
         self.base = base
         self.n = n
         self.q = base.q
@@ -683,9 +689,13 @@ def field_to_json(field: ExtField) -> dict:
 
 
 def field_from_json(doc: dict) -> ExtField:
-    base = BaseField(int(doc["p"]), int(doc["e"]), tuple(doc["g"]))
-    f = tuple(base.from_coeffs(c) for c in doc["f"])
-    return ExtField(base, int(doc["n"]), f)
+    """The field of ``field_to_json``; ValueError unless p, e and n are
+    ints and g and f are lists, which are taken as they are."""
+    for key, want in (("p", int), ("e", int), ("n", int), ("g", list), ("f", list)):
+        if type(doc[key]) is not want:
+            raise ValueError(f"field {key} must be {want.__name__}, not {doc[key]!r}")
+    base = BaseField(doc["p"], doc["e"], doc["g"])
+    return ExtField(base, doc["n"], [base.from_coeffs(c) for c in doc["f"]])
 
 
 def ext_to_json(field: ExtField, a: int) -> list[list[int]]:

@@ -209,14 +209,15 @@ class HighRateDecoder:
         self.radius = n - k
         # u^(q^k - 1), the twist of the outermost pair (``_outer_pair``)
         self._twist = fld.div(fld.frobenius(setup.u, k), setup.u)
-        # theta + theta^(q^(n/2)) = 1 splits the self-paired middle degree
+        # theta + theta^(q^(n/2)) = 1 splits the self-paired middle degree:
+        # theta = a / (a + a^(q^(n/2))) for the first unit a where the sum is
+        # nonzero.  For odd q that is a = 1, with sum 2; in characteristic 2
+        # every a in F_q has sum 0, and the next unit, a = x (packed q),
+        # generates F_(q^n) over F_q, so lies in no proper subfield
         self._theta = None
         if n % 2 == 0:
-            for a in fld.units():
-                den = fld.add(a, fld.frobenius(a, n // 2))
-                if den:
-                    self._theta = fld.div(a, den)
-                    break
+            a = fld.q if fld.p == 2 else fld.one
+            self._theta = fld.div(a, fld.add(a, fld.frobenius(a, n // 2)))
 
     def _preimage(self, received: QPoly) -> QPoly:
         """A codeword C' with Phi(C') = Phi(received) (module docstring)."""

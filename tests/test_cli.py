@@ -367,7 +367,8 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["simulate", "--p", "2", "--n", "6", "--k", "2",
                  "--mode", "standard", "--trials", "-3"]) == 3
     for flags in (["--p", "4", "--n", "2"], ["--p", "2", "--n", "0"],
-                  ["--p", "2", "--n", "2", "--e", "0"]):
+                  ["--p", "2", "--n", "2", "--e", "0"],
+                  ["--p", "2", "--e", "2", "--n", "2", "--g", "[1,3,1]"]):
         assert main(["setup"] + flags) == 3
     setup_file = tmp_path / "setup.json"
     setup_file.write_text("{not json")
@@ -391,6 +392,17 @@ def test_config_errors_exit_3(tmp_path, capsys):
         assert main(["setup", "--config", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err.count("symrank: error:") == 1 and "unknown config keys" not in err
+    # a setup file whose field keys have the wrong JSON type, or that is not
+    # a JSON object, or not UTF-8, is refused, never coerced
+    good = SymSetup(get_field(2, 1, 4)).to_json()
+    raws = [json.dumps(dict(good, field=dict(good["field"], **wrong))).encode()
+            for wrong in ({"p": 2.7}, {"p": "2"}, {"n": 4.9}, {"e": True},
+                          {"g": "01"})]
+    for raw in raws + [b"5", b"null", b"[1]", b"\xff\xfe"]:
+        setup_file.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["setup", "--setup-file", str(setup_file)]) == 3
+        assert capsys.readouterr().err.count("symrank: error:") == 1
     # a setup file fixes the field: a field flag or config key that names
     # another field is an error, never silently overridden by the file
     setup_file.write_text(json.dumps(SymSetup(get_field(2, 1, 6)).to_json()))

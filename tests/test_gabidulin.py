@@ -167,9 +167,11 @@ def test_wb_exhaustive_agreement_with_nearest_codeword():
 def test_wb_walked_candidate_sets_match_error_buckets(n, k, planted, count, tally):
     # an oracle independent of the key equation and of ``qpoly_rank`` for
     # the standard walked stage over F_2 at t = (n-k+1)//2 = 2.  Every map
-    # of rank <= 2 is a sum of at most two maps a Tr(b x); each is ranked
-    # by elimination on its matrix, and their count is that of the n x n
-    # binary matrices of rank <= 2.  A codeword of Gab_k is zero in degrees
+    # of rank <= 2 is a sum of at most two maps a Tr(b x).  Each of those
+    # has rank exactly 1 by elimination on its matrix, so a sum of two has
+    # rank <= 2 by subadditivity, and their count is that of the n x n
+    # binary matrices of rank <= 2: the errors are exactly the maps of
+    # rank <= 2.  A codeword of Gab_k is zero in degrees
     # k..n-1, so the codewords within 2 of Y are Y - E over the errors E
     # that agree with Y there.  300 random words, then ``planted`` words
     # codeword + rank-2 error
@@ -188,9 +190,9 @@ def test_wb_walked_candidate_sets_match_error_buckets(n, k, planted, count, tall
             den *= q**r - q**i
         want_count += num // den
     assert len(errors) == want_count == count
+    assert all(ref_rank(endo_matrix(QPoly(f, e))) == 1 for e in rank1)
     buckets = {}
     for err in errors:
-        assert ref_rank(endo_matrix(QPoly(f, err))) <= t
         buckets.setdefault(err[k:], []).append(err)
     code = GabCode(f, k)
     rng = RngStream(53)

@@ -503,6 +503,13 @@ def test_bad_parameters_rejected():
         BaseField(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
     with pytest.raises(ValueError):
         BaseField(2, 2, modulus=(1, 1))  # wrong degree
+    # g follows f's rule: a coefficient outside 0..p-1 is refused, never
+    # reduced to the valid (1, 1, 1)
+    for g in ((1, 3, 1), (-1, 1, 1)):
+        with pytest.raises(ValueError):
+            BaseField(2, 2, modulus=g)
+    with pytest.raises(ValueError):
+        ExtField(BaseField(2), 2, modulus=(1, 1.0, 1))  # not an int
     base = BaseField(2)
     with pytest.raises(ValueError):
         ExtField(base, 2, modulus=(1, 0, 1))  # reducible over F_2
