@@ -507,7 +507,8 @@ class _Field:
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
-        if len(cs) != self._degree or any(not (0 <= c < self._radix) for c in cs):
+        if len(cs) != self._degree or any(type(c) is not int or not 0 <= c < self._radix
+                                          for c in cs):
             raise ValueError(f"bad coefficient vector for {self!r} element")
         return _pack(cs, self._radix)
 

@@ -392,12 +392,14 @@ def test_config_errors_exit_3(tmp_path, capsys):
         assert main(["setup", "--config", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err.count("symrank: error:") == 1 and "unknown config keys" not in err
-    # a setup file whose field keys have the wrong JSON type, or that is not
-    # a JSON object, or not UTF-8, is refused, never coerced
+    # a setup file whose field keys or coefficients have the wrong JSON type,
+    # or that is not a JSON object, or not UTF-8, is refused, never coerced
     good = SymSetup(get_field(2, 1, 4)).to_json()
     raws = [json.dumps(dict(good, field=dict(good["field"], **wrong))).encode()
             for wrong in ({"p": 2.7}, {"p": "2"}, {"n": 4.9}, {"e": True},
-                          {"g": "01"})]
+                          {"g": "01"}, {"f": [[1], [True], [0], [0], [1]]})]
+    raws += [json.dumps(dict(good, u=[[1], [0], [False], [0]])).encode(),
+             json.dumps(dict(good, u=[[1.0], [0], [0], [0]])).encode()]
     for raw in raws + [b"5", b"null", b"[1]", b"\xff\xfe"]:
         setup_file.write_bytes(raw)
         capsys.readouterr()

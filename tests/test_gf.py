@@ -510,6 +510,9 @@ def test_bad_parameters_rejected():
             BaseField(2, 2, modulus=g)
     with pytest.raises(ValueError):
         ExtField(BaseField(2), 2, modulus=(1, 1.0, 1))  # not an int
+    for cs in ([True, 0], [1.0, 0]):
+        with pytest.raises(ValueError):
+            BaseField(2, 2).from_coeffs(cs)  # not an int
     base = BaseField(2)
     with pytest.raises(ValueError):
         ExtField(base, 2, modulus=(1, 0, 1))  # reducible over F_2

@@ -4,17 +4,16 @@ A code line is a non-blank line that holds a token other than a comment and
 lies outside every module, class and function docstring.  A token that spans
 several lines (a multi-line string) makes each of them a code line.
 
-Run from the repository root::
+Run from the repository root; it prints the count per module, then the
+total::
 
-    python tools/code_lines.py            # per module, then the total
-    python tools/code_lines.py PATH ...   # the same for other files or dirs
+    python tools/code_lines.py
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -43,19 +42,15 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main(argv: list[str]) -> int:
-    roots = [Path(a) for a in argv] or [Path(__file__).resolve().parent.parent
-                                        / "src" / "symrank"]
-    files = sorted(f for r in roots
-                   for f in ([r] if r.is_file() else r.rglob("*.py")))
+def main() -> None:
+    files = sorted((Path(__file__).resolve().parent.parent / "src" / "symrank").rglob("*.py"))
     total = 0
     for f in files:
         n = code_lines(f.read_text(encoding="utf-8"))
         total += n
         print(f"{n:6d}  {f.stem}")
     print(f"{total:6d}  total")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
