@@ -217,6 +217,8 @@ class SymSetup:
     def __init__(self, field: ExtField, u: int | None = None, basis=None):
         if u is None:
             u = select_twist(field)
+        elif u == 0:
+            raise OrthonormalBasisError("twist u must be nonzero")
         if basis is None:
             basis = orthonormal_basis(field, u)
         else:
@@ -256,6 +258,11 @@ class SymSetup:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SymSetup":
+        """The setup of ``to_json``; ValueError unless field is an object
+        and basis a list (``ext_from_json`` checks u and each element)."""
+        for key, want in (("field", dict), ("basis", list)):
+            if type(doc[key]) is not want:
+                raise ValueError(f"setup {key} must be {want.__name__}, not {doc[key]!r}")
         field = field_from_json(doc["field"])
         u = ext_from_json(field, doc["u"])
         basis = [ext_from_json(field, b) for b in doc["basis"]]

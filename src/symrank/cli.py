@@ -6,12 +6,21 @@ Subcommands:
   simulate      Monte-Carlo campaign, CSV of success rates per error rank
   radius-table  theoretical relative decoding radius curves per rate
 
-Flags may come from --config (a JSON object with the same keys); explicitly
-given flags win.  Exit codes: 0 success, 1 decode failure, 2 ambiguity,
-3 invalid input: a bad flag or config value, a field, code, rank or trial
-count out of range, an unreadable setup file or one whose field disagrees
-with a given --p, --e, --n, --g or --f, or an output path that cannot be
-opened (``simulate`` opens its outputs before the first trial).
+Flags may come from --config (a JSON object whose keys are the flags'
+destinations); explicitly given flags win.  Exit codes: 0 success,
+1 decode failure, 2 ambiguity, 3 invalid input: a bad flag or config value,
+a field, code, rank or trial count out of range, an unreadable setup file or
+one whose field disagrees with a given --p, --e, --n, --g or --f, or an
+output path that cannot be opened (``simulate`` opens its outputs before
+the first trial).
+
+Each range rule is checked once, by its owner, and every ValueError from a
+constructor becomes exit 3: the field's p, e and n by ``BaseField`` and
+``ExtField``, a standard k by ``GabCode`` (0 <= k <= n) and a sym-high k by
+``HighRateDecoder`` (n/2 < k < n).  The CLI checks only three rules itself,
+before any decoder exists: sym-low's 0 < 2k < n, which ``LowRateDecoder``
+would refuse only after building an n^2-entry matrix code; a --rank in
+0..n, which the samplers check only inside a trial; and --trials >= 0.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import time
 from .bilinear import SymSetup
 from .channel import (RngStream, random_codeword, random_selfadjoint_qpoly,
                       random_symmetric_matrix)
-from .gabidulin import GabCode, random_error, wb_decode
+from .gabidulin import DecodeReport, GabCode, random_error, wb_decode
 from .gf import BaseField, ExtField, field_to_json
 from .qpoly import matrix_of
 from .symdec import HighRateDecoder, InvalidInstanceError, LowRateDecoder, \
@@ -95,8 +104,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_CONFIG_KEYS = ("p", "e", "n", "k", "mode", "rank", "trials", "seed", "out",
-                "setup_file", "g", "f", "no_timing", "instance_log")
 # the JSON type of each typed config key (no_timing is any truth value;
 # g and f are a JSON string or the parsed list)
 _CONFIG_TYPES = {**dict.fromkeys(("p", "e", "n", "k", "rank", "trials", "seed"), int),
@@ -104,16 +111,18 @@ _CONFIG_TYPES = {**dict.fromkeys(("p", "e", "n", "k", "rank", "trials", "seed"),
 
 
 def _resolve(args) -> dict:
-    cfg = {key: getattr(args, key) for key in _CONFIG_KEYS}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+    # the config keys are the parser's own destinations, less these two
+    cfg = dict(vars(args))
+    command, config = cfg.pop("command"), cfg.pop("config")
+    if config:
+        with open(config, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except ValueError as exc:   # bad JSON or bytes that are not UTF-8
                 raise ConfigError(f"bad config JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(doc) - set(_CONFIG_KEYS)
+        unknown = set(doc) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in doc.items():
@@ -129,7 +138,7 @@ def _resolve(args) -> dict:
     if cfg["trials"] is None:
         cfg["trials"] = 100
     cfg["no_timing"] = bool(cfg["no_timing"])
-    cfg["command"] = args.command
+    cfg["command"] = command
     return cfg
 
 
@@ -215,35 +224,23 @@ def cmd_setup(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _max_rank(mode: str, n: int, k: int) -> int:
-    """The decoding radius of a mode: its default rank and the top of its
-    rank sweep."""
-    if mode == "standard":
-        return (n - k) // 2
-    if mode == "sym-low":
-        return n
-    return n - k
-
-
-def _status(rep) -> tuple[str, object]:
-    return rep.status, rep.codeword
-
-
 class _Bench:
     """One mode's code, picture map, error sampler and decoder, built once,
-    run per trial."""
+    run per trial.  ``radius`` is the decoding radius of what was built: the
+    default rank and the top of the rank sweep.  The constructors refuse a
+    k outside their mode's range with ValueError."""
 
     def __init__(self, mode: str, field: ExtField, setup: SymSetup | None, k: int):
         self.field = field
         self.picture = lambda codeword: codeword
         if mode == "standard":
             self.code = GabCode(field, k, 0)
-            radius = _max_rank(mode, field.n, k)
+            self.radius = (field.n - k) // 2
             self.sample_error = lambda rank, rng: random_error(field, rank, rng)
-            self.decode = lambda received: _status(
-                wb_decode(self.code, received, radius))
+            self.decode = lambda received: wb_decode(self.code, received, self.radius)
         elif mode == "sym-low":
             self.code = GabCode(field, k, 1)
+            self.radius = field.n
             decoder = LowRateDecoder(matrix_code_of(self.code, setup))
             self.picture = lambda codeword: matrix_of(codeword, setup)
             self.sample_error = lambda rank, rng: random_symmetric_matrix(
@@ -251,16 +248,17 @@ class _Bench:
 
             def decode(received):
                 try:
-                    return "ok", decoder.decode(received)[0]
+                    return DecodeReport("ok", decoder.decode(received)[0])
                 except InvalidInstanceError:
-                    return "fail", None
+                    return DecodeReport("fail")
             self.decode = decode
         else:
             decoder = HighRateDecoder(setup, k)
             self.code = decoder.code
+            self.radius = decoder.radius
             self.sample_error = lambda rank, rng: random_selfadjoint_qpoly(
                 rank, setup, rng)
-            self.decode = lambda received: _status(decoder.decode(received))
+            self.decode = decoder.decode
 
     def run(self, rank: int, rng: RngStream) -> dict:
         """One trial: returns outcome, decode nanoseconds, and the instance."""
@@ -268,37 +266,40 @@ class _Bench:
         error = self.sample_error(rank, rng)
         received = codeword + error
         start = time.perf_counter_ns()
-        status, decoded = self.decode(received)
+        report = self.decode(received)
         nanos = time.perf_counter_ns() - start
-        if status == "ok" and decoded == codeword:
+        if report.status == "ok" and report.codeword == codeword:
             outcome = "success"
-        elif status == "ambiguous":
+        elif report.status == "ambiguous":
             outcome = "ambiguous"
         else:
             outcome = "failure"
         instance = {"codeword": codeword.to_json(), "error": error.to_json(),
                     "received": received.to_json()}
         return {"outcome": outcome, "nanos": nanos, "instance": instance,
-                "decoded": None if decoded is None else decoded.to_json()}
+                "decoded": None if report.codeword is None else report.codeword.to_json()}
 
 
 def _make_bench(cfg: dict) -> _Bench:
-    """Build the field or setup, check the run against its n, and only then
-    the decoder, so that bad input never reaches a decoder or sampler."""
+    """Build the field or setup, check what no constructor checks before a
+    trial, then the decoder, whose own refusals become ConfigError."""
     mode = cfg["mode"]
     field, setup = _load(cfg, with_setup=mode != "standard")
     _validate(mode, field.n, cfg["k"], cfg["rank"], cfg["trials"])
-    return _Bench(mode, field, setup, cfg["k"])
+    try:
+        return _Bench(mode, field, setup, cfg["k"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _validate(mode: str, n: int, k: int, rank: int | None, trials: int):
-    if not 0 <= k <= n:
-        raise ConfigError(f"k = {k} out of range 0..{n}")
+    # no cheap owner: LowRateDecoder refuses a rate of 1/2 or more only
+    # after building the n^2-entry matrix code
     if mode == "sym-low" and not 0 < 2 * k < n:
         raise ConfigError("sym-low needs 0 < k < n/2 "
                           "(rate below 1/2; use sym-high above it)")
-    if mode == "sym-high" and not n < 2 * k < 2 * n:
-        raise ConfigError("sym-high needs k > n/2 (use sym-low below that) and k < n")
+    # the samplers check a rank only inside a trial, which runs after the
+    # outputs are open and never at --trials 0
     if rank is not None and not 0 <= rank <= n:
         raise ConfigError(f"rank = {rank} out of range 0..{n}")
     if trials < 0:
@@ -310,7 +311,7 @@ def cmd_roundtrip(cfg: dict) -> int:
     mode = cfg["mode"]
     bench = _make_bench(cfg)
     n = bench.field.n
-    rank = cfg["rank"] if cfg["rank"] is not None else _max_rank(mode, n, cfg["k"])
+    rank = cfg["rank"] if cfg["rank"] is not None else bench.radius
     rng = RngStream(cfg["seed"])
     result = bench.run(rank, rng)
     report = {
@@ -340,7 +341,7 @@ def cmd_simulate(cfg: dict) -> int:
     k = cfg["k"]
     bench = _make_bench(cfg)
     n = bench.field.n
-    ranks = [cfg["rank"]] if cfg["rank"] is not None else range(_max_rank(mode, n, k) + 1)
+    ranks = [cfg["rank"]] if cfg["rank"] is not None else range(bench.radius + 1)
     trials = cfg["trials"]
     master = RngStream(cfg["seed"])
     with contextlib.ExitStack() as stack:

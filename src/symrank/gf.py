@@ -66,19 +66,6 @@ from functools import partial
 from operator import xor
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(m: int) -> tuple[int, ...]:
     out = []
     d = 2
@@ -402,14 +389,7 @@ class _Field:
         return self._digitwise(a, b, 1)
 
     def neg(self, a: int) -> int:
-        if self._char2:
-            return a
-        p = self.p
-        if self.order == p:
-            return (-a) % p
-        if self._zech is not None:
-            return self._exp[self._log[a] + self._half] if a else 0
-        return self._digitwise(0, a, -1)
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         if self._char2:
@@ -591,7 +571,7 @@ class BaseField(_Field):
         # p >= 2, so p**e > limit once e reaches the bit length of limit
         if p**min(e, limit.bit_length()) > limit:
             raise ValueError(f"q = {p}^{e} exceeds the base field limit {limit}")
-        if not _is_prime(p):
+        if _prime_factors(p) != (p,):
             raise ValueError(f"p = {p} is not prime")
         prime = BaseField(p) if e > 1 else None
         super().__init__(p, prime, _modulus(prime, p, e, modulus, "g"))
@@ -691,10 +671,12 @@ def field_to_json(field: ExtField) -> dict:
 
 def field_from_json(doc: dict) -> ExtField:
     """The field of ``field_to_json``; ValueError unless p, e and n are
-    ints and g and f are lists, which are taken as they are."""
+    ints, g is a list and f a list of lists, which are taken as they are."""
     for key, want in (("p", int), ("e", int), ("n", int), ("g", list), ("f", list)):
         if type(doc[key]) is not want:
             raise ValueError(f"field {key} must be {want.__name__}, not {doc[key]!r}")
+    if any(type(c) is not list for c in doc["f"]):
+        raise ValueError(f"field f must be a list of coefficient lists, not {doc['f']!r}")
     base = BaseField(doc["p"], doc["e"], doc["g"])
     return ExtField(base, doc["n"], [base.from_coeffs(c) for c in doc["f"]])
 
@@ -704,4 +686,9 @@ def ext_to_json(field: ExtField, a: int) -> list[list[int]]:
 
 
 def ext_from_json(field: ExtField, data) -> int:
+    """The element of ``ext_to_json``; ValueError unless ``data`` is a list
+    of n coefficient lists."""
+    if type(data) is not list or any(type(c) is not list for c in data):
+        raise ValueError(f"an element of {field!r} must be a list of "
+                         f"{field.n} coefficient lists, not {data!r}")
     return field.from_coeffs(tuple(field.base.from_coeffs(c) for c in data))

@@ -340,10 +340,21 @@ def test_config_errors_exit_3(tmp_path, capsys):
     assert main(["roundtrip", "--p", "2", "--n", "6", "--k", "2",
                  "--mode", "sym-high"]) == 3
     capsys.readouterr()
-    # k is checked before a decoder exists, so the CLI's own message shows
-    assert main(["roundtrip", "--p", "2", "--n", "8", "--k", "3",
-                 "--mode", "sym-high"]) == 3
-    assert "sym-high needs k > n/2" in capsys.readouterr().err
+    # a k outside its mode's range is refused by the code or decoder the CLI
+    # builds, whose own message shows, as one error line
+    for argv, text in (
+            (["--n", "8", "--k", "3", "--mode", "sym-high"],
+             "k <= n/2: use LowRateDecoder"),
+            (["--n", "8", "--k", "8", "--mode", "sym-high"], "k must be < n"),
+            (["--n", "6", "--k", "7", "--mode", "standard"],
+             "dimension k = 7 out of range 0..6")):
+        assert main(["roundtrip", "--p", "2"] + argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("symrank: error:") == 1 and text in err
+    # the CLI checks a rank itself: no trial runs at --trials 0
+    assert main(["simulate", "--p", "2", "--n", "8", "--k", "4", "--mode",
+                 "standard", "--trials", "0", "--rank", "99"]) == 3
+    assert capsys.readouterr().err.count("symrank: error:") == 1
     # rate exactly 1/2 is outside sym-low: Gab_{n/2} o X^q meets Sym
     for cmd in ("roundtrip", "simulate"):
         for p, n, k in ((2, 4, 2), (3, 6, 3)):
@@ -384,6 +395,12 @@ def test_config_errors_exit_3(tmp_path, capsys):
         bad.write_text(json.dumps(dict({"p": 2, "n": 6, "k": 2,
                                         "mode": "standard"}, **wrong)))
         assert main(["roundtrip", "--config", str(bad)]) == 3
+    # the config keys are the parser's destinations, less config and command
+    capsys.readouterr()
+    for wrong in ({"config": str(bad)}, {"command": "setup"}):
+        bad.write_text(json.dumps(dict({"p": 2, "n": 6}, **wrong)))
+        assert main(["setup", "--config", str(bad)]) == 3
+        assert "unknown config keys" in capsys.readouterr().err
     # a config document that is not a JSON object, or not UTF-8
     for raw in (b"5", b"null", b'"abc"', b"[1, 2]", b"\xff\xfe",
                 '{"p": "\u00e9"}'.encode("latin-1")):
@@ -400,11 +417,22 @@ def test_config_errors_exit_3(tmp_path, capsys):
                           {"g": "01"}, {"f": [[1], [True], [0], [0], [1]]})]
     raws += [json.dumps(dict(good, u=[[1], [0], [False], [0]])).encode(),
              json.dumps(dict(good, u=[[1.0], [0], [0], [0]])).encode()]
+    # or whose parts have the wrong shape
+    raws += [json.dumps(dict(good, **wrong)).encode()
+             for wrong in ({"field": 5}, {"u": 5}, {"basis": [5, 5, 5, 5]},
+                           {"basis": 7},
+                           {"field": dict(good["field"], f=[5, 5, 5, 5, 5])})]
     for raw in raws + [b"5", b"null", b"[1]", b"\xff\xfe"]:
         setup_file.write_bytes(raw)
         capsys.readouterr()
         assert main(["setup", "--setup-file", str(setup_file)]) == 3
-        assert capsys.readouterr().err.count("symrank: error:") == 1
+        err = capsys.readouterr().err
+        assert err.count("symrank: error:") == 1 and "object is not" not in err
+    # a zero twist is named as such, not as a basis fault
+    setup_file.write_text(json.dumps(dict(good, u=[[0], [0], [0], [0]])))
+    assert main(["setup", "--setup-file", str(setup_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("symrank: error:") == 1 and "twist u must be nonzero" in err
     # a setup file fixes the field: a field flag or config key that names
     # another field is an error, never silently overridden by the file
     setup_file.write_text(json.dumps(SymSetup(get_field(2, 1, 6)).to_json()))
