@@ -209,9 +209,9 @@ class SymSetup:
 
     ``coords`` and ``from_coords`` convert between packed field elements and
     their F_q coordinate vectors in the orthonormal basis; orthonormality
-    makes coords a row of trace pairings instead of a linear solve.
-    ``dual_powers[j][l]`` is (u b_j)^(q^l), the Frobenius powers of the
-    trace-dual basis u*b that ``matrix_to_qpoly`` sums.
+    makes coords a row of trace pairings instead of a linear solve.  The
+    trace-dual of the basis is u*b: the coordinate c_j of a is Tr(u b_j a),
+    the form in which ``qpoly.trace_sum`` writes an operator.
     """
 
     def __init__(self, field: ExtField, u: int | None = None, basis=None):
@@ -228,9 +228,6 @@ class SymSetup:
         self.field = field
         self.u = u
         self.basis = basis
-        self.dual_powers = tuple(
-            tuple(field.frobenius(field.mul(u, b), l) for l in range(field.n))
-            for b in basis)
 
     def __repr__(self):
         return f"SymSetup(q={self.field.q}, n={self.field.n}, u={self.u})"

@@ -8,14 +8,15 @@ too, but its state is heavyweight to fork per trial).  Trials use
 
 Error sampling: symmetric matrices of exact rank r come from M^T S M with M
 a uniform full-row-rank r x n matrix and S a uniform invertible symmetric
-r x r matrix.  The product has rank r and the row space of M, and the pairs
-(M, S) giving one product form a single GL_r orbit (M -> gM,
-S -> g^-T S g^-1), so every symmetric matrix of rank r is drawn with the
-same probability: the sample is exactly uniform, alternating matrices
-(zero diagonal, characteristic 2) included.  The rank is verified anyway
-and resampled on the remote chance of a bug.  Self-adjoint q-polynomials
-are symmetric matrices pulled back through the orthonormal-basis
-representation.
+r x r matrix (``_symmetric_factors``, by rejection).  The product has rank
+r and the row space of M, and the pairs (M, S) giving one product form a
+single GL_r orbit (M -> gM, S -> g^-T S g^-1), so every symmetric matrix of
+rank r is drawn with the same probability: the sample is exactly uniform,
+alternating matrices (zero diagonal, characteristic 2) included.
+Self-adjoint q-polynomials are built from the same two factors in one
+``trace_sum``, the q-polynomial of M^T S M in the orthonormal basis, with no
+n x n product.  Each sampler verifies the rank of its result and raises
+``ArithmeticError`` on a mismatch, which M and S make impossible.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from .bilinear import SymSetup
 from .gf import BaseField
 from .linalg import Matrix
-from .qpoly import QPoly, matrix_to_qpoly
+from .qpoly import QPoly, qpoly_rank, trace_sum
 
 _SPAN = 1 << 64
 _MASK = _SPAN - 1
@@ -76,18 +77,16 @@ class RngStream:
 
 def random_matrix(field: BaseField, nrows: int, ncols: int, rng: RngStream) -> Matrix:
     q = field.q
-    return Matrix(field, [[rng.randbelow(q) for _ in range(ncols)]
-                          for _ in range(nrows)])
+    return Matrix._shaped(field, [[rng.randbelow(q) for _ in range(ncols)]
+                                  for _ in range(nrows)], ncols)
 
 
-def random_symmetric_matrix(field: BaseField, n: int, r: int,
-                            rng: RngStream) -> Matrix:
-    """Symmetric n x n matrix over F_q of rank exactly r."""
+def _symmetric_factors(field: BaseField, n: int, r: int,
+                       rng: RngStream) -> tuple[Matrix, Matrix]:
+    """M (r x n, rank r) and S (r x r, symmetric, invertible) over F_q, by
+    rejection; M^T S M is a symmetric matrix of rank exactly r."""
     if not 0 <= r <= n:
         raise ValueError(f"rank r = {r} out of range 0..{n}")
-    if r == 0:
-        return Matrix.zeros(field, n, n)
-    q = field.q
     for _ in range(_RESAMPLE_CAP):
         m = random_matrix(field, r, n, rng)
         if m.rank() != r:
@@ -95,22 +94,47 @@ def random_symmetric_matrix(field: BaseField, n: int, r: int,
         entries = [[field.zero] * r for _ in range(r)]
         for i in range(r):
             for j in range(i, r):
-                v = rng.randbelow(q)
-                entries[i][j] = v
-                entries[j][i] = v
+                entries[i][j] = entries[j][i] = rng.randbelow(field.q)
         s = Matrix(field, entries)
-        if s.rank() != r:
-            continue
-        out = m.transpose() @ s @ m
-        if out.rank() == r:
-            return out
+        if s.rank() == r:
+            return m, s
     raise ArithmeticError("symmetric sampling exceeded the resample cap")
 
 
+def random_symmetric_matrix(field: BaseField, n: int, r: int,
+                            rng: RngStream) -> Matrix:
+    """Symmetric n x n matrix over F_q of rank exactly r: M^T S M from
+    ``_symmetric_factors``."""
+    m, s = _symmetric_factors(field, n, r, rng)
+    out = m.transpose() @ s @ m
+    if out.rank() != r:
+        raise ArithmeticError("symmetric product lost rank (impossible)")
+    return out
+
+
 def random_selfadjoint_qpoly(r: int, setup: SymSetup, rng: RngStream) -> QPoly:
-    """Self-adjoint q-polynomial of rank exactly r for setup's pairing."""
-    mat = random_symmetric_matrix(setup.field.base, setup.field.n, r, rng)
-    return matrix_to_qpoly(mat, setup)
+    """Self-adjoint q-polynomial of rank exactly r for setup's pairing: the
+    q-polynomial of the symmetric matrix M^T S M in setup's orthonormal
+    basis b, from the factors alone.
+
+    Column j of M^T S M is the field element v_j = sum_a alpha_a (SM)_aj,
+    with alpha_a the element of row a of M, and its q-polynomial is
+    sum_j v_j Tr(u b_j x) (``matrix_to_qpoly``).  Tr is F_q-linear, so
+
+        sum_j v_j Tr(u b_j x) = sum_a alpha_a Tr(u w_a x),
+
+    with w_a = sum_j (SM)_aj b_j the element of row a of SM: one
+    ``trace_sum`` of r terms.  Its draws are those of
+    ``random_symmetric_matrix``, so both give the same error on one stream.
+    """
+    fld = setup.field
+    m, s = _symmetric_factors(fld.base, fld.n, r, rng)
+    err = trace_sum(fld, [setup.from_coords(row) for row in m.data],
+                    [fld.mul(setup.u, setup.from_coords(row))
+                     for row in (s @ m).data])
+    if qpoly_rank(err) != r:
+        raise ArithmeticError("self-adjoint sample lost rank (impossible)")
+    return err
 
 
 def random_codeword(code, rng: RngStream) -> QPoly:

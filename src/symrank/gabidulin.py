@@ -102,7 +102,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .gf import ExtField
 from .linalg import Matrix
-from .qpoly import QPoly, _basis_images, qpoly_rank
+from .qpoly import QPoly, _basis_images, qpoly_rank, trace_sum
 
 
 class GabCode:
@@ -344,21 +344,14 @@ def _sample_independent(field: ExtField, count: int, rng) -> list[int]:
 
 
 def random_error(field: ExtField, t: int, rng) -> QPoly:
-    """A q-polynomial of rank exactly t: E(x) = sum_j a_j Tr(b_j x) with
-    {a_j} and {b_j} each independent, so the image is exactly span{a_j}."""
+    """A q-polynomial of rank exactly t: E(x) = sum_j a_j Tr(b_j x), one
+    ``trace_sum``, with {a_j} and {b_j} each independent, so the image is
+    exactly span{a_j}."""
     if not 0 <= t <= field.n:
         raise ValueError(f"rank t = {t} out of range 0..{field.n}")
-    if t == 0:
-        return QPoly.zero(field)
     avec = _sample_independent(field, t, rng)
     bvec = _sample_independent(field, t, rng)
-    coeffs = []
-    for i in range(field.n):
-        acc = field.zero
-        for a, b in zip(avec, bvec):
-            acc = field.add(acc, field.mul(a, field.frobenius(b, i)))
-        coeffs.append(acc)
-    err = QPoly(field, coeffs)
+    err = trace_sum(field, avec, bvec)
     if qpoly_rank(err) != t:
         raise ArithmeticError("rank construction failed (impossible)")
     return err

@@ -337,18 +337,29 @@ def matrix_to_qpoly(mat: Matrix, setup) -> QPoly:
     """Inverse of matrix_of: the unique P with matrix_of(P, setup) = mat.
 
     The trace-dual of the orthonormal basis b is u*b, so P(x) =
-    sum_j v_j Tr(u b_j x) with v_j the field element of column j, i.e.
-    p_l = sum_j v_j (u b_j)^(q^l), read from ``setup.dual_powers``.
+    sum_j v_j Tr(u b_j x) with v_j the field element of column j, one
+    ``trace_sum``.
     """
     fld = setup.field
     n = fld.n
     if mat.nrows != n or mat.ncols != n:
         raise ValueError("matrix shape must be n x n")
-    add, mul = fld.add, fld.mul
-    coeffs = [fld.zero] * n
-    for j, powers in enumerate(setup.dual_powers):
-        v = setup.from_coords(mat.col(j))
-        if v:
-            for l, w in enumerate(powers):
-                coeffs[l] = add(coeffs[l], mul(v, w))
-    return QPoly._of(fld, coeffs)
+    return trace_sum(fld, [setup.from_coords(mat.col(j)) for j in range(n)],
+                     [fld.mul(setup.u, b) for b in setup.basis])
+
+
+def trace_sum(field: ExtField, avec, bvec) -> QPoly:
+    """The q-polynomial of x -> sum_j a_j Tr(b_j x): coefficient l is
+    sum_j a_j b_j^(q^l).  Every F_q-linear map of F_{q^n} has this form,
+    since every F_q-linear functional is x -> Tr(b x).  The image lies in
+    span{a_j}, all of it when the b_j are F_q-independent, so the rank
+    equals the number of terms when the a_j are F_q-independent and so are
+    the b_j."""
+    add, mul, frob = _add_of(field), field.mul, field.frobenius
+    coeffs = [field.zero] * field.n
+    for a, b in zip(avec, bvec):
+        if a and b:
+            for l in range(field.n):
+                coeffs[l] = add(coeffs[l], mul(a, b))
+                b = frob(b)
+    return QPoly._of(field, coeffs)

@@ -5,10 +5,12 @@ import itertools
 from functools import lru_cache
 
 from symrank import (DecodeReport, LowRateDecoder, Matrix, MatrixCode, QPoly, RngStream,
-                     SymSetup, make_field, qpoly_rank, random_matrix, wb_decode)
+                     SymSetup, make_field, matrix_to_qpoly, qpoly_rank, random_matrix,
+                     random_symmetric_matrix, wb_decode)
 from symrank.channel import _RESAMPLE_CAP
 from symrank.gf import _pow, _prime_factors
 from symrank.linalg import _rref
+from symrank.qpoly import trace_sum
 
 
 @lru_cache(maxsize=None)
@@ -62,6 +64,28 @@ def random_matrix_code(field, n: int, dim: int, rng: RngStream,
             continue
         return code
     raise ArithmeticError("matrix-code sampling exceeded the resample cap")
+
+
+def selfadjoint_reference(r: int, setup: SymSetup, rng: RngStream) -> QPoly:
+    """The self-adjoint error of rank r by the matrix route: the symmetric
+    matrix M^T S M, pulled back through ``matrix_to_qpoly``.  The oracle for
+    ``random_selfadjoint_qpoly``, which makes the same draws."""
+    fld = setup.field
+    return matrix_to_qpoly(random_symmetric_matrix(fld.base, fld.n, r, rng), setup)
+
+
+def planted_alternating(setup: SymSetup, rng: RngStream) -> QPoly:
+    """A self-adjoint error of rank 2 that is alternating in characteristic
+    2: the q-polynomial of M^T S M with M a random 2 x n matrix of rank 2
+    and S = [[0, 1], [1, 0]], so S M swaps the rows of M and the error is
+    alpha_0 Tr(u alpha_1 x) + alpha_1 Tr(u alpha_0 x)."""
+    fld = setup.field
+    while True:
+        m = random_matrix(fld.base, 2, fld.n, rng)
+        if m.rank() == 2:
+            break
+    alphas = [setup.from_coords(row) for row in m.data]
+    return trace_sum(fld, alphas, [fld.mul(setup.u, a) for a in reversed(alphas)])
 
 
 def phi_matrix(mat):

@@ -3,8 +3,9 @@ sampling (with a 2000-sample sweep), self-adjoint pullbacks, random codes."""
 
 import pytest
 
-from symrank import BaseField, Matrix, matrix_of, qpoly_rank, unfold
-from helpers import get_setup, phi_matrix, random_matrix_code, ref_rank
+from symrank import BaseField, ExtField, Matrix, SymSetup, matrix_of, qpoly_rank, unfold
+from helpers import (get_setup, phi_matrix, random_matrix_code, ref_rank,
+                     selfadjoint_reference)
 from symrank.channel import (
     RngStream,
     random_codeword,
@@ -117,6 +118,25 @@ def test_random_matrix_code():
 
 def test_random_matrix_shape():
     f2 = BaseField(2)
-    m = random_matrix(f2, 2, 5, RngStream(3))
-    assert m.nrows == 2 and m.ncols == 5
-    assert all(x < 2 for row in m.data for x in row)
+    for nrows in (2, 0):
+        m = random_matrix(f2, nrows, 5, RngStream(3))
+        assert m.nrows == nrows and m.ncols == 5
+        assert m.transpose().nrows == 5
+        assert all(x < 2 for row in m.data for x in row)
+
+
+@pytest.mark.parametrize("p,e,n,tables", [
+    (2, 1, 5, True), (2, 1, 8, True), (2, 1, 10, True), (2, 2, 5, True),
+    (3, 1, 4, True), (3, 1, 5, True), (3, 1, 6, True), (3, 2, 4, True),
+    (5, 1, 4, True), (7, 1, 3, True), (2, 1, 6, False)])
+def test_random_selfadjoint_qpoly_matches_matrix_route(p, e, n, tables):
+    # the sampler builds the q-polynomial of M^T S M from M and S alone; the
+    # reference pulls the symmetric matrix of the same draws back through
+    # matrix_to_qpoly.  Odd q with even n has a twist u != 1
+    st = get_setup(p, e, n)
+    if not tables:
+        st = SymSetup(ExtField(st.field.base, n, use_tables=False))
+    for r in range(n + 1):
+        for seed in range(5):
+            assert (random_selfadjoint_qpoly(r, st, RngStream(seed))
+                    == selfadjoint_reference(r, st, RngStream(seed)))

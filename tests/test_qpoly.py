@@ -17,7 +17,7 @@ from symrank import (
 from helpers import (endo_matrix, get_field, get_setup, rand_elt, rand_nonzero_qpoly, rand_qpoly,
                      rand_unit)
 from symrank.channel import RngStream, random_matrix, random_selfadjoint_qpoly
-from symrank.qpoly import _basis_images
+from symrank.qpoly import _basis_images, trace_sum
 
 
 def test_constructor_folds_high_indices():
@@ -332,6 +332,27 @@ def test_matrix_to_qpoly_roundtrip():
             assert matrix_of(poly, st) == m
             assert matrix_to_qpoly(matrix_of(poly, st), st) == poly
         assert matrix_to_qpoly(Matrix.identity(f.base, n), st) == QPoly.monomial(f, 0)
+
+
+@pytest.mark.parametrize("p,e,n,tables", [
+    (2, 1, 4, True), (3, 1, 3, True), (2, 2, 3, True), (2, 1, 5, False)])
+def test_trace_sum_pointwise(p, e, n, tables):
+    # x -> sum_j a_j Tr(b_j x) at every element, zero a_j and b_j included,
+    # on the field's own trace only
+    f = get_field(p, e, n)
+    if not tables:
+        f = ExtField(f.base, n, use_tables=False)
+    rng = RngStream(43)
+    for terms in range(4):
+        avec = [0, rand_unit(f, rng)] + [rand_elt(f, rng) for _ in range(terms)]
+        bvec = [rand_unit(f, rng), 0] + [rand_elt(f, rng) for _ in range(terms)]
+        poly = trace_sum(f, avec, bvec)
+        for x in range(f.order):
+            want = f.zero
+            for a, b in zip(avec, bvec):
+                want = f.add(want, f.mul(a, f.trace(f.mul(b, x))))
+            assert poly.evaluate(x) == want
+    assert trace_sum(f, [], []).is_zero()
 
 
 def test_qpoly_json_roundtrip():

@@ -26,8 +26,9 @@ from symrank import (
     unfold,
     wb_decode,
 )
-from helpers import (get_field, get_setup, high_rate_reference, phi_matrix, rand_elt,
-                     rand_qpoly, random_matrix_code, ref_rank, ref_solve)
+from helpers import (get_field, get_setup, high_rate_reference, phi_matrix,
+                     planted_alternating, rand_elt, rand_qpoly, random_matrix_code,
+                     ref_rank, ref_solve)
 from symrank.channel import (RngStream, random_codeword, random_matrix,
                              random_selfadjoint_qpoly, random_symmetric_matrix)
 
@@ -577,24 +578,29 @@ def test_high_rate_candidate_sets_match_error_buckets(p, e, n, k, errors):
     # is zero outside 1..k, so Y = C + E forces E to agree with Y there, and
     # the valid decompositions of Y are Y - E over the bucket of Y's own
     # coefficients outside 1..k; random words fail exactly on an empty bucket.
-    # At t = n - k = 2 over F_2 about one word in six is degenerate, and the
-    # count shows that the seed has not hidden them
+    # At t = n - k = 2 over F_2 the words also include planted ones, a
+    # codeword plus an alternating error of rank 2, and the degenerate words
+    # are counted among them, so their presence does not rest on the seed
     st = get_setup(p, e, n)
     dec = HighRateDecoder(st, k)
     buckets = _selfadjoint_buckets(st, k, dec.radius)
     assert sum(map(len, buckets.values())) == errors
-    count_degenerate = st.field.q == 2 and dec.radius == 2
+    rng = RngStream(97)
+    words = list(_high_rate_words(dec, rng, 90))
+    planted = st.field.q == 2 and dec.radius == 2
+    words += [("planted", random_codeword(dec.code, rng) + planted_alternating(st, rng))
+              for _ in range(20 if planted else 0)]
     seen = Counter()
     degenerate = 0
-    for kind, y in _high_rate_words(dec, RngStream(97), 90):
+    for kind, y in words:
         want = {(y - err).coeffs for err in buckets.get(_outside(y, k), ())}
         rep = dec.decode(y)
         assert {c.coeffs for c in rep.candidates} == want
         assert rep.status == ("fail" if not want else
                               "ok" if len(want) == 1 else "ambiguous")
         seen[kind, rep.status] += 1
-        degenerate += count_degenerate and _degenerate(dec, y)
-    assert degenerate or not count_degenerate
+        degenerate += kind == "planted" and _degenerate(dec, y)
+    assert degenerate or not planted
     if len(buckets) == errors == st.field.order ** (n - k):
         # one error for each value of the n - k coefficients outside 1..k:
         # every word is one codeword plus one error, as at n = 3, k = 2
