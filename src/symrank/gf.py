@@ -27,6 +27,12 @@ element is F_2-linear on the packed bits; for odd p they take one product
 per element.  F_q always runs on its tables, so ``BaseField`` refuses a q
 above the limit.
 
+The trace Tr: F_{q^n} -> F_q is F_p-linear on the base-p digits, so
+``ExtField.trace`` applies a functional fixed once per field: it is built
+from the values Tr(x^i), the power sums of the roots of f that Newton's
+identities give on f's coefficients, with no Frobenius power and no table.
+Over F_2 it is one and plus a popcount parity.
+
 Addition, subtraction and negation are xor for p = 2 and ``% p`` on a
 prime field F_p.  Any other field with tables (odd p) uses its Zech
 logarithms, a + b = a(1 + b/a), a few table lookups; only a table-free
@@ -45,9 +51,8 @@ element's sum or difference: the builtin xor in characteristic 2, else the
 method (the q-polynomial loops).  ``_add_rows_of`` and ``_sub_rows_of``
 give the entrywise sum and difference of two sequences, ``map(xor)`` in
 characteristic 2 and plain int sums or differences with one ``% p`` per
-entry on a prime field; ``_dot_of`` gives a dot product, which on a prime
-field sums the int products and reduces once.  Every other field runs on
-its methods.  ``linalg.Matrix`` adds, subtracts and applies with these.
+entry on a prime field.  Every other field runs on its methods.
+``linalg.Matrix`` adds and subtracts with these.
 
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
@@ -531,26 +536,6 @@ def _sub_rows_of(field):
     return _rows_of(field, operator.sub, field.sub)
 
 
-def _dot_of(field):
-    """(row, vec) -> sum of row_i vec_i.  On a prime field the products of
-    residues are summed as plain ints and reduced once, ``% p`` per dot
-    product rather than per term (the delayed reduction of FFLAS-FFPACK:
-    Dumas, Giorgi and Pernet, ACM TOMS 2008); every other field takes
-    ``mul`` per pair of nonzero entries and sums with ``_add_of``."""
-    p = field.p
-    if field.order == p:
-        return lambda row, vec: sum(map(operator.mul, row, vec)) % p
-    add, mul, zero = _add_of(field), field.mul, field.zero
-
-    def dot(row, vec):
-        acc = zero
-        for a, x in zip(row, vec):
-            if a and x:
-                acc = add(acc, mul(a, x))
-        return acc
-    return dot
-
-
 class BaseField(_Field):
     """F_q = F_p[y]/(g) acting on packed integer elements in [0, q).
 
@@ -619,9 +604,31 @@ class ExtField(_Field):
         self._basis_frob_logs = None if self._exp is None else [
             [self._log[self.q**j] * fe % (self.order - 1) for fe in self._frob_exp]
             for j in range(n)]
+        self._trace_rows = self._trace_functional()
 
     def __repr__(self):
         return f"ExtField(q={self.q}, n={self.n})"
+
+    def _trace_functional(self) -> list:
+        """Row s gives digit s of Tr(a) in F_q from the base-p digits of a:
+        digit i e + t of a is coefficient t of a_i, and a_i = sum_t a_it y^t
+        gives Tr(a) = sum_i a_i Tr(x^i), so its weight is digit s of
+        y^t Tr(x^i).  A row is a bit mask for p = 2, else a list.
+
+        Tr(x^i) is the power sum P_i of the roots of f = x^n + c_(n-1)
+        x^(n-1) + ... + c_0, the conjugates of x: P_0 = n and, by Newton's
+        identities, P_k = -(k c_(n-k) + sum_(0<i<k) c_(n-i) P_(k-i))."""
+        base, n, p, e = self.base, self.n, self.p, self.base.e
+        c = self.modulus
+        sums = [n % p]
+        for k in range(1, n):
+            acc = base.mul(k % p, c[n - k])
+            for i in range(1, k):
+                acc = base.add(acc, base.mul(c[n - i], sums[k - i]))
+            sums.append(base.neg(acc))
+        weights = [base.coeffs(base.mul(p**t, s_i)) for s_i in sums for t in range(e)]
+        rows = [[w[s] for w in weights] for s in range(e)]
+        return [_pack(row, 2) for row in rows] if p == 2 else rows
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a^(q^i); i is reduced mod n since Frobenius has order n."""
@@ -633,13 +640,15 @@ class ExtField(_Field):
         return _pow(self._mul_raw, a, self._frob_exp[i])
 
     def trace(self, a: int) -> int:
-        """Tr(a) = a + a^q + ... + a^(q^(n-1)), a packed F_q value."""
-        t = a
-        for i in range(1, self.n):
-            t = self.add(t, self.frobenius(a, i))
-        if t >= self.q:
-            raise ArithmeticError("trace landed outside the base field")
-        return t
+        """Tr(a) = a + a^q + ... + a^(q^(n-1)), a packed F_q value: the
+        F_p-linear functional of ``_trace_rows`` on the base-p digits of a,
+        one and plus a popcount parity per digit of Tr(a) over F_2."""
+        if self._char2:
+            return _pack([(a & m).bit_count() & 1 for m in self._trace_rows], 2)
+        p = self.p
+        digits = _digits(a, p, self.n * self.base.e)
+        return _pack([sum(map(operator.mul, digits, row)) % p
+                      for row in self._trace_rows], p)
 
     def norm(self, a: int) -> int:
         """N(a) = a * a^q * ... * a^(q^(n-1)) = a^((q^n-1)/(q-1))."""

@@ -2,22 +2,35 @@
 
 Matrices are immutable tuples of tuples of packed field elements over one
 field object; a sum, difference or product with a matrix over another field
-object raises ValueError.  Sums, differences and the dot products of a
-matrix-vector product take the field's inner-loop operations from ``gf``
-(``_add_rows_of``, ``_sub_rows_of``, ``_dot_of``): ``map(xor)`` in
-characteristic 2, one ``% p`` per entry or per dot product on a prime field
-F_p, and the field methods on every other field.  So on F_2 and F_p no
-field method runs per entry.  The symmetry test compares the rows with the
-columns, the same on every field.  Elimination (rank, kernel, solve) runs
-on the field methods.
+object raises ValueError.  Sums and differences take the field's inner-loop
+operations from ``gf`` (``_add_rows_of``, ``_sub_rows_of``): ``map(xor)``
+in characteristic 2, one ``% p`` per entry on a prime field F_p, and the
+field methods on every other field.  The symmetry test compares the rows
+with the columns, the same on every field.  Elimination (rank, kernel,
+solve) runs on the field methods.
+
+A matrix-vector product runs on slot-packed columns, one path for every
+field of order q = p^d (the simultaneous reduction of Dumas, Fousse and
+Salvy, J. Symb. Comp. 2011).  Multiplication by a fixed matrix is F_p-linear
+on the base-p digits of the entries, which are their coordinates over F_p
+(``gf``).  So the image of digit t of input entry j is one column of d n
+base-p digits, and it is packed once, on first use, into one int: output
+digit s of row i sits in slot i d + s, w bytes wide, with w the smallest of
+1, 2, 4 and 8 bytes that holds a sum of ncols d products (p-1)^2.  A product
+splits each entry of the vector into its d digits and sums the columns they
+weight as plain ints: ``sum(compress(...))`` over F_2, ``sum(map(mul, ...))``
+otherwise.  No slot overflows into the next, so one ``to_bytes`` reads every
+slot, and one ``bytes.translate`` (w = 1) or one ``% p`` per slot of an
+``array`` reduces them.  Each group of d digits packs back into an entry.
+The matrix is immutable, so the packed columns never go stale.  A matrix
+product is one ``apply`` of the left factor per column of the right one,
+or, when the left factor has fewer rows, one ``apply`` of the right
+factor's transpose per row of the left one.
 
 Over F_2 (a field of order 2) a matrix also keeps its rows as ints, bit j
-for column j, packed once on first use (the M4RI idea: Albrecht, Bard and
-Hart, ACM TOMS 2010).  The matrix is immutable, so that cache never goes
-stale.  On those rows a matrix-vector product is an and plus a popcount
-parity per row (``int.bit_count``, Python >= 3.10) and the rank is an xor
-basis, with no field call at all.  A matrix product is one ``apply`` per
-column of the right factor, so over F_2 it runs on the packed rows too.
+for column j, packed once on first use, for ``rank``: the rank is an xor
+basis of those rows (the M4RI idea: Albrecht, Bard and Hart, ACM TOMS
+2010), with no field call at all.
 
 ``LinearSolver`` factors a matrix once and answers many solve calls with
 one matrix-vector product each; the low-rate symmetric-error decoder takes
@@ -28,7 +41,13 @@ the same reduction.
 
 from __future__ import annotations
 
-from .gf import _add_rows_of, _dot_of, _sub_rows_of
+import sys
+from array import array
+from functools import lru_cache
+from itertools import chain, compress
+from operator import add, mul
+
+from .gf import _add_rows_of, _sub_rows_of
 
 
 def _rref(field, rows: list[list[int]], pivot_cols: int) -> list[tuple[int, int]]:
@@ -111,6 +130,16 @@ def xor_rank(rows) -> int:
     return len(basis)
 
 
+# the array typecode of each item size; the later code wins a tie
+_TYPECODE = {array(c).itemsize: c for c in "BHILQ"}
+
+
+@lru_cache(maxsize=None)
+def _mod_table(p: int) -> bytes:
+    """The ``bytes.translate`` table of byte b -> b mod p."""
+    return bytes(b % p for b in range(256))
+
+
 def _columns(rows, ncols: int):
     """The columns of ``rows``, ncols of them even when there is no row."""
     return zip(*rows) if rows else [()] * ncols
@@ -120,7 +149,7 @@ class Matrix:
     """Immutable matrix over a finite field.  ``ncols`` is kept apart from
     ``data``, so a matrix with no rows still has its column count."""
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_bits")
+    __slots__ = ("field", "nrows", "ncols", "data", "_bits", "_cols")
 
     def __init__(self, field, data):
         data = tuple(map(tuple, data))
@@ -131,6 +160,7 @@ class Matrix:
         self.ncols = len(data[0]) if data else 0
         self.data = data
         self._bits = None   # F_2 rows packed as ints, filled by _packed
+        self._cols = None   # slot-packed columns, filled by _packed_columns
 
     @classmethod
     def _shaped(cls, field, data, ncols: int) -> "Matrix":
@@ -145,6 +175,36 @@ class Matrix:
         if self._bits is None and self.field.order == 2:
             self._bits = tuple(_pack_bits(row) for row in self.data)
         return self._bits
+
+    def _packed_columns(self) -> tuple:
+        """(columns, p, powers, nbytes, typecode, table) of ``apply``
+        (module docstring): the column of digit t of entry j is item
+        t ncols + j, ``powers`` are the digit weights p^t, ``nbytes`` is the
+        length of the output slots, ``typecode`` the array type of one slot
+        and ``table`` the mod-p ``bytes.translate`` table of 1-byte slots,
+        None for wider ones."""
+        if self._cols is None:
+            f = self.field
+            p = f.p
+            powers = [1]
+            while powers[-1] * p < f.order:
+                powers.append(powers[-1] * p)
+            # the smallest slot that holds a sum of ncols d products of
+            # residues, each at most (p-1)^2
+            w = next(w for w in (1, 2, 4, 8)
+                     if self.ncols * len(powers) * (p - 1) ** 2 < 1 << 8 * w)
+            images = list(_columns(self.data, self.ncols))
+            if len(powers) > 1:
+                # digit t of an entry stands for the F_p basis element p^t,
+                # and the image of each entry splits into its digits
+                images = [[f.mul(a, pt) // ps % p for a in col for ps in powers]
+                          for pt in powers for col in images]
+            typecode = _TYPECODE[w]
+            cols = tuple(int.from_bytes(array(typecode, col).tobytes(), sys.byteorder)
+                         for col in images)
+            self._cols = (cols, p, tuple(powers), self.nrows * len(powers) * w,
+                          typecode, _mod_table(p) if w == 1 else None)
+        return self._cols
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int) -> "Matrix":
@@ -190,6 +250,12 @@ class Matrix:
             raise ValueError("matrix product over different fields")
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
+        if self.nrows < other.ncols:
+            # fewer applies the other way: row i of the product is the
+            # transpose of other applied to row i of self
+            right = other.transpose()
+            return Matrix._shaped(self.field, [right.apply(row) for row in self.data],
+                                  other.ncols)
         # one apply per column of other: the rows of the product's transpose
         cols = [self.apply(col) for col in _columns(other.data, other.ncols)]
         return Matrix._shaped(self.field, _columns(cols, self.nrows), other.ncols)
@@ -200,15 +266,29 @@ class Matrix:
 
     def apply(self, vec) -> tuple:
         """Matrix-vector product, vec given as a sequence of ncols field
-        elements; ValueError for any other length."""
+        elements; ValueError for any other length.  The entries are not
+        checked: an int outside 0..q-1 is misread, so callers that take
+        outside input check it first (``symdec``)."""
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        rows = self._packed()
-        if rows is not None:
-            v = _pack_bits(vec)
-            return tuple([(row & v).bit_count() & 1 for row in rows])
-        dot = _dot_of(self.field)
-        return tuple([dot(row, vec) for row in self.data])
+        cols, p, powers, nbytes, typecode, table = self._cols or self._packed_columns()
+        d = len(powers)
+        if d > 1:
+            vec = list(chain.from_iterable(
+                map(p.__rmod__, map(pt.__rfloordiv__, vec)) for pt in powers))
+        total = sum(compress(cols, vec)) if p == 2 else sum(map(mul, cols, vec))
+        raw = total.to_bytes(nbytes, sys.byteorder)
+        if table is None:
+            digits = list(map(p.__rmod__, array(typecode, raw)))
+        else:
+            digits = raw.translate(table)
+        if d == 1:
+            return tuple(digits)
+        # the digits of row i are slots i d .. i d + d - 1, low first
+        out = digits[d - 1::d]
+        for s in range(d - 2, -1, -1):
+            out = map(add, map(p.__mul__, out), digits[s::d])
+        return tuple(out)
 
     def is_symmetric(self) -> bool:
         return self.nrows == self.ncols and tuple(zip(*self.data)) == self.data

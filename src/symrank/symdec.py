@@ -10,9 +10,10 @@ way as Y = C + S with S symmetric, whatever the error rank, even n.
 Deterministic, no radius argument at all.  Phi is read on its N = n(n-1)/2
 entries above the diagonal; the rank of that system on C is the
 C intersect Sym = 0 test, and a left inverse G of it (G Phi(C) is C's
-coefficient vector) is taken once per code.  A decode is the one fixed
-F_q-linear map from Phi(Y) to the word with coefficients G Phi(Y), then the
-check that the residual Y - C is symmetric.  That check is exact.  If the
+coefficient vector) is taken once per code.  A decode is one fixed
+F_q-linear map, precomputed per code with Phi folded in, from the entries
+of Y to the word C with coefficients G Phi(Y) and to the residual Y - C,
+then the check that the residual is symmetric.  That check is exact.  If the
 residual is symmetric, Phi(Y) = Phi(C), so Y = C + (Y - C) is valid, and by
 injectivity it is the only decomposition.  If a valid Y = C0 + S exists,
 Phi(Y) = Phi(C0), so G Phi(Y) is C0's coefficient vector and C0 is
@@ -67,6 +68,7 @@ that has none reports 'fail'.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 
 from .bilinear import SymSetup
@@ -82,11 +84,12 @@ class InvalidInstanceError(ValueError):
 
 def unfold(mat: Matrix) -> tuple:
     """Row-major flattening of a matrix into a length nrows*ncols vector."""
-    return tuple(x for row in mat.data for x in row)
+    return tuple(chain.from_iterable(mat.data))
 
 
 def _fold(field, flat, n: int) -> Matrix:
-    """The n x n matrix whose ``unfold`` is ``flat``."""
+    """The n x n matrix whose ``unfold`` is the first n^2 entries of
+    ``flat``."""
     return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
@@ -108,7 +111,7 @@ def phi_qpoly(poly: QPoly, u: int) -> QPoly:
 class MatrixCode:
     """An F_q-linear space of n x n matrices given by independent generators."""
 
-    __slots__ = ("field", "n", "generators", "dim", "_columns")
+    __slots__ = ("field", "n", "generators", "dim", "_columns", "_entries")
 
     def __init__(self, generators):
         generators = list(generators)
@@ -126,11 +129,17 @@ class MatrixCode:
         self.generators = generators
         self.dim = len(generators)
         self._columns = stacked.transpose()  # n^2 x dim: coefficients -> unfold(word)
+        # the field elements, 0..q-1: a packed product misreads any other int
+        self._entries = frozenset(self.field.elements())
 
     def __repr__(self):
         return f"MatrixCode(n={self.n}, dim={self.dim} over F_{self.field.q})"
 
     def combine(self, coeffs) -> Matrix:
+        """The word sum_i coeffs_i G_i; ValueError for a coefficient vector
+        of another length than dim or with an entry outside 0..q-1."""
+        if not self._entries.issuperset(coeffs):
+            raise ValueError("coefficient outside 0..q-1")
         return _fold(self.field, self._columns.apply(coeffs), self.n)
 
 
@@ -150,38 +159,55 @@ class LowRateDecoder:
     row per generator holding Phi of it above the diagonal; its rank is dim
     exactly when C intersect Sym = 0, so that one elimination is also the
     check, and its solves on the dim unit vectors are the rows of the left
-    inverse G.  Each decode is one product of Phi(Y) above the diagonal with
-    the precomputed n^2 x N matrix P = (coefficients -> word) G, then the
-    residual check.
+    inverse G.  The n^2 x N matrix P = (coefficients -> word) G sends Phi(Y)
+    above the diagonal to the codeword.  Phi is folded into it: the n^2 x n^2
+    map M: unfold(Y) -> unfold(C) has column i n + j equal to column (i, j)
+    of P for i < j, to its negation for i > j, and zero for i = j.  The
+    decoder keeps one precomputed map per code, M stacked on I - M, which
+    gives the codeword and the residual Y - C of a word in one
+    ``Matrix.apply``.  A decode is the range check, that apply and the
+    check that the residual is symmetric.
     """
 
     def __init__(self, code: MatrixCode):
-        f = code.field
+        f, n = code.field, code.n
         solver = LinearSolver(Matrix(f, [_phi_upper(g) for g in code.generators]))
         if solver.rank != code.dim:
             raise ValueError("code contains a nonzero symmetric matrix; "
                              "the symmetric-error decoder cannot apply")
         left_inverse = Matrix(f, [solver.solve(unit)
                                   for unit in Matrix.identity(f, code.dim).data])
+        projection = code._columns @ left_inverse
+        # entry i n + j of a row of M is entry k of (P row, -P row, 0): k is
+        # the place of (i, j) in _phi_upper's order, N more for (j, i)
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        size = len(upper)
+        place = {pair: k for k, pair in enumerate(upper)}
+        place.update({(j, i): size + k for k, (i, j) in enumerate(upper)})
+        picks = [place.get((i, j), 2 * size) for i in range(n) for j in range(n)]
+        negate = partial(_sub_rows_of(f), [f.zero] * size)
+        folded = Matrix(f, [[src[k] for k in picks] for src in (
+            (*row, *negate(row), f.zero) for row in projection.data)])
         self.code = code
-        self._projection = code._columns @ left_inverse
+        self._map = Matrix(f, folded.data + (Matrix.identity(f, n * n) - folded).data)
 
     def decode(self, received: Matrix) -> tuple[Matrix, Matrix]:
         """(C_hat, E_hat) with received = C_hat + E_hat, E_hat symmetric.
         ValueError when ``received`` is not an n x n matrix over the code's
-        field."""
-        n = self.code.n
-        if (received.field is not self.code.field
-                or (received.nrows, received.ncols) != (n, n)):
+        field or has an entry outside 0..q-1."""
+        f, n = self.code.field, self.code.n
+        if received.field is not f or (received.nrows, received.ncols) != (n, n):
             raise ValueError("received word is not an n x n matrix over "
                              "the code's field")
-        flat = self._projection.apply(_phi_upper(received))
-        codeword = _fold(self.code.field, flat, n)
-        error = received - codeword
+        flat = unfold(received)
+        if not self.code._entries.issuperset(flat):
+            raise ValueError("received word has an entry outside 0..q-1")
+        out = self._map.apply(flat)
+        error = _fold(f, out[n * n:], n)
         if not error.is_symmetric():
             raise InvalidInstanceError(
                 "residual is not symmetric: not a valid instance")
-        return codeword, error
+        return _fold(f, out, n), error
 
 
 class HighRateDecoder:

@@ -150,6 +150,38 @@ def ref_solve(mat, b):
     return tuple(x)
 
 
+def phi_upper_reference(mat) -> tuple:
+    """Phi(mat) above the diagonal, row by row, read off ``phi_matrix``."""
+    ph, n = phi_matrix(mat).data, mat.nrows
+    return tuple(ph[i][j] for i in range(n) for j in range(i + 1, n))
+
+
+def low_rate_projection(code):
+    """The n^2 x N projection P of the low-rate decoder before Phi was
+    folded into it: P Phi(Y) above the diagonal is the codeword part of Y.
+    Built on the oracles alone: the left inverse G of the rows Phi(g) above
+    the diagonal, one ``ref_solve`` per unit vector, then P = (columns of
+    the code) G by ``ref_apply``."""
+    f = code.field
+    system = Matrix(f, [phi_upper_reference(g) for g in code.generators])
+    units = Matrix.identity(f, code.dim).data
+    left_inverse = Matrix(f, [ref_solve(system, unit) for unit in units])
+    return Matrix(f, [ref_apply(left_inverse.transpose(), row)
+                      for row in code._columns.data])
+
+
+def low_rate_reference(code, projection, received):
+    """(codeword, error) of the low-rate decoder by its former route, or
+    None where it raises InvalidInstanceError: Phi(Y) above the diagonal,
+    the n^2 x N ``projection`` (``low_rate_projection``) on it, then the
+    difference Y - C and its symmetry check."""
+    n = code.n
+    flat = ref_apply(projection, phi_upper_reference(received))
+    codeword = Matrix(code.field, [flat[i * n:(i + 1) * n] for i in range(n)])
+    error = ref_sub(received, codeword)
+    return (codeword, error) if error.is_symmetric() else None
+
+
 def high_rate_reference(dec, received):
     """``HighRateDecoder.decode`` composed from its parts with no test
     before the division: plain ``wb_decode`` of the residual, the
@@ -181,6 +213,17 @@ def projective_points(fld, kern):
                 if ci:
                     vec = [fld.add(v, fld.mul(ci, x)) for v, x in zip(vec, kv)]
             yield vec
+
+
+def frobenius_trace(field, a: int) -> int:
+    """Tr(a) = a + a^q + ... + a^(q^(n-1)) as the sum of its conjugates,
+    each the Frobenius image of the one before: the oracle for the linear
+    ``ExtField.trace``."""
+    t = c = a
+    for _ in range(1, field.n):
+        c = field.frobenius(c)
+        t = field.add(t, c)
+    return t
 
 
 # Polynomials over a field K as little-endian lists of packed K values, one

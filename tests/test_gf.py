@@ -7,7 +7,7 @@ import pytest
 
 from symrank import BaseField, ExtField, field_from_json, field_to_json, make_field
 from symrank.gf import _Field, _digits, _exp_log_tables, _fq_is_irreducible, _pack
-from helpers import (_fq_divmod, _fq_invmod, _fq_mul, get_field,
+from helpers import (_fq_divmod, _fq_invmod, _fq_mul, frobenius_trace, get_field,
                      irreducible_by_trial_division, rand_elt, rand_unit, ref_exp_log_tables)
 from symrank.channel import RngStream
 
@@ -438,6 +438,22 @@ def test_trace_norm_properties(p, e, n):
         assert f.trace(f.add(a, b)) == f.base.add(f.trace(a), f.trace(b))
         assert f.norm(f.mul(a, b)) == f.base.mul(f.norm(a), f.norm(b))
         assert f.trace(f.frobenius(a, 1)) == f.trace(a)
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 8), (3, 1, 5), (2, 2, 5), (3, 2, 4), (5, 1, 4)])
+def test_linear_trace_matches_frobenius_sum_exhaustive(p, e, n):
+    f = get_field(p, e, n)
+    assert all(f.trace(a) == frobenius_trace(f, a) for a in f.elements())
+
+
+@pytest.mark.parametrize("p,n", [(2, 17), (3, 11)])
+def test_linear_trace_matches_frobenius_sum_table_free(p, n):
+    f = get_field(p, 1, n)
+    assert f._exp is None
+    rng = RngStream(61)
+    for _ in range(2000):
+        a = rand_elt(f, rng)
+        assert f.trace(a) == frobenius_trace(f, a)
 
 
 @pytest.mark.parametrize("p,e", [(3, 1), (5, 1), (3, 2)])

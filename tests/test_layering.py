@@ -39,3 +39,15 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("name", LAYERS)
 def test_module_imports_only_lower_layers(name):
     assert _package_imports(name) <= set(LAYERS[:LAYERS.index(name)])
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_int_bytes_calls_pass_their_byteorder(name):
+    # int.to_bytes and int.from_bytes take byteorder as their second
+    # argument; it has no default before Python 3.11
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("to_bytes", "from_bytes")):
+            assert len(node.args) >= 2 or any(
+                kw.arg == "byteorder" for kw in node.keywords), (
+                f"{name}.py:{node.lineno} {node.func.attr} without byteorder")

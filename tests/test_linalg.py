@@ -2,6 +2,7 @@
 
 import json
 import operator
+from array import array
 
 import pytest
 
@@ -113,8 +114,9 @@ def test_operands_over_another_field_rejected():
 
 
 def _oracle_shapes(f, rng):
-    """Matrices with no row, 1 x 1, non-square and square, among them a
-    symmetric one and the same with one off-diagonal entry changed."""
+    """Matrices with no row, no column, 1 x 1, non-square and square, among
+    them a symmetric one and the same with one off-diagonal entry changed,
+    and the all-(q-1) matrix, whose products fill their slots the most."""
     rows = [[rand_elt(f, rng) for _ in range(4)] for _ in range(4)]
     for i in range(4):
         for j in range(i):
@@ -122,33 +124,51 @@ def _oracle_shapes(f, rng):
     bumped = [list(r) for r in rows]
     bumped[1][3] = f.add(bumped[1][3], f.one)
     yield rand_matrix(f, 0, 3, rng)
+    yield rand_matrix(f, 3, 0, rng)
     yield Matrix(f, [])
-    for shape in ((1, 1), (3, 5), (4, 2), (5, 5), (6, 6)):
+    for shape in ((1, 1), (4, 1), (3, 5), (4, 2), (5, 5), (6, 6)):
         yield rand_matrix(f, *shape, rng)
     yield Matrix(f, rows)
     yield Matrix(f, bumped)
+    yield Matrix(f, [[f.order - 1] * 5] * 3)
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, None), (3, 1, None), (5, 1, None),
-                                   (7, 1, None), (2, 2, None), (3, 2, None),
-                                   (3, 1, 3)],
-                         ids=["F2", "F3", "F5", "F7", "F4", "F9", "F27"])
-def test_entrywise_dot_and_symmetry_match_field_op_oracle(p, e, n):
+# (p, e, n) of each field, n = None for F_q itself, and the slot widths in
+# bytes of its packed columns: 2 and 4 at p = 251 with one and with more
+# columns, 4 and 8 at p = 65521, 2 at p = 13 from 2 columns on, and 1 byte
+# with no column and everywhere else
+ORACLE_FIELDS = {
+    "F2": (2, 1, None, {1}), "F3": (3, 1, None, {1}), "F5": (5, 1, None, {1}),
+    "F7": (7, 1, None, {1}), "F4": (2, 2, None, {1}), "F9": (3, 2, None, {1}),
+    "F27": (3, 1, 3, {1}), "F13": (13, 1, None, {1, 2}),
+    "F251": (251, 1, None, {1, 2, 4}), "F65521": (65521, 1, None, {1, 4, 8}),
+}
+
+
+@pytest.mark.parametrize("p,e,n,widths", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS)
+def test_entrywise_dot_and_symmetry_match_field_op_oracle(p, e, n, widths):
     # xor in characteristic 2, one % p on a prime field and the field
     # methods elsewhere (F_4, F_9, F_27 with tables) against one field call
-    # per entry
+    # per entry; apply, @ and LinearSolver.solve on the slot-packed columns
+    # at every slot width, with the all-(q-1) vector too
     f = BaseField(p, e) if n is None else get_field(p, e, n)
     rng = RngStream(37)
     symmetric = set()
+    seen = set()
     for a in _oracle_shapes(f, rng):
         b = rand_matrix(f, a.nrows, a.ncols, rng)
         assert a + b == ref_add(a, b)
         assert a - b == ref_sub(a, b)
         vec = tuple(rand_elt(f, rng) for _ in range(a.ncols))
-        assert a.apply(vec) == ref_apply(a, vec)
+        for v in (vec, (f.order - 1,) * a.ncols):
+            assert a.apply(v) == ref_apply(a, v)
+        seen.add(array(a._packed_columns()[4]).itemsize)
         c = rand_matrix(f, a.ncols, 3, rng)
         ct = c.transpose()
         assert a @ c == Matrix._shaped(f, [ref_apply(ct, row) for row in a.data], 3)
+        solver = LinearSolver(a)
+        for rhs in (tuple(rand_elt(f, rng) for _ in range(a.nrows)), ref_apply(a, vec)):
+            assert solver.solve(rhs) == ref_solve(a, rhs)
         d, size = a.data, a.nrows
         want = size == a.ncols and all(d[i][j] == d[j][i]
                                        for i in range(size) for j in range(size))
@@ -159,6 +179,7 @@ def test_entrywise_dot_and_symmetry_match_field_op_oracle(p, e, n):
             assert _phi_upper(a) == tuple(ph[i][j] for i in range(size)
                                           for j in range(i + 1, size))
     assert symmetric == {True, False}
+    assert seen == widths
 
 
 def _dot(field, xs, ys):

@@ -26,9 +26,9 @@ from symrank import (
     unfold,
     wb_decode,
 )
-from helpers import (get_field, get_setup, high_rate_reference, phi_matrix,
-                     planted_alternating, rand_elt, rand_qpoly, random_matrix_code,
-                     ref_rank, ref_solve)
+from helpers import (get_field, get_setup, high_rate_reference, low_rate_projection,
+                     low_rate_reference, phi_matrix, planted_alternating, rand_elt,
+                     rand_qpoly, random_matrix_code, ref_rank, ref_solve)
 from symrank.channel import (RngStream, random_codeword, random_matrix,
                              random_selfadjoint_qpoly, random_symmetric_matrix)
 
@@ -223,6 +223,62 @@ def test_low_rate_f2_decode_makes_no_field_products(monkeypatch):
     for dec, received, want in cases:
         assert dec.decode(received) == want
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)], ids=["F2", "F3", "F4"])
+def test_low_rate_rejects_entries_outside_the_field(p, e):
+    # one bad diagonal entry in an otherwise zero word, or one bad
+    # coefficient: the packed map would misread it, so the decoder and
+    # combine refuse it before the map runs
+    st = get_setup(p, e, 5)
+    base = st.field.base
+    code = matrix_code_of(GabCode(st.field, 2, 1), st)
+    dec = LowRateDecoder(code)
+    zero = Matrix.zeros(base, 5, 5)
+    for bad in (base.q, base.q + 1, base.q + 3, -1):
+        with pytest.raises(ValueError, match="outside 0..q-1"):
+            code.combine([bad] + [0] * (code.dim - 1))
+        rows = [[0] * 5 for _ in range(5)]
+        rows[2][2] = bad
+        with pytest.raises(ValueError, match="outside 0..q-1"):
+            dec.decode(Matrix(base, rows))
+        rows[2][2] = base.q - 1
+        assert dec.decode(Matrix(base, rows)) == (zero, Matrix(base, rows))
+
+
+# every code the low-rate decode was checked on against its former route
+LOW_RATE_CODES = [(2, 1, 8, 3), (3, 1, 5, 2), (2, 1, 10, 4), (7, 1, 6, 2),
+                  (5, 1, 4, 1), (2, 2, 5, 2), (3, 1, 7, 3), (13, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("p,e,n,k", LOW_RATE_CODES,
+                         ids=[f"q{p**e}n{n}k{k}" for p, e, n, k in LOW_RATE_CODES])
+def test_low_rate_matches_projection_reference(p, e, n, k):
+    # the one stacked map with Phi folded in against Phi above the
+    # diagonal, the n^2 x N projection and the difference, on three words
+    # per error rank and on 30 random words
+    st = get_setup(p, e, n)
+    base = st.field.base
+    code = matrix_code_of(GabCode(st.field, k, 1), st)
+    dec = LowRateDecoder(code)
+    projection = low_rate_projection(code)
+    rng = RngStream(31 * n + p)
+    words = [code.combine([rng.randbelow(base.q) for _ in range(code.dim)])
+             + random_symmetric_matrix(base, n, r, rng)
+             for r in range(n + 1) for _ in range(3)]
+    words += [random_matrix(base, n, n, rng) for _ in range(30)]
+    invalid = 0
+    for y in words:
+        want = low_rate_reference(code, projection, y)
+        if want is None:
+            invalid += 1
+            with pytest.raises(InvalidInstanceError):
+                dec.decode(y)
+        else:
+            assert dec.decode(y) == want
+    # Phi maps C onto the whole upper triangle when dim = n(n-1)/2, and then
+    # every word decomposes
+    assert (invalid == 0) == (code.dim == n * (n - 1) // 2)
 
 
 def test_low_rate_refuses_non_sym_free_code():
