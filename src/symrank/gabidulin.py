@@ -96,12 +96,13 @@ candidates the caller would drop.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from itertools import compress
 from operator import not_
 from dataclasses import dataclass, field as dc_field
 
 from .gf import ExtField
-from .linalg import Matrix
+from .linalg import Matrix, echelon_insert, xor_insert
 from .qpoly import QPoly, _basis_images, qpoly_rank, trace_sum
 
 
@@ -331,14 +332,27 @@ def wb_decode(code: GabCode, received: QPoly, t: int, keep=None) -> DecodeReport
 
 
 def _sample_independent(field: ExtField, count: int, rng) -> list[int]:
-    """count elements of F_{q^n}, F_q-linearly independent, via rejection."""
+    """count elements of F_{q^n}, F_q-linearly independent, via rejection.
+
+    A draw is kept when it lies outside the span of the picks so far, which
+    one basis kept across the picks decides: over F_2 a packed element is
+    its own coordinate row and the basis is an xor basis (``xor_insert``),
+    otherwise an echelon of coordinate rows over F_q (``echelon_insert``).
+    Each draw is reduced once.  The test is the rank test of the picks
+    plus the draw, so the draws and the picks are those of a fresh rank per
+    draw."""
     if count > field.n:
         raise ValueError("cannot pick more independent elements than n")
+    basis: list = []
+    if field.q == 2:
+        outside = partial(xor_insert, basis)
+    else:
+        def outside(x):
+            return echelon_insert(field.base, basis, field.coeffs(x))
     picked: list[int] = []
     while len(picked) < count:
         x = rng.randbelow(field.order)
-        rows = [field.coeffs(y) for y in picked + [x]]
-        if Matrix(field.base, rows).rank() == len(rows):
+        if outside(x):
             picked.append(x)
     return picked
 

@@ -30,7 +30,9 @@ factor's transpose per row of the left one.
 Over F_2 (a field of order 2) a matrix also keeps its rows as ints, bit j
 for column j, packed once on first use, for ``rank``: the rank is an xor
 basis of those rows (the M4RI idea: Albrecht, Bard and Hart, ACM TOMS
-2010), with no field call at all.
+2010), with no field call at all.  One step, ``xor_insert``, reduces a row
+by the basis and extends it, for ``xor_rank`` and for a caller that keeps a
+basis across calls; ``echelon_insert`` is the same step over any F_q.
 
 ``LinearSolver`` factors a matrix once and answers many solve calls with
 one matrix-vector product each; the low-rate symmetric-error decoder takes
@@ -118,16 +120,47 @@ def _pack_bits(vec) -> int:
     return int(bytes(reversed(vec)).translate(_BITS) or b"0", 2)
 
 
+def xor_insert(basis: list[int], v: int) -> int:
+    """Reduce the packed F_2 vector v by the xor basis ``basis`` and append
+    the remainder when it is nonzero, which is when v lies outside the span.
+    Returns the remainder.  Each member has its top bit clear in all later
+    ones, so one pass in order reduces v: v ^ b < v exactly when the top bit
+    of b is set in v, and then v ^ b clears it.  (A compare, not a ``min``
+    call: about three times faster on rows of 8 to 16 bits.)"""
+    for b in basis:
+        w = v ^ b
+        if w < v:
+            v = w
+    if v:
+        basis.append(v)
+    return v
+
+
 def xor_rank(rows) -> int:
-    """Rank over F_2 of vectors packed as ints (``_pack_bits``)."""
-    # xor basis: each member has a top bit clear in all later ones
+    """Rank over F_2 of vectors packed as ints (``_pack_bits``): the size
+    of the xor basis that ``xor_insert`` builds from them."""
     basis: list[int] = []
     for v in rows:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
+        xor_insert(basis, v)
     return len(basis)
+
+
+def echelon_insert(field, basis: list[tuple[int, list[int]]], row) -> bool:
+    """The F_q counterpart of ``xor_insert``: reduce ``row`` by the echelon
+    ``basis`` of (pivot column, row with 1 there and 0 at every earlier
+    pivot) and append it, scaled to a leading 1, when a nonzero entry is
+    left.  Returns whether it was appended."""
+    mul, sub = field.mul, field.sub
+    for c, b in basis:
+        f = row[c]
+        if f:
+            row = [sub(v, mul(f, w)) for v, w in zip(row, b)]
+    c = next((i for i, v in enumerate(row) if v), -1)
+    if c < 0:
+        return False
+    s = field.inv(row[c])
+    basis.append((c, [mul(s, v) for v in row]))
+    return True
 
 
 # the array typecode of each item size; the later code wins a tie

@@ -14,9 +14,11 @@ coefficients in these loops, and in ``+`` and ``-``, use the callables of
 else the field's ``add`` and ``sub``.
 
 A job keeps a log-domain path beside its ``mul``/``frobenius`` loop only
-because a decode runs it: ``compose`` and ``left_divide`` (every localiser
-tried), ``adjoint`` (the high-rate preimage and final verification) and
-``_basis_images`` (the localiser pencil and the rank).  When the field has
+because a decode, or a sampler that the benchmark times, runs it:
+``compose`` and ``left_divide`` (every localiser tried), ``adjoint`` (the
+high-rate preimage and final verification), ``_basis_images`` (the
+localiser pencil and the rank) and ``trace_sum`` (every error that
+``random_error`` and ``random_selfadjoint_qpoly`` draw).  When the field has
 exp/log tables they use p * c^(q^i) = exp[log p + log c * q^i mod (q^n - 1)],
 one table index, with the logs of the fixed operand taken once per call.
 Fields without tables run the same jobs on ``mul`` and ``frobenius``, and so
@@ -59,7 +61,7 @@ calls it once per answer, in its final verification.
 
 from __future__ import annotations
 
-from .gf import ExtField, _add_of, _sub_of, ext_from_json, ext_to_json
+from .gf import ExtField, _add_of, _add_rows_of, _sub_of, ext_from_json, ext_to_json
 from .linalg import Matrix, xor_rank
 
 NEG_INF = float("-inf")
@@ -354,12 +356,26 @@ def trace_sum(field: ExtField, avec, bvec) -> QPoly:
     since every F_q-linear functional is x -> Tr(b x).  The image lies in
     span{a_j}, all of it when the b_j are F_q-independent, so the rank
     equals the number of terms when the a_j are F_q-independent and so are
-    the b_j."""
+    the b_j.  ``avec`` and ``bvec`` of different lengths raise ValueError.
+
+    With tables, term j contributes exp[log a_j + (log b_j q^l mod
+    (q^n - 1))] to coefficient l: one list of n lookups per term, with no
+    ``mul`` or ``frobenius`` call, and the lists summed entrywise."""
+    terms = [(a, b) for a, b in zip(avec, bvec, strict=True) if a and b]
+    exp = field._exp
+    if exp is not None and terms:
+        add_rows, log = _add_rows_of(field), field._log
+        frob, units = field._frob_exp, field.order - 1
+        coeffs = None
+        for a, b in terms:
+            la, lb = log[a], log[b]
+            row = [exp[la + lb * fe % units] for fe in frob]
+            coeffs = row if coeffs is None else list(add_rows(coeffs, row))
+        return QPoly._of(field, coeffs)
     add, mul, frob = _add_of(field), field.mul, field.frobenius
     coeffs = [field.zero] * field.n
-    for a, b in zip(avec, bvec):
-        if a and b:
-            for l in range(field.n):
-                coeffs[l] = add(coeffs[l], mul(a, b))
-                b = frob(b)
+    for a, b in terms:
+        for l in range(field.n):
+            coeffs[l] = add(coeffs[l], mul(a, b))
+            b = frob(b)
     return QPoly._of(field, coeffs)

@@ -159,7 +159,9 @@ class LowRateDecoder:
     row per generator holding Phi of it above the diagonal; its rank is dim
     exactly when C intersect Sym = 0, so that one elimination is also the
     check, and its solves on the dim unit vectors are the rows of the left
-    inverse G.  The n^2 x N matrix P = (coefficients -> word) G sends Phi(Y)
+    inverse G.  The solver has N = n(n-1)/2 columns, so a code of dimension
+    above N always meets Sym and is refused by that count, with no
+    elimination.  The n^2 x N matrix P = (coefficients -> word) G sends Phi(Y)
     above the diagonal to the codeword.  Phi is folded into it: the n^2 x n^2
     map M: unfold(Y) -> unfold(C) has column i n + j equal to column (i, j)
     of P for i < j, to its negation for i > j, and zero for i = j.  The
@@ -171,8 +173,9 @@ class LowRateDecoder:
 
     def __init__(self, code: MatrixCode):
         f, n = code.field, code.n
-        solver = LinearSolver(Matrix(f, [_phi_upper(g) for g in code.generators]))
-        if solver.rank != code.dim:
+        solver = (LinearSolver(Matrix(f, [_phi_upper(g) for g in code.generators]))
+                  if code.dim <= n * (n - 1) // 2 else None)
+        if solver is None or solver.rank != code.dim:
             raise ValueError("code contains a nonzero symmetric matrix; "
                              "the symmetric-error decoder cannot apply")
         left_inverse = Matrix(f, [solver.solve(unit)

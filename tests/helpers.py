@@ -226,6 +226,23 @@ def frobenius_trace(field, a: int) -> int:
     return t
 
 
+def sample_independent_reference(field, count: int, rng) -> list[int]:
+    """count F_q-independent elements of F_{q^n} by rejection, one fresh
+    rank of every pick so far plus the candidate per draw, by ``ref_rank``
+    so that no xor basis is shared: the oracle for
+    ``gabidulin._sample_independent``, whose picks and stream use must
+    equal these."""
+    if count > field.n:
+        raise ValueError("cannot pick more independent elements than n")
+    picked: list[int] = []
+    while len(picked) < count:
+        x = rng.randbelow(field.order)
+        rows = [field.coeffs(y) for y in picked + [x]]
+        if ref_rank(Matrix(field.base, rows)) == len(rows):
+            picked.append(x)
+    return picked
+
+
 # Polynomials over a field K as little-endian lists of packed K values, one
 # field call per term: the oracle for the table-free product and inverse of
 # ``gf._Field`` and, through ``_fq_divmod``, for Rabin's test.

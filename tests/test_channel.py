@@ -8,7 +8,7 @@ import pytest
 
 from symrank import BaseField, ExtField, Matrix, SymSetup, matrix_of, qpoly_rank, unfold
 from helpers import (get_field, get_setup, phi_matrix, random_matrix_code, ref_rank,
-                     selfadjoint_reference)
+                     sample_independent_reference, selfadjoint_reference)
 from symrank.channel import (
     RngStream,
     random_codeword,
@@ -16,7 +16,7 @@ from symrank.channel import (
     random_selfadjoint_qpoly,
     random_symmetric_matrix,
 )
-from symrank.gabidulin import GabCode, random_error
+from symrank.gabidulin import GabCode, _sample_independent, random_error
 
 
 def test_stream_determinism():
@@ -216,13 +216,32 @@ PINNED_SAMPLES = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(PINNED_SAMPLES))
-def test_sampler_streams_pinned(key):
-    p, e, n, tables = key
+def _sample_field(p: int, e: int, n: int, tables: bool):
     if tables:
-        digests = _sample_digests(get_field(p, e, n), get_setup(p, e, n),
-                                  range(n + 1), 3)
+        return get_field(p, e, n)
+    return ExtField(BaseField(p, e), n, use_tables=False)
+
+
+@pytest.mark.parametrize("p,e,n,tables", sorted(PINNED_SAMPLES))
+def test_sampler_streams_pinned(p, e, n, tables):
+    fld = _sample_field(p, e, n, tables)
+    if tables:
+        digests = _sample_digests(fld, get_setup(p, e, n), range(n + 1), 3)
     else:
-        digests = _sample_digests(ExtField(BaseField(p, e), n, use_tables=False),
-                                  None, (0, 1, 2, n), 1)
-    assert digests == PINNED_SAMPLES[key]
+        digests = _sample_digests(fld, None, (0, 1, 2, n), 1)
+    assert digests == PINNED_SAMPLES[(p, e, n, tables)]
+
+
+@pytest.mark.parametrize("p,e,n,tables", sorted(PINNED_SAMPLES))
+def test_sample_independent_matches_fresh_rank(p, e, n, tables):
+    # the basis kept across picks against a fresh rank of all picks plus
+    # the draw: the same picks and the same stream state at every count
+    fld = _sample_field(p, e, n, tables)
+    for count in range(n + 1):
+        for seed in range(4):
+            ours, ref = RngStream(seed), RngStream(seed)
+            assert (_sample_independent(fld, count, ours)
+                    == sample_independent_reference(fld, count, ref))
+            assert ours._state == ref._state
+    with pytest.raises(ValueError):
+        _sample_independent(fld, n + 1, RngStream(0))

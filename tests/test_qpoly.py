@@ -335,13 +335,17 @@ def test_matrix_to_qpoly_roundtrip():
 
 
 @pytest.mark.parametrize("p,e,n,tables", [
-    (2, 1, 4, True), (3, 1, 3, True), (2, 2, 3, True), (2, 1, 5, False)])
+    (2, 1, 4, True), (3, 1, 3, True), (2, 2, 3, True), (3, 2, 2, True),
+    (2, 1, 5, False)])
 def test_trace_sum_pointwise(p, e, n, tables):
     # x -> sum_j a_j Tr(b_j x) at every element, zero a_j and b_j included,
-    # on the field's own trace only
+    # on the field's own trace only.  (3, 2, 2) sums by Zech logs; a field
+    # with tables also matches the loop of its table-free copy
     f = get_field(p, e, n)
+    raw = ExtField(f.base, n, use_tables=False)
+    assert raw.modulus == f.modulus and raw._exp is None
     if not tables:
-        f = ExtField(f.base, n, use_tables=False)
+        f = raw
     rng = RngStream(43)
     for terms in range(4):
         avec = [0, rand_unit(f, rng)] + [rand_elt(f, rng) for _ in range(terms)]
@@ -352,7 +356,13 @@ def test_trace_sum_pointwise(p, e, n, tables):
             for a, b in zip(avec, bvec):
                 want = f.add(want, f.mul(a, f.trace(f.mul(b, x))))
             assert poly.evaluate(x) == want
+        assert poly.coeffs == trace_sum(raw, avec, bvec).coeffs
     assert trace_sum(f, [], []).is_zero()
+    # a term without its partner is refused, not dropped
+    a1, a2, b1 = (rand_unit(f, rng) for _ in range(3))
+    for avec, bvec in (([a1, a2], [b1]), ([a1], [b1, a2]), ([], [b1])):
+        with pytest.raises(ValueError):
+            trace_sum(f, avec, bvec)
 
 
 def test_qpoly_json_roundtrip():

@@ -23,6 +23,7 @@ from symrank import (
     matrix_to_qpoly,
     phi_qpoly,
     qpoly_rank,
+    symdec,
     unfold,
     wb_decode,
 )
@@ -87,6 +88,19 @@ def test_shifted_gabidulin_is_sym_free(p, n, k):
     assert mcode.dim == n * k
     assert _sym_free(mcode)
 
+
+@pytest.mark.parametrize("p,n,k", [(2, 4, 2), (2, 6, 3), (3, 5, 3), (2, 8, 6)])
+def test_rate_half_refused_by_count(monkeypatch, p, n, k):
+    # dim = k n > n(n-1)/2 when k >= n/2: the code meets Sym, which the
+    # count shows before any solver is built
+    def no_solver(matrix):
+        raise AssertionError("a solver was built for a code refused by count")
+
+    st = get_setup(p, 1, n)
+    mcode = matrix_code_of(GabCode(st.field, k, 1), st)
+    monkeypatch.setattr(symdec, "LinearSolver", no_solver)
+    with pytest.raises(ValueError, match="contains a nonzero symmetric matrix"):
+        LowRateDecoder(mcode)
 
 def test_matrix_code_validation():
     f = BaseField(2)
