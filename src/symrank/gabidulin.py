@@ -73,24 +73,14 @@ member, with q^t roots, and N = L o Y mod X^(q^n) - X, so deg_q N < k + t:
     exactly;
   * so L left-divides N, and the quotient has q-degree deg_q N - t < k.
 
-The walked stage therefore yields exactly one candidate per member, and
-``walked`` counts the candidates.  The division check below stays, since
-it is what certifies each candidate.
+The walked stage therefore yields exactly one candidate per member it
+divides, and with the default hook (``wb_decode``) ``walked`` counts the
+candidates.  The division check below stays, since it is what certifies
+each candidate.
 
 A division check certifies the distance: when L o Y = L o C exactly with
 deg_q C < k, the error Y - C satisfies L o (Y-C) = 0, so its image lies in
 ker L and its rank is at most tp automatically.
-
-A caller that keeps only some candidates can reject a member before its
-division (``keep``).  With N = L o Q and deg_q Q < k, the ends of N are
-N_0 = l_0 Q_0 and N_(k-1+t) = l_t Q_(k-1)^(q^t), so
-
-    Q_0 = N_0 / l_0,    Q_(k-1) = (N_(k-1+t) / l_t)^(q^(n-t)),
-
-two field operations each once N is known.  A full member is separable and
-of q-degree t, so l_0 and l_t are nonzero.  By the lemma these are the
-candidate's own coefficients, so rejecting on them drops exactly the
-candidates the caller would drop.
 """
 
 from __future__ import annotations
@@ -194,23 +184,15 @@ def _key_kernel(y0: QPoly, k: int, tp: int) -> list:
                                 for j in range(k + tp, n)], tp + 1).kernel()
 
 
-def _try_localiser(vec, received: QPoly, k: int, keep=None) -> QPoly | None:
-    """Divide L o Y by L; a clean quotient of q-degree < k is a codeword.
-
-    With ``keep``, the quotient's outer coefficients Q_0 and Q_(k-1) are
-    read off N = L o Y first, and L is not divided when ``keep(Q_0,
-    Q_(k-1))`` is false (module docstring).  ``keep`` comes only with
-    walked members, which have q^t distinct roots, t = len(vec) - 1, so
-    l_0 and l_t are nonzero."""
-    fld = received.field
+def _composed(vec, y0: QPoly) -> tuple[QPoly, QPoly]:
+    """The localiser L = sum_i vec[i] X^(q^i) and L o y0."""
+    fld = y0.field
     loc = QPoly._of(fld, tuple(vec) + (fld.zero,) * (fld.n - len(vec)))
-    num = loc.compose(received)
-    if keep is not None:
-        t = len(vec) - 1
-        low = fld.div(num.coeffs[0], vec[0])
-        high = fld.frobenius(fld.div(num.coeffs[k - 1 + t], vec[t]), fld.n - t)
-        if not keep(low, high):
-            return None
+    return loc, loc.compose(y0)
+
+
+def _try_localiser(loc: QPoly, num: QPoly, k: int) -> QPoly | None:
+    """Divide N = L o Y by L; a clean quotient of q-degree < k is a codeword."""
     quot, rem = num.left_divide(loc)
     if rem.is_zero() and not any(quot.coeffs[k:]):
         return quot
@@ -268,7 +250,15 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
         yield list(k2)
 
 
-def wb_decode(code: GabCode, received: QPoly, t: int, keep=None) -> DecodeReport:
+def _pencil_members(kern: list[tuple], y0: QPoly, t: int):
+    """The default ``members`` hook of ``wb_decode``: every full member L of
+    the pencil (``_pencil_points``), composed once, as (L, L o y0)."""
+    pairs = [_composed(vec, y0) for vec in _pencil_points(y0.field, kern, t)]
+    return len(pairs), pairs
+
+
+def wb_decode(code: GabCode, received: QPoly, t: int,
+              members=_pencil_members) -> DecodeReport:
     """All codewords within rank distance t of ``received``, for
     0 <= t <= (n-k)//2, or t = (n-k)//2 + 1 when n-k is odd, and t < n
     (ValueError otherwise, or when ``received`` is not over the code's
@@ -283,21 +273,24 @@ def wb_decode(code: GabCode, received: QPoly, t: int, keep=None) -> DecodeReport
 
     ``diagnostics["kernel_dims"]`` lists the kernel dimension at the unique
     radius min(t, (n-k)//2), followed by that of the walked stage, if any.
-    ``diagnostics["walked"]`` counts the pencil members tried there.  Each
-    divides cleanly into a candidate of its own (module docstring), so
-    without ``keep`` it is also the number of candidates.
+
+    ``members(kern, y0, t)`` is the walked stage's hook, called on a walked
+    kernel of dimension 2, with y0 = received o X^(q^(n-s)) (the code
+    shifted back to support 0..k-1) and the radius.  It returns (walked,
+    pairs): ``pairs`` lists the (L, L o y0) to divide, each L with q^t
+    distinct roots, and ``walked`` becomes ``diagnostics["walked"]``.  The
+    default, ``_pencil_members``, returns every full member of the pencil,
+    and ``walked`` counts them.  Each divides cleanly into a candidate of
+    its own (module docstring), so there ``walked`` is also the number of
+    candidates.  A hook that passes on only some of the members still
+    reports every member it walked.  The unique radius has no hook: a
+    codeword found there is the only one within t.
+
     ``diagnostics["error_rank"]`` (on 'ok' only) is read off the stage that
     found the codeword: min(t, (n-k)//2) + 1 - kernel dimension at the
     unique radius, t at the walked stage.
-
-    ``keep(low, high)`` filters the walked stage only.  It receives the
-    coefficients c_s and c_(s+k-1) of a member's candidate, read off L o Y
-    before the division, and a member it rejects is not divided.  The
-    unique radius needs no filter: a codeword found there is the only one
-    within t.
     """
-    fld = code.field
-    if received.field is not fld:
+    if received.field is not code.field:
         raise ValueError("received word is not over the code's field")
     n, k, s = code.n, code.k, code.s
     half = (n - k) // 2
@@ -309,16 +302,16 @@ def wb_decode(code: GabCode, received: QPoly, t: int, keep=None) -> DecodeReport
     tu = min(t, half)
     kern = _key_kernel(y0, k, tu)
     kernel_dims = [len(kern)]
-    found = [c for c in (_try_localiser(v, y0, k) for v in kern[:1]) if c is not None]
+    found = [c for c in (_try_localiser(*_composed(v, y0), k) for v in kern[:1])
+             if c is not None]
     rank = tu + 1 - len(kern)
     walked = 0
     if not found and t > half:
         kern = _key_kernel(y0, k, t)
         kernel_dims.append(len(kern))
         # a kernel of dimension 3 or more: no codeword within t (module docstring)
-        members = list(_pencil_points(fld, kern, t)) if len(kern) == 2 else []
-        walked = len(members)
-        found = [c for c in (_try_localiser(v, y0, k, keep) for v in members)
+        walked, pairs = members(kern, y0, t) if len(kern) == 2 else (0, [])
+        found = [c for c in (_try_localiser(loc, num, k) for loc, num in pairs)
                  if c is not None]
         rank = t
 

@@ -31,14 +31,14 @@ linear system is solved, and every word has a preimage.  The residual
 Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k.  Since
 Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
 candidate S' is self-adjoint exactly when S' is.  Only the outermost pair
-of that test, c_k = c_(n-k)^(q^k) u^(q^k - 1), is checked, inside the walk:
-its two coefficients are read off L o Y before a walked member is divided
-(``wb_decode``'s ``keep``), and at the boundary about four members in five
-fail it and are never divided.  No other pair needs a test.  Let R = Y - C'
-(self-adjoint) and c a candidate of the reduced code, within n-k of R, so
-E' = R - c has rank at most n-k.  Then c - c^adj = E'^adj - E' has rank at
-most 2(n-k).  The adjoint sends degree j to n-j, so c - c^adj lies in the
-reduced code, of dimension 2k-n+1 and minimum rank distance 2(n-k):
+of that test, c_k = c_(n-k)^(q^k) u^(q^k - 1), is checked, on each walked
+member before its division (``wb_decode``'s ``members`` hook, below), and
+at the boundary about four members in five fail it and are never divided.
+No other pair needs a test.  Let R = Y - C' (self-adjoint) and c a
+candidate of the reduced code, within n-k of R, so E' = R - c has rank at
+most n-k.  Then c - c^adj = E'^adj - E' has rank at most 2(n-k).  The
+adjoint sends degree j to n-j, so c - c^adj lies in the reduced code, of
+dimension 2k-n+1 and minimum rank distance 2(n-k):
 
   * a candidate found at the unique radius n-k-1 has rank E' <= n-k-1, so
     c - c^adj has rank at most 2(n-k) - 2 and is 0;
@@ -47,23 +47,38 @@ reduced code, of dimension 2k-n+1 and minimum rank distance 2(n-k):
     n-k+1..k-1, of minimum rank distance 2(n-k) + 2, and is 0.
 
 Every candidate that reaches the decoder is therefore self-adjoint, and
-each gives a survivor.  The survivors get their status from
-``DecodeReport.of``, the same rule as ``wb_decode``.  The diagnostics are
-the walk's own, with the test, plus ``survivors``; ``error_rank`` is set
-on 'ok' only, as ``DecodeReport.of`` documents.  The error of an 'ok'
-report is ranked once, by an F_q elimination that is independent of the
-kernel dimension ``wb_decode`` reads its own rank from.  The answer is then
-verified before it is returned: the codeword lies in the code, the error is
-self-adjoint, and its rank is at most n-k.  Below the boundary
-(rank <= n-k-1) the answer is provably unique; at rank exactly n-k two
-valid decompositions can coexist and the report says so.  The reduced code
-has redundancy 2(n-k) - 1, so radius n-k is the walked stage of
-``wb_decode``.  For a valid instance the residual lies within n-k of the
-reduced code, so the walked kernel has dimension exactly 2 (the lemma in
-``gabidulin``), and the localiser pencil searches it exhaustively on every
-field, with no cap; a field without exp/log tables is slower but gives the
-same answer.  Every valid decomposition is therefore found, and a word
-that has none reports 'fail'.
+each gives a survivor.
+
+The outer pair is tested in cleared form (``HighRateDecoder._members``).
+``wb_decode`` divides N = L o Y by L in the frame where the reduced code,
+of dimension k' = 2k-n+1, has support 0..k'-1, so the quotient Q has
+Q_i = c_(n-k+i).  By the exact-division lemma in ``gabidulin`` N = L o Q,
+whose ends are N_0 = l_0 Q_0 and N_top = l_t Q_(k'-1)^(q^t), with t = n-k
+and top = k'-1+t; l_0 and l_t are nonzero on a full member.  The test
+raised to the power q^t, a bijection, reads Q_(k'-1)^(q^t) =
+Q_0^(q^(k+t)) u^((q^k - 1) q^t) = tau Q_0, as k + t = n, so it holds
+exactly when
+
+    N_top l_0 = tau N_0 l_t,    tau = u / u^(q^(n-k)),
+
+three multiplications per member, with no division and no Frobenius.
+
+The survivors get their status from ``DecodeReport.of``, the same rule as
+``wb_decode``.  The diagnostics are the walk's own, with the test, plus
+``survivors``; ``error_rank`` is set on 'ok' only, as ``DecodeReport.of``
+documents.  The error of an 'ok' report is ranked once, by an F_q
+elimination that is independent of the kernel dimension ``wb_decode`` reads
+its own rank from.  The answer is then verified before it is returned: the
+codeword lies in the code, the error is self-adjoint, and its rank is at
+most n-k.  Below the boundary (rank <= n-k-1) the answer is provably unique;
+at rank exactly n-k two valid decompositions can coexist and the report
+says so.  The reduced code has redundancy 2(n-k) - 1, so radius n-k is the
+walked stage of ``wb_decode``.  For a valid instance the residual lies
+within n-k of the reduced code, so the walked kernel has dimension exactly
+2 (the lemma in ``gabidulin``), and the localiser pencil searches it
+exhaustively on every field, with no cap; a field without exp/log tables is
+slower but gives the same answer.  Every valid decomposition is therefore
+found, and a word that has none reports 'fail'.
 """
 
 from __future__ import annotations
@@ -72,7 +87,7 @@ from functools import partial
 from itertools import chain
 
 from .bilinear import SymSetup
-from .gabidulin import DecodeReport, GabCode, wb_decode
+from .gabidulin import DecodeReport, GabCode, _pencil_members, wb_decode
 from .gf import _sub_rows_of
 from .linalg import LinearSolver, Matrix
 from .qpoly import QPoly, matrix_of, qpoly_rank
@@ -236,8 +251,8 @@ class HighRateDecoder:
         self.code = GabCode(fld, k, 1)
         self.reduced = GabCode(fld, 2 * k - n + 1, n - k)
         self.radius = n - k
-        # u^(q^k - 1), the twist of the outermost pair (``_outer_pair``)
-        self._twist = fld.div(fld.frobenius(setup.u, k), setup.u)
+        # tau = u / u^(q^(n-k)), the outer pair's twist in cleared form
+        self._tau = fld.div(setup.u, fld.frobenius(setup.u, n - k))
         # theta + theta^(q^(n/2)) = 1 splits the self-paired middle degree:
         # theta = a / (a + a^(q^(n/2))) for the first unit a where the sum is
         # nonzero.  For odd q that is a = 1, with sum 2; in characteristic 2
@@ -261,21 +276,24 @@ class HighRateDecoder:
             coeffs[n // 2] = fld.mul(self._theta, d[n // 2])
         return QPoly(fld, coeffs)
 
-    def _outer_pair(self, low: int, high: int) -> bool:
-        """Whether a candidate with c_(n-k) = low and c_k = high passes the
-        outermost pair of the self-adjointness test:
-        c_k = c_(n-k)^(q^k) u^(q^k - 1)."""
-        fld = self.setup.field
-        return high == fld.mul(fld.frobenius(low, self.k), self._twist)
+    def _members(self, kern, y0: QPoly, t: int):
+        """The ``members`` hook of the residual's decode: the pencil's
+        members (``_pencil_members``) whose candidate passes the outer pair,
+        N_top l_0 = tau N_0 l_t (module docstring), and the count of all
+        of them."""
+        mul, top = self.setup.field.mul, self.reduced.k - 1 + t
+        walked, pairs = _pencil_members(kern, y0, t)
+        return walked, [(loc, num) for loc, num in pairs
+                        if mul(num.coeffs[top], loc.coeffs[0])
+                        == mul(mul(self._tau, num.coeffs[0]), loc.coeffs[t])]
 
     def decode(self, received: QPoly) -> DecodeReport:
         """ValueError when ``received`` is not over the code's field."""
         if received.field is not self.setup.field:
             raise ValueError("received word is not over the code's field")
-        u = self.setup.u
         pre = self._preimage(received)
         rep = wb_decode(self.reduced, received - pre, self.radius,
-                        keep=self._outer_pair)
+                        members=self._members)
         # every candidate that reaches here is self-adjoint (module
         # docstring), so its error received - (pre + c) is too
         survivors = [pre + c for c in rep.candidates]
@@ -287,6 +305,6 @@ class HighRateDecoder:
         rank = 0 if error.is_zero() else qpoly_rank(error)
         out.diagnostics["error_rank"] = rank
         if (not self.code.contains(out.codeword)
-                or not error.is_self_adjoint(u) or rank > self.radius):
+                or not error.is_self_adjoint(self.setup.u) or rank > self.radius):
             raise ArithmeticError("decoder output failed verification")
         return out

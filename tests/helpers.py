@@ -74,18 +74,19 @@ def selfadjoint_reference(r: int, setup: SymSetup, rng: RngStream) -> QPoly:
     return matrix_to_qpoly(random_symmetric_matrix(fld.base, fld.n, r, rng), setup)
 
 
-def planted_alternating(setup: SymSetup, rng: RngStream) -> QPoly:
-    """A self-adjoint error of rank 2 that is alternating in characteristic
-    2: the q-polynomial of M^T S M with M a random 2 x n matrix of rank 2
-    and S = [[0, 1], [1, 0]], so S M swaps the rows of M and the error is
-    alpha_0 Tr(u alpha_1 x) + alpha_1 Tr(u alpha_0 x)."""
+def planted_alternating(setup: SymSetup, rng: RngStream, rank: int = 2) -> QPoly:
+    """A self-adjoint error of even rank 2r that is alternating in
+    characteristic 2: the q-polynomial of M^T S M with M a random 2r x n
+    matrix of rank 2r and S the r blocks [[0, 1], [1, 0]] on the diagonal,
+    so S M swaps the rows of M in pairs and the error is the sum over the
+    pairs of alpha_2i Tr(u alpha_(2i+1) x) + alpha_(2i+1) Tr(u alpha_2i x)."""
     fld = setup.field
     while True:
-        m = random_matrix(fld.base, 2, fld.n, rng)
-        if m.rank() == 2:
+        m = random_matrix(fld.base, rank, fld.n, rng)
+        if m.rank() == rank:
             break
     alphas = [setup.from_coords(row) for row in m.data]
-    return trace_sum(fld, alphas, [fld.mul(setup.u, a) for a in reversed(alphas)])
+    return trace_sum(fld, alphas, [fld.mul(setup.u, alphas[j ^ 1]) for j in range(rank)])
 
 
 def phi_matrix(mat):

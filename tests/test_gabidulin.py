@@ -275,8 +275,8 @@ def _assert_pencil_is_walk(monkeypatch, code, y, t):
     pencil yields divides L o Y with zero remainder into a quotient of
     q-degree below k (the exact-division lemma in ``gabidulin``), so each
     gives a candidate of its own.  Each member has q^tp distinct roots, so
-    its end coefficients l_0 and l_tp are nonzero, which ``_try_localiser``
-    divides by without a check."""
+    its end coefficients l_0 and l_tp are nonzero, which the outer-pair
+    test of ``HighRateDecoder._members`` relies on."""
     members = []
     pencil_points = gabidulin._pencil_points
 
@@ -431,8 +431,8 @@ def test_walked_members_never_repeat_a_candidate(monkeypatch, p, n, k):
     divided = []
     try_localiser = gabidulin._try_localiser
 
-    def recording(vec, received, k, keep=None):
-        cand = try_localiser(vec, received, k, keep)
+    def recording(loc, num, k):
+        cand = try_localiser(loc, num, k)
         if cand is not None:
             divided.append(cand.coeffs)
         return cand

@@ -8,6 +8,7 @@ import pytest
 
 from symrank import (
     BaseField,
+    ExtField,
     GabCode,
     HighRateDecoder,
     InvalidInstanceError,
@@ -16,6 +17,7 @@ from symrank import (
     Matrix,
     MatrixCode,
     QPoly,
+    SymSetup,
     gabidulin,
     make_field,
     matrix_code_of,
@@ -497,6 +499,17 @@ def test_high_rate_rejects_word_over_another_field():
                 dec.decode(rand_qpoly(other, rng))
 
 
+def _outer_pair(dec, c: QPoly) -> bool:
+    """Whether the reduced candidate ``c`` passes the outermost pair of the
+    self-adjointness test, c_k = c_(n-k)^(q^k) u^(q^k - 1), read on its own
+    coefficients.  The decoder tests the cleared form of the pair on
+    L o Y before the division (``HighRateDecoder._members``), so this
+    oracle shares no formula with it."""
+    fld, n, k, u = dec.setup.field, dec.n, dec.k, dec.setup.u
+    twist = fld.div(fld.frobenius(u, k), u)
+    return c.coeffs[k] == fld.mul(fld.frobenius(c.coeffs[n - k], k), twist)
+
+
 @pytest.mark.parametrize("p,e,n,k", [(2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 6),
                                      (2, 2, 4, 3), (3, 2, 4, 3)],
                          ids=["2-6-4", "3-5-3", "2-8-6", "4-4-3", "9-4-3"])
@@ -520,7 +533,7 @@ def test_high_rate_filter_reads_candidate_alone(p, e, n, k):
         for c in wb_decode(dec.reduced, y - pre, dec.radius).candidates:
             want = c.is_self_adjoint(st.u)
             assert (y - (pre + c)).is_self_adjoint(st.u) == want
-            if dec._outer_pair(c.coeffs[n - k], c.coeffs[k]):
+            if _outer_pair(dec, c):
                 assert want
             seen.add(want)
     assert seen == {True, False}
@@ -542,14 +555,22 @@ def _high_rate_words(dec, rng, count: int):
                      + random_selfadjoint_qpoly(rank, st, rng))
 
 
-@pytest.mark.parametrize("p,e,n,k", [
-    (2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 6), (3, 1, 6, 4), (2, 1, 5, 3),
-    (3, 1, 4, 3), (5, 1, 4, 3), (2, 2, 4, 3)])
-def test_high_rate_matches_unfiltered_composition(p, e, n, k):
+@pytest.mark.parametrize("p,e,n,k,tables", [
+    pytest.param(*code, tables, id="-".join(map(str, code)) + ("" if tables else "-table-free"))
+    for tables, codes in (
+        (True, [(2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 6), (3, 1, 6, 4), (2, 1, 5, 3),
+                (3, 1, 4, 3), (5, 1, 4, 3), (2, 2, 4, 3)]),
+        (False, [(2, 1, 6, 4), (3, 1, 5, 3), (2, 1, 8, 6), (3, 1, 4, 3)]))
+    for code in codes])
+def test_high_rate_matches_unfiltered_composition(p, e, n, k, tables):
     # the outer pair tested before the division changes nothing in the
     # report, candidates, status, walked and survivors alike; error_rank is
-    # on 'ok' only, the rank of the one error
-    dec = HighRateDecoder(get_setup(p, e, n), k)
+    # on 'ok' only, the rank of the one error.  The table-free fields run
+    # the same member hook on polynomial arithmetic, (3,4,3) with a twist
+    # u != 1
+    st = (get_setup(p, e, n) if tables else
+          SymSetup(ExtField(BaseField(p, e), n, use_tables=False)))
+    dec = HighRateDecoder(st, k)
     for kind, y in _high_rate_words(dec, RngStream(89), 18):
         rep = dec.decode(y)
         assert rep.to_json() == high_rate_reference(dec, y).to_json()
@@ -631,10 +652,9 @@ def _degenerate(dec, y) -> bool:
     candidate of its own (the lemma in ``gabidulin``), and a nonzero
     outer-pair quadratic passes at most 3 members, two roots and K2, so on
     such a word the quadratic vanishes identically."""
-    n, k = dec.n, dec.k
     rep = wb_decode(dec.reduced, y - dec._preimage(y), dec.radius)
     return rep.diagnostics["walked"] >= 4 and all(
-        dec._outer_pair(c.coeffs[n - k], c.coeffs[k]) for c in rep.candidates)
+        _outer_pair(dec, c) for c in rep.candidates)
 
 
 @pytest.mark.parametrize("p,e,n,k,errors", [
@@ -677,6 +697,50 @@ def test_high_rate_candidate_sets_match_error_buckets(p, e, n, k, errors):
         assert set(seen) == {(kind, "ok") for kind in ("boundary", "below", "random")}
     else:
         assert seen["boundary", "ambiguous"] and seen["random", "fail"]
+
+
+def test_high_rate_boundary_exhaustive_at_two_five_three():
+    # every self-adjoint error of rank <= n-k = 2 at (2,5,3), decoded at
+    # codeword 0 against its bucket.  The candidate sets are
+    # translation-covariant (Y + C has those of Y shifted by C, for C in the
+    # code), so this covers the candidate set of every word.  Over F_2 a
+    # symmetric matrix is alternating when its diagonal is zero
+    st = get_setup(2, 1, 5)
+    dec = HighRateDecoder(st, 3)
+    buckets = _selfadjoint_buckets(st, 3, dec.radius)
+    tally = Counter()
+    for mat in _symmetric_by_rank(st.field.base, 5, dec.radius):
+        err = matrix_to_qpoly(mat, st)
+        rep = dec.decode(err)
+        want = {(err - other).coeffs for other in buckets[_outside(err, 3)]}
+        assert {c.coeffs for c in rep.candidates} == want
+        rank = mat.rank()
+        alternating = rank == 2 and not any(row[i] for i, row in enumerate(mat.data))
+        tally[rank, alternating, rep.status, len(want)] += 1
+    assert tally == {(0, False, "ok", 1): 1, (1, False, "ok", 1): 31,
+                     (2, False, "ok", 1): 465, (2, True, "ambiguous", 5): 155}
+
+
+def test_high_rate_planted_rank_four_words():
+    # at (2,10,6), t = n-k = 4: a codeword plus an alternating error of rank
+    # 4, against the unfiltered composition.  The oracle shares the key
+    # kernel and the pencil with the decoder (it runs ``wb_decode`` too), so
+    # this checks the outer-pair test, not the walk.  Both a non-degenerate
+    # word with 3 candidates and a degenerate word (``_degenerate``) arise
+    st = get_setup(2, 1, 10)
+    dec = HighRateDecoder(st, 6)
+    rng = RngStream(7)
+    seen = Counter()
+    for _ in range(40):
+        cw = random_codeword(dec.code, rng)
+        err = planted_alternating(st, rng, 4)
+        assert err.is_self_adjoint(st.u) and qpoly_rank(err) == 4
+        rep = dec.decode(cw + err)
+        assert rep.to_json() == high_rate_reference(dec, cw + err).to_json()
+        assert cw in rep.candidates
+        seen[_degenerate(dec, cw + err), rep.status, len(rep.candidates)] += 1
+    assert seen[False, "ambiguous", 3]
+    assert sum(count for (degenerate, *_), count in seen.items() if degenerate)
 
 
 @pytest.mark.parametrize("n,k", [(10, 7), (12, 8)])
