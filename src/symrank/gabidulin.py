@@ -29,7 +29,8 @@ tu = min(t, (n-k)//2), then at t > tu when nothing was found:
     system has t - 1 rows and t + 1 unknowns, so its kernel has dimension
     at least 2.  A kernel [K1, K2] of dimension exactly 2 goes through the
     localiser pencil: one pass over F_{q^n} finds the members K1 + c K2
-    (and K2) with a full root space of q^t elements, and only those are
+    (and K2) with a full root space of q^t elements, and only those, or
+    those of them that the member hook of ``wb_decode`` keeps, are
     divided.  The members are F_q-linear, so the pass visits one point of
     each F_q-line, (q^n - 1)/(q - 1) points, and a full member has
     (q^t - 1)/(q - 1) root lines; the per-point sums and the ratio keys are
@@ -74,9 +75,9 @@ member, with q^t roots, and N = L o Y mod X^(q^n) - X, so deg_q N < k + t:
   * so L left-divides N, and the quotient has q-degree deg_q N - t < k.
 
 The walked stage therefore yields exactly one candidate per member it
-divides, and with the default hook (``wb_decode``) ``walked`` counts the
-candidates.  The division check below stays, since it is what certifies
-each candidate.
+divides, and ``walked`` (``wb_decode``), the count of divided members, is
+also the count of candidates.  The division check below stays, since it is
+what certifies each candidate.
 
 A division check certifies the distance: when L o Y = L o C exactly with
 deg_q C < k, the error Y - C satisfies L o (Y-C) = 0, so its image lies in
@@ -225,9 +226,10 @@ def _tabulate(fld: ExtField, vec) -> list[int]:
     return lines
 
 
-def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
-    """The points of a 2-dimensional kernel [K1, K2] whose localiser has a
-    full root space, q^tp roots: K1 + c K2 for c ascending, then K2.
+def _pencil_roots(fld: ExtField, kern: list[tuple], tp: int) -> list:
+    """The full members of a 2-dimensional kernel [K1, K2], those whose
+    localiser has q^tp roots: c for the member K1 + c K2, c ascending, then
+    None for K2 when it is full.
 
     A nonzero x is a root of exactly one member: K1 + c K2 with
     c = -K1(x)/K2(x), or K2 when K2(x) = 0 != K1(x).  Roots of both K1 and
@@ -238,23 +240,35 @@ def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
     The keys are the ratios K1(x)/K2(x), from ``ExtField.div_many``; the
     root lines of K2, at most (q^tp - 1)/(q - 1), are counted apart."""
     k1, k2 = kern
-    q, add, mul = fld.q, fld.add, fld.mul
+    q = fld.q
     t1, t2 = _tabulate(fld, k1), _tabulate(fld, k2)
     counts = Counter(fld.div_many(compress(t1, t2), filter(None, t2)))
     on_k2 = list(compress(t1, map(not_, t2)))   # K1 on the root lines of K2
     common = on_k2.count(0)                     # root lines of both
     full = (q**tp - 1) // (q - 1) - common
-    for c in sorted(fld.neg(r) for r, count in counts.items() if count == full):
-        yield [add(a, mul(c, b)) if b else a for a, b in zip(k1, k2)]
+    roots = sorted(fld.neg(r) for r, count in counts.items() if count == full)
     if len(on_k2) - common == full:
-        yield list(k2)
+        roots.append(None)
+    return roots
 
 
-def _pencil_members(kern: list[tuple], y0: QPoly, t: int):
+def _member(fld: ExtField, kern: list[tuple], c) -> list:
+    """The pencil member K1 + c K2 of a kernel [K1, K2], or K2 for c None."""
+    k1, k2 = kern
+    if c is None:
+        return list(k2)
+    return [fld.add(a, fld.mul(c, b)) if b else a for a, b in zip(k1, k2)]
+
+
+def _pencil_points(fld: ExtField, kern: list[tuple], tp: int):
+    """The full members of the pencil (``_pencil_roots``), in its order."""
+    return (_member(fld, kern, c) for c in _pencil_roots(fld, kern, tp))
+
+
+def _pencil_members(kern: list[tuple], y0: QPoly, t: int) -> list:
     """The default ``members`` hook of ``wb_decode``: every full member L of
     the pencil (``_pencil_points``), composed once, as (L, L o y0)."""
-    pairs = [_composed(vec, y0) for vec in _pencil_points(y0.field, kern, t)]
-    return len(pairs), pairs
+    return [_composed(vec, y0) for vec in _pencil_points(y0.field, kern, t)]
 
 
 def wb_decode(code: GabCode, received: QPoly, t: int,
@@ -276,15 +290,15 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
 
     ``members(kern, y0, t)`` is the walked stage's hook, called on a walked
     kernel of dimension 2, with y0 = received o X^(q^(n-s)) (the code
-    shifted back to support 0..k-1) and the radius.  It returns (walked,
-    pairs): ``pairs`` lists the (L, L o y0) to divide, each L with q^t
-    distinct roots, and ``walked`` becomes ``diagnostics["walked"]``.  The
-    default, ``_pencil_members``, returns every full member of the pencil,
-    and ``walked`` counts them.  Each divides cleanly into a candidate of
-    its own (module docstring), so there ``walked`` is also the number of
-    candidates.  A hook that passes on only some of the members still
-    reports every member it walked.  The unique radius has no hook: a
-    codeword found there is the only one within t.
+    shifted back to support 0..k-1) and the radius.  It returns the pairs
+    (L, L o y0) to divide, each L a full member of the pencil (q^t distinct
+    roots), and ``diagnostics["walked"]`` is their count, the members
+    divided.  The default, ``_pencil_members``, returns every full member;
+    a hook may return only some of them, and the members it leaves out are
+    neither divided nor counted.  Each member divides cleanly into a
+    candidate of its own (module docstring), so ``walked`` is also the
+    number of candidates.  The unique radius has no hook: a codeword found
+    there is the only one within t.
 
     ``diagnostics["error_rank"]`` (on 'ok' only) is read off the stage that
     found the codeword: min(t, (n-k)//2) + 1 - kernel dimension at the
@@ -305,12 +319,12 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
     found = [c for c in (_try_localiser(*_composed(v, y0), k) for v in kern[:1])
              if c is not None]
     rank = tu + 1 - len(kern)
-    walked = 0
+    pairs = []
     if not found and t > half:
         kern = _key_kernel(y0, k, t)
         kernel_dims.append(len(kern))
         # a kernel of dimension 3 or more: no codeword within t (module docstring)
-        walked, pairs = members(kern, y0, t) if len(kern) == 2 else (0, [])
+        pairs = members(kern, y0, t) if len(kern) == 2 else []
         found = [c for c in (_try_localiser(loc, num, k) for loc, num in pairs)
                  if c is not None]
         rank = t
@@ -319,7 +333,7 @@ def wb_decode(code: GabCode, received: QPoly, t: int,
         found = [c.compose_monomial(s) for c in found]
     return DecodeReport.of(received, found, rank, {
         "kernel_dims": kernel_dims,
-        "walked": walked,
+        "walked": len(pairs),
         "error_rank": None,
     })
 

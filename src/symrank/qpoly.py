@@ -25,9 +25,12 @@ Fields without tables run the same jobs on ``mul`` and ``frobenius``, and so
 does ``evaluate`` on every field: with tables, only ``matrix_of`` (sym-low
 set-up and the CLI's sym-low picture) and tests evaluate at a single point.
 
-A boundary decode composes one received word Y with every walked localiser,
-so on a field with tables a right operand of ``compose`` keeps the rows it
-is composed through: row i lists (i + j mod n, log y_j * q^i mod (q^n - 1))
+A boundary decode composes one received word Y several times: with the
+first vector of the unique-radius kernel, with the two vectors K1, K2 of
+the walked kernel, and with each pencil member it divides (the members
+that fail the outer-pair quadratic are never composed).  So on a field
+with tables a right operand of ``compose`` keeps the rows it is composed
+through: row i lists (i + j mod n, log y_j * q^i mod (q^n - 1))
 over the nonzero y_j, built the first time a left operand with p_i != 0
 needs it, after which each product is exp[log p_i + entry].  The rows are
 built only from an operand's second composition on.  Building them costs

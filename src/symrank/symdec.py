@@ -32,8 +32,9 @@ Y - C' = S + E is then decoded by ``wb_decode`` at radius n-k.  Since
 Phi(C') = Phi(Y), Y - C' is self-adjoint, so the error implied by a
 candidate S' is self-adjoint exactly when S' is.  Only the outermost pair
 of that test, c_k = c_(n-k)^(q^k) u^(q^k - 1), is checked, on each walked
-member before its division (``wb_decode``'s ``members`` hook, below), and
-at the boundary about four members in five fail it and are never divided.
+member before it is composed with the word (``wb_decode``'s ``members``
+hook, below), and at the boundary about four members in five fail it and
+are never composed.
 No other pair needs a test.  Let R = Y - C' (self-adjoint) and c a
 candidate of the reduced code, within n-k of R, so E' = R - c has rank at
 most n-k.  Then c - c^adj = E'^adj - E' has rank at most 2(n-k).  The
@@ -59,21 +60,43 @@ raised to the power q^t, a bijection, reads Q_(k'-1)^(q^t) =
 Q_0^(q^(k+t)) u^((q^k - 1) q^t) = tau Q_0, as k + t = n, so it holds
 exactly when
 
-    N_top l_0 = tau N_0 l_t,    tau = u / u^(q^(n-k)),
+    N_top l_0 = tau N_0 l_t,    tau = u / u^(q^(n-k)).
 
-three multiplications per member, with no division and no Frobenius.
+The test is run on the whole pencil at once.  Composition is left-linear
+over F_{q^n}, (K1 + c K2) o Y = N1 + c N2 with N1 = K1 o Y and
+N2 = K2 o Y, so on the member L = K1 + c K2 the two sides differ by
+
+    (N1_top + c N2_top)(K1_0 + c K2_0) - tau (N1_0 + c N2_0)(K1_t + c K2_t)
+        = a2 c^2 + a1 c + a0,
+
+    a0 = N1_top K1_0 - tau N1_0 K1_t,
+    a1 = N1_top K2_0 + N2_top K1_0 - tau (N1_0 K2_t + N2_0 K1_t),
+    a2 = N2_top K2_0 - tau N2_0 K2_t,
+
+and the member K2 (c = infinity) passes exactly when a2 = 0.  This is the
+same equation as the test on the composed member, in every field, so no
+member passes or fails that did not before.  ``HighRateDecoder._members``
+composes K1 and K2 once each, evaluates the quadratic at the c of every
+full member of the pencil and composes only the members that pass.  When
+the quadratic vanishes identically (degenerate words, which occur in
+characteristic 2) every member passes.  Otherwise at most two do: with
+a2 != 0 the two roots at most, and with a2 = 0 one root at most and K2,
+since a binary quadratic form a2 c^2 + a1 c d + a0 d^2 that is not zero
+has at most two projective roots (c : d).
 
 The survivors get their status from ``DecodeReport.of``, the same rule as
 ``wb_decode``.  The diagnostics are the walk's own, with the test, plus
-``survivors``; ``error_rank`` is set on 'ok' only, as ``DecodeReport.of``
-documents.  The error of an 'ok' report is ranked once, by an F_q
-elimination that is independent of the kernel dimension ``wb_decode`` reads
-its own rank from.  The answer is then verified before it is returned: the
-codeword lies in the code, the error is self-adjoint, and its rank is at
-most n-k.  Below the boundary (rank <= n-k-1) the answer is provably unique;
-at rank exactly n-k two valid decompositions can coexist and the report
-says so.  The reduced code has redundancy 2(n-k) - 1, so radius n-k is the
-walked stage of ``wb_decode``.  For a valid instance the residual lies
+``survivors``: ``walked`` counts the members divided, the ones that pass
+the quadratic, so on a walked decode it equals ``survivors``.
+``error_rank`` is set on 'ok' only, as ``DecodeReport.of`` documents.  The
+error of an 'ok' report is ranked once, by an F_q elimination that is
+independent of the kernel dimension ``wb_decode`` reads its own rank from.
+The answer is then verified before it is returned: the codeword lies in the
+code, the error is self-adjoint, and its rank is at most n-k.  Below the
+boundary (rank <= n-k-1) the answer is provably unique; at rank exactly
+n-k two valid decompositions can coexist and the report says so.  The
+reduced code has redundancy 2(n-k) - 1, so radius n-k is the walked stage
+of ``wb_decode``.  For a valid instance the residual lies
 within n-k of the reduced code, so the walked kernel has dimension exactly
 2 (the lemma in ``gabidulin``), and the localiser pencil searches it
 exhaustively on every field, with no cap; a field without exp/log tables is
@@ -87,7 +110,8 @@ from functools import partial
 from itertools import chain
 
 from .bilinear import SymSetup
-from .gabidulin import DecodeReport, GabCode, _pencil_members, wb_decode
+from .gabidulin import (DecodeReport, GabCode, _composed, _member, _pencil_roots,
+                        wb_decode)
 from .gf import _sub_rows_of
 from .linalg import LinearSolver, Matrix
 from .qpoly import QPoly, matrix_of, qpoly_rank
@@ -276,16 +300,33 @@ class HighRateDecoder:
             coeffs[n // 2] = fld.mul(self._theta, d[n // 2])
         return QPoly(fld, coeffs)
 
-    def _members(self, kern, y0: QPoly, t: int):
-        """The ``members`` hook of the residual's decode: the pencil's
-        members (``_pencil_members``) whose candidate passes the outer pair,
-        N_top l_0 = tau N_0 l_t (module docstring), and the count of all
-        of them."""
-        mul, top = self.setup.field.mul, self.reduced.k - 1 + t
-        walked, pairs = _pencil_members(kern, y0, t)
-        return walked, [(loc, num) for loc, num in pairs
-                        if mul(num.coeffs[top], loc.coeffs[0])
-                        == mul(mul(self._tau, num.coeffs[0]), loc.coeffs[t])]
+    def _outer_quadratic(self, kern, y0: QPoly, t: int) -> tuple:
+        """(a0, a1, a2) for the walked kernel [K1, K2]: the member
+        K1 + c K2 passes the outer pair exactly when a2 c^2 + a1 c + a0 = 0,
+        and K2 exactly when a2 = 0 (module docstring).  Two compositions,
+        N1 = K1 o y0 and N2 = K2 o y0."""
+        fld = self.setup.field
+        mul, add, sub = fld.mul, fld.add, fld.sub
+        tau, top = self._tau, self.reduced.k - 1 + t
+        k1, k2 = kern
+        n1, n2 = (_composed(vec, y0)[1].coeffs for vec in kern)
+
+        def cross(num, loc):    # N_top l_0 - tau N_0 l_t
+            return sub(mul(num[top], loc[0]), mul(tau, mul(num[0], loc[t])))
+
+        return cross(n1, k1), add(cross(n1, k2), cross(n2, k1)), cross(n2, k2)
+
+    def _members(self, kern, y0: QPoly, t: int) -> list:
+        """The ``members`` hook of the residual's decode: the full members
+        of the pencil (``_pencil_roots``) whose candidate passes the outer
+        pair, each tested on the quadratic (``_outer_quadratic``) and
+        composed only when it passes, as (L, L o y0)."""
+        fld = self.setup.field
+        mul, add = fld.mul, fld.add
+        a0, a1, a2 = self._outer_quadratic(kern, y0, t)
+        return [_composed(_member(fld, kern, c), y0)
+                for c in _pencil_roots(fld, kern, t)
+                if not (a2 if c is None else add(a0, mul(c, add(a1, mul(c, a2)))))]
 
     def decode(self, received: QPoly) -> DecodeReport:
         """ValueError when ``received`` is not over the code's field."""

@@ -187,14 +187,17 @@ def high_rate_reference(dec, received):
     """``HighRateDecoder.decode`` composed from its parts with no test
     before the division: plain ``wb_decode`` of the residual, the
     ``is_self_adjoint`` filter, ``DecodeReport.of`` and the rank of an 'ok'
-    error, which is the only report that carries one.  The oracle for the
-    decoder's outer-pair test."""
+    error, which is the only report that carries one.  The decoder divides
+    only the members whose candidate survives, so a walked decode reports
+    the survivors as ``walked``, and any other decode 0.  The oracle for
+    the decoder's outer-pair test."""
     u = dec.setup.u
     pre = dec._preimage(received)
     rep = wb_decode(dec.reduced, received - pre, dec.radius)
     survivors = [pre + c for c in rep.candidates if c.is_self_adjoint(u)]
+    walked = len(survivors) if len(rep.diagnostics["kernel_dims"]) == 2 else 0
     out = DecodeReport.of(received, survivors, None, dict(
-        rep.diagnostics, error_rank=None, survivors=len(survivors)))
+        rep.diagnostics, walked=walked, error_rank=None, survivors=len(survivors)))
     if out.status == "ok":
         error = out.error
         out.diagnostics["error_rank"] = 0 if error.is_zero() else qpoly_rank(error)

@@ -46,19 +46,19 @@ def test_wb_reports_pinned(p, n, k):
 
 PINNED_HIGH = {
     (2, 6, 4):
-        "ca986dce4cd15a459e53609f19dfc60d6aa2d2dd658c0f2e12ca6f82bab7c447",
+        "9570abc269868cd321a8b7f8ed5902b2504fb5b63ba1201e1890a1ac964ae501",
     (3, 5, 3):
-        "4a3a9caf051f55988ac50e8687cafe0e0b239e13909347207d4d3ca6b69bf3b2",
+        "c71cb91cea08b5615c9ef588a23075e10e34aa7c8a6b029e3d5babf405ace9b9",
     (2, 8, 6):
-        "130cc7ac61bee8322efb97248b551281f40fb36f59ee88fd2822ced56d5b75f2",
+        "d67f708a132bda5557e66bcd5f3e0af0b9c3b8bbe2096ddc04cca65511d43ecd",
     (2, 10, 7):
-        "07a5a56fd437d6d53fdfef715d7e86095e2308accf5e3223637e6fb4ba1a8fff",
+        "56d32575b96dc985169149a393c5323a13df414bed1ea934b18a601a89882844",
     (3, 6, 4):
-        "8ebd81c3955404f5c27d9700631f5e9582abc46059c8a0d53a6c11e7fbaa509d",
+        "d923a112c70a1740e96d6285563ac538224b558d41510b34605b1209741d1cae",
     (3, 4, 3):
-        "4309aaf7700d113f7a19bc4d36963350bd4464b013cc6e46e88cfec7ecb3f43f",
+        "68aad66c7479e075ff4f3219c5e837228d6c801e75f3a22958629688a9b7b483",
     (5, 4, 3):
-        "c2bd5a66d3c601746e3523ba382a75e23ea403ca7477f6ffabebfcf3774b21d3",
+        "ac772bf4f38a05ffed4d6d2ff98e71b9a15ee0a29502811ee0de482d8f27c37b",
 }
 
 

@@ -580,13 +580,18 @@ def test_high_rate_matches_unfiltered_composition(p, e, n, k, tables):
 
 @pytest.mark.parametrize("members", [1, 2])
 def test_high_rate_short_walk_matches_unfiltered_composition(monkeypatch, members):
-    # ``walked`` counts the members of the walk, divided or not, and a
-    # walk whose members all fail the pair test reports 'fail' with no
-    # error_rank; the pencil is cut to its first members so that short
-    # walks ending in 'ok' and in 'fail' both arise on random words
-    pencil_points = gabidulin._pencil_points
-    monkeypatch.setattr(gabidulin, "_pencil_points", lambda fld, kern, tp:
-                        itertools.islice(pencil_points(fld, kern, tp), members))
+    # ``walked`` counts the members divided, those that pass the pair
+    # test, and a walk whose members all fail it reports 'fail' with no
+    # error_rank and walked 0; the pencil is cut to its first members, in
+    # the decoder and in the reference alike, so that short walks ending in
+    # 'ok' and in 'fail' both arise on random words
+    pencil_roots = gabidulin._pencil_roots
+
+    def cut(fld, kern, tp):
+        return pencil_roots(fld, kern, tp)[:members]
+
+    monkeypatch.setattr(gabidulin, "_pencil_roots", cut)
+    monkeypatch.setattr(symdec, "_pencil_roots", cut)
     st = get_setup(2, 1, 6)
     dec = HighRateDecoder(st, 4)
     rng = RngStream(101)
@@ -595,8 +600,74 @@ def test_high_rate_short_walk_matches_unfiltered_composition(monkeypatch, member
         y = rand_qpoly(st.field, rng)
         rep = dec.decode(y)
         assert rep.to_json() == high_rate_reference(dec, y).to_json()
+        assert rep.diagnostics["walked"] <= members
         seen[rep.diagnostics["walked"], rep.status] += 1
-    assert seen[members, "fail"] and seen[members, "ok"]
+    assert seen[0, "fail"] and seen[1, "ok"]
+
+
+def _composed_pair_test(dec, vec, y0: QPoly) -> bool:
+    """The outer pair's cleared test on the member ``vec`` composed in full:
+    N_top l_0 = tau N_0 l_t on N = L o y0, with top = k' - 1 + t and
+    tau = u / u^(q^(n-k)), the test that decoders before the quadratic ran
+    on every member."""
+    fld, t, u = dec.setup.field, dec.radius, dec.setup.u
+    mul = fld.mul
+    num = QPoly(fld, vec).compose(y0).coeffs
+    top = dec.reduced.k - 1 + t
+    tau = fld.div(u, fld.frobenius(u, dec.n - dec.k))
+    return mul(num[top], vec[0]) == mul(mul(tau, num[0]), vec[t])
+
+
+def _assert_quadratic_is_member_test(dec, kern, y0: QPoly):
+    """a2 c^2 + a1 c + a0 = 0 exactly when the member K1 + c K2 passes the
+    composed test, for every c in F_{q^n}, and a2 = 0 exactly when K2 does.
+    A quadratic that is not zero passes at most two members."""
+    fld = dec.setup.field
+    add, mul = fld.add, fld.mul
+    a0, a1, a2 = dec._outer_quadratic(kern, y0, dec.radius)
+    k1, k2 = kern
+    passed = _composed_pair_test(dec, list(k2), y0)
+    assert (a2 == 0) == passed
+    for c in range(fld.order):
+        member = [add(a, mul(c, b)) for a, b in zip(k1, k2)]
+        value = add(add(a0, mul(a1, c)), mul(a2, mul(c, c)))
+        assert (value == 0) == _composed_pair_test(dec, member, y0), c
+        passed += value == 0
+    assert passed <= 2 or not any((a0, a1, a2))
+    return a0, a1, a2
+
+
+@pytest.mark.parametrize("p,e,n,k,tables", [
+    (2, 1, 6, 4, True), (3, 1, 4, 3, True), (5, 1, 3, 2, True), (2, 2, 3, 2, True),
+    (2, 1, 5, 3, False)],
+    ids=["2-6-4", "3-4-3", "5-3-2", "4-3-2", "2-5-3-table-free"])
+def test_outer_quadratic_matches_composed_member_test(p, e, n, k, tables):
+    # the quadratic the decoder tests before composing a member against the
+    # test on the composed member, exhaustively over c: random pencils on
+    # random words, where the identity is pure algebra, and over F_2 at
+    # t = 2 the walked pencils of planted alternating words, on which the
+    # quadratic vanishes identically whenever the word is ``_degenerate``
+    st = (get_setup(p, e, n) if tables else
+          SymSetup(ExtField(BaseField(p, e), n, use_tables=False)))
+    dec = HighRateDecoder(st, k)
+    fld, t = st.field, dec.radius
+    rng = RngStream(43)
+    for _ in range(4):
+        kern = [tuple(rand_elt(fld, rng) for _ in range(t + 1)) for _ in range(2)]
+        _assert_quadratic_is_member_test(dec, kern, rand_qpoly(fld, rng))
+    if fld.q != 2 or t != 2:
+        return
+    degenerate = 0
+    for _ in range(6):
+        y = random_codeword(dec.code, rng) + planted_alternating(st, rng)
+        y0 = (y - dec._preimage(y)).compose_monomial(n - dec.reduced.s)
+        kern = gabidulin._key_kernel(y0, dec.reduced.k, t)
+        assert len(kern) == 2
+        quadratic = _assert_quadratic_is_member_test(dec, kern, y0)
+        if _degenerate(dec, y):
+            assert not any(quadratic)
+            degenerate += 1
+    assert degenerate
 
 
 def _outside(poly: QPoly, k: int) -> tuple:
@@ -604,19 +675,36 @@ def _outside(poly: QPoly, k: int) -> tuple:
     return tuple(c for i, c in enumerate(poly.coeffs) if not 1 <= i <= k)
 
 
-def _symmetric_rank_at_most_one(base, n: int):
-    """Every symmetric n x n matrix of rank <= 1 over ``base``, in closed
-    form: 0, and c v v^T for each of the q - 1 scalars c and one v on each
-    of the (q^n - 1)/(q - 1) lines (first nonzero coordinate 1), q^n
-    matrices in all.  A symmetric a b^T has b on the line of a."""
-    mul = base.mul
-    yield Matrix.zeros(base, n, n)
-    for v in itertools.product(range(base.order), repeat=n):
-        if next(filter(None, v), None) != base.one:
-            continue
-        for c in base.units():
-            cv = [mul(c, x) for x in v]
-            yield Matrix(base, [[mul(a, x) for x in v] for a in cv])
+def _symmetric_rank_at_most(base, n: int, rank: int):
+    """Every symmetric n x n matrix over ``base`` of rank <= ``rank`` <= 2,
+    in closed form and each once: 0, a v v^T, a v v^T + b w w^T and, in
+    characteristic 2, c (v w^T + w v^T), for units a, b, c and v, w on the
+    (q^n - 1)/(q - 1) lines (first nonzero coordinate 1).  A symmetric
+    matrix is congruent to a diagonal one, so it is a sum of rank many
+    a v v^T, except an alternating one in characteristic 2, which at rank
+    2 is congruent to [[0, 1], [1, 0]]."""
+    assert rank <= 2, "the closed form stops at rank 2"
+    mul, add = base.mul, base.add
+    lines = [v for v in itertools.product(range(base.order), repeat=n)
+             if next(filter(None, v), None) == base.one]
+
+    def outer(c, v, w):
+        return tuple(tuple(mul(c, mul(a, b)) for b in w) for a in v)
+
+    def plus(x, y):
+        return tuple(tuple(map(add, rx, ry)) for rx, ry in zip(x, y))
+
+    terms = [outer(a, v, v) for v in lines for a in base.units()]
+    found = {outer(base.zero, lines[0], lines[0])}
+    if rank >= 1:
+        found.update(terms)
+    if rank >= 2:
+        found.update(plus(x, y) for x in terms for y in terms)
+        if base.p == 2:
+            found.update(plus(outer(c, v, w), outer(c, w, v))
+                         for v in lines for w in lines for c in base.units())
+    for data in sorted(found):
+        yield Matrix(base, data)
 
 
 def _symmetric_by_rank(base, n: int, rank: int):
@@ -636,11 +724,8 @@ def _selfadjoint_buckets(st, k: int, rank: int) -> dict:
     """Every self-adjoint q-polynomial of rank <= ``rank``, the image under
     ``matrix_to_qpoly`` of every symmetric matrix of that rank, bucketed by
     its coefficients outside 1..k."""
-    base, n = st.field.base, st.field.n
-    mats = (_symmetric_rank_at_most_one(base, n) if rank == 1
-            else _symmetric_by_rank(base, n, rank))
     buckets = defaultdict(list)
-    for mat in mats:
+    for mat in _symmetric_rank_at_most(st.field.base, st.field.n, rank):
         err = matrix_to_qpoly(mat, st)
         buckets[_outside(err, k)].append(err)
     return buckets
@@ -650,8 +735,8 @@ def _degenerate(dec, y) -> bool:
     """Whether the walk of ``y`` without the pair test has 4 or more members
     and every one passes ``_outer_pair``.  Each member divides into a
     candidate of its own (the lemma in ``gabidulin``), and a nonzero
-    outer-pair quadratic passes at most 3 members, two roots and K2, so on
-    such a word the quadratic vanishes identically."""
+    outer-pair quadratic passes at most 2 members (the ``symdec``
+    docstring), so on such a word the quadratic vanishes identically."""
     rep = wb_decode(dec.reduced, y - dec._preimage(y), dec.radius)
     return rep.diagnostics["walked"] >= 4 and all(
         _outer_pair(dec, c) for c in rep.candidates)
@@ -699,26 +784,60 @@ def test_high_rate_candidate_sets_match_error_buckets(p, e, n, k, errors):
         assert seen["boundary", "ambiguous"] and seen["random", "fail"]
 
 
-def test_high_rate_boundary_exhaustive_at_two_five_three():
-    # every self-adjoint error of rank <= n-k = 2 at (2,5,3), decoded at
-    # codeword 0 against its bucket.  The candidate sets are
-    # translation-covariant (Y + C has those of Y shifted by C, for C in the
-    # code), so this covers the candidate set of every word.  Over F_2 a
-    # symmetric matrix is alternating when its diagonal is zero
-    st = get_setup(2, 1, 5)
-    dec = HighRateDecoder(st, 3)
-    buckets = _selfadjoint_buckets(st, 3, dec.radius)
+@pytest.mark.parametrize("p,e,n", [(2, 1, 4), (2, 1, 5), (3, 1, 3), (2, 2, 3)])
+def test_symmetric_closed_form_matches_every_matrix(p, e, n):
+    # the closed form of every symmetric matrix of rank <= 1 and <= 2
+    # against all q^(n(n+1)/2) symmetric matrices, each ranked.  Over F_2 at
+    # n = 6 both give 2,668 matrices of rank <= 2, a check too slow here
+    base = get_field(p, e, n).base
+    for rank in (1, 2):
+        closed = [mat.data for mat in _symmetric_rank_at_most(base, n, rank)]
+        assert len(set(closed)) == len(closed)
+        assert set(closed) == {mat.data for mat in _symmetric_by_rank(base, n, rank)}
+
+
+def _boundary_tally(st, k: int) -> Counter:
+    """Every self-adjoint error of rank <= n-k = 2, decoded at codeword 0
+    against its bucket, tallied by (rank, alternating, status, candidate
+    count).  The candidate sets are translation-covariant (Y + C has those
+    of Y shifted by C, for C in the code), so this covers the candidate set
+    of every word.  Over F_2 a symmetric matrix is alternating when its
+    diagonal is zero."""
+    n = st.field.n
+    dec = HighRateDecoder(st, k)
+    buckets = _selfadjoint_buckets(st, k, dec.radius)
     tally = Counter()
-    for mat in _symmetric_by_rank(st.field.base, 5, dec.radius):
+    for mat in _symmetric_rank_at_most(st.field.base, n, dec.radius):
         err = matrix_to_qpoly(mat, st)
         rep = dec.decode(err)
-        want = {(err - other).coeffs for other in buckets[_outside(err, 3)]}
+        want = {(err - other).coeffs for other in buckets[_outside(err, k)]}
         assert {c.coeffs for c in rep.candidates} == want
         rank = mat.rank()
         alternating = rank == 2 and not any(row[i] for i, row in enumerate(mat.data))
         tally[rank, alternating, rep.status, len(want)] += 1
-    assert tally == {(0, False, "ok", 1): 1, (1, False, "ok", 1): 31,
-                     (2, False, "ok", 1): 465, (2, True, "ambiguous", 5): 155}
+    return tally
+
+
+TALLY_2_5_3 = {(0, False, "ok", 1): 1, (1, False, "ok", 1): 31,
+               (2, False, "ok", 1): 465, (2, True, "ambiguous", 5): 155}
+
+
+def test_high_rate_boundary_exhaustive_at_two_five_three():
+    assert _boundary_tally(get_setup(2, 1, 5), 3) == TALLY_2_5_3
+
+
+def test_high_rate_boundary_exhaustive_at_two_five_three_table_free():
+    # the same census on polynomial arithmetic, with the same modulus
+    tabled = get_field(2, 1, 5)
+    raw = ExtField(BaseField(2, 1), 5, tabled.modulus, use_tables=False)
+    assert _boundary_tally(SymSetup(raw), 3) == TALLY_2_5_3
+
+
+def test_high_rate_boundary_exhaustive_at_two_six_four():
+    # at n = 6 the alternating errors of rank 2 split into two bucket sizes
+    assert _boundary_tally(get_setup(2, 1, 6), 4) == {
+        (0, False, "ok", 1): 1, (1, False, "ok", 1): 63, (2, False, "ok", 1): 1953,
+        (2, True, "ambiguous", 9): 378, (2, True, "ambiguous", 13): 273}
 
 
 def test_high_rate_planted_rank_four_words():
