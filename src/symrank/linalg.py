@@ -27,12 +27,12 @@ product is one ``apply`` of the left factor per column of the right one,
 or, when the left factor has fewer rows, one ``apply`` of the right
 factor's transpose per row of the left one.
 
-Over F_2 (a field of order 2) a matrix also keeps its rows as ints, bit j
-for column j, packed once on first use, for ``rank``: the rank is an xor
-basis of those rows (the M4RI idea: Albrecht, Bard and Hart, ACM TOMS
-2010), with no field call at all.  One step, ``xor_insert``, reduces a row
-by the basis and extends it, for ``xor_rank`` and for a caller that keeps a
-basis across calls; ``echelon_insert`` is the same step over any F_q.
+Over F_2 (a field of order 2) ``rank`` packs each row into one int, bit j
+for column j, and the rank is an xor basis of those rows (the M4RI idea:
+Albrecht, Bard and Hart, ACM TOMS 2010), with no field call at all.  One
+step, ``xor_insert``, reduces a row by the basis and extends it, for
+``xor_rank`` and for a caller that keeps a basis across calls;
+``echelon_insert`` is the same step over any F_q.
 
 ``LinearSolver`` factors a matrix once and answers many solve calls with
 one matrix-vector product each; the low-rate symmetric-error decoder takes
@@ -182,7 +182,7 @@ class Matrix:
     """Immutable matrix over a finite field.  ``ncols`` is kept apart from
     ``data``, so a matrix with no rows still has its column count."""
 
-    __slots__ = ("field", "nrows", "ncols", "data", "_bits", "_cols")
+    __slots__ = ("field", "nrows", "ncols", "data", "_cols")
 
     def __init__(self, field, data):
         data = tuple(map(tuple, data))
@@ -192,7 +192,6 @@ class Matrix:
         self.nrows = len(data)
         self.ncols = len(data[0]) if data else 0
         self.data = data
-        self._bits = None   # F_2 rows packed as ints, filled by _packed
         self._cols = None   # slot-packed columns, filled by _packed_columns
 
     @classmethod
@@ -202,12 +201,6 @@ class Matrix:
         mat = cls(field, data)
         mat.ncols = ncols
         return mat
-
-    def _packed(self) -> tuple[int, ...] | None:
-        """The rows as ints over F_2, None over any other field."""
-        if self._bits is None and self.field.order == 2:
-            self._bits = tuple(_pack_bits(row) for row in self.data)
-        return self._bits
 
     def _packed_columns(self) -> tuple:
         """(columns, p, powers, nbytes, typecode, table) of ``apply``
@@ -331,9 +324,8 @@ class Matrix:
         return all(a == z for row in self.data for a in row)
 
     def rank(self) -> int:
-        packed = self._packed()
-        if packed is not None:
-            return xor_rank(packed)
+        if self.field.order == 2:
+            return xor_rank(map(_pack_bits, self.data))
         rows = [list(r) for r in self.data]
         return len(_rref(self.field, rows, self.ncols))
 
@@ -361,7 +353,7 @@ class LinearSolver:
     a matrix E with rref(A) = E A.  Each solve is then the one product E b,
     O(nrows^2) instead of a fresh elimination: its rows past the rank are
     the consistency check and its pivot rows give x.  E is a ``Matrix``, so
-    over F_2 that product runs on its packed rows.  When A has full row
+    that product runs on its slot-packed columns.  When A has full row
     rank, its solves on the unit vectors are the columns of a right
     inverse, which is how the low-rate symmetric-error decoder gets its
     left inverse.  The same reduction gives the null basis of A that

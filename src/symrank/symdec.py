@@ -8,12 +8,13 @@ Low rate (matrix codes with C intersect Sym = 0, e.g. Gab_k o X^q with
 k < n/2): Phi restricted to C is injective, so a word splits in at most one
 way as Y = C + S with S symmetric, whatever the error rank, even n.
 Deterministic, no radius argument at all.  Phi is read on its N = n(n-1)/2
-entries above the diagonal; the rank of that system on C is the
-C intersect Sym = 0 test, and a left inverse G of it (G Phi(C) is C's
-coefficient vector) is taken once per code.  A decode is one fixed
-F_q-linear map, precomputed per code with Phi folded in, from the entries
-of Y to the word C with coefficients G Phi(Y) and to the residual Y - C,
-then the check that the residual is symmetric.  That check is exact.  If the
+entries above the diagonal, an N x n^2 matrix on the entries of a word.
+With B the n^2 x dim generator matrix of C (coefficients -> word), the rank
+of Phi B is the C intersect Sym = 0 test, and a left inverse G of Phi B
+(G Phi(C) is C's coefficient vector) is taken once per code.  A decode is
+one fixed F_q-linear map, M = B G Phi, two matrix products per code, from
+the entries of Y to the word C = M Y and to the residual Y - C, then the
+check that the residual is symmetric.  That check is exact.  If the
 residual is symmetric, Phi(Y) = Phi(C), so Y = C + (Y - C) is valid, and by
 injectivity it is the only decomposition.  If a valid Y = C0 + S exists,
 Phi(Y) = Phi(C0), so G Phi(Y) is C0's coefficient vector and C0 is
@@ -106,13 +107,11 @@ found, and a word that has none reports 'fail'.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
+from itertools import chain, combinations
 
 from .bilinear import SymSetup
 from .gabidulin import (DecodeReport, GabCode, _composed, _member, _pencil_roots,
                         wb_decode)
-from .gf import _sub_rows_of
 from .linalg import LinearSolver, Matrix
 from .qpoly import QPoly, matrix_of, qpoly_rank
 
@@ -132,14 +131,16 @@ def _fold(field, flat, n: int) -> Matrix:
     return Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)])
 
 
-def _phi_upper(mat: Matrix) -> tuple:
-    """Phi(mat) above the diagonal, mat[i][j] - mat[j][i] for i < j, row by
-    row: row i right of the diagonal minus column i below it.  The rest of
-    Phi(mat) is their negation (below) or zero (on the diagonal)."""
-    sub = _sub_rows_of(mat.field)
-    return tuple(chain.from_iterable(
-        sub(row[i:], col[i:]) for i, (row, col)
-        in enumerate(zip(mat.data, zip(*mat.data)), 1)))
+def _phi_matrix(field, n: int) -> Matrix:
+    """Phi(M) = M - M^T above the diagonal as an N x n^2 matrix on
+    ``unfold(M)``, N = n(n-1)/2: row (i, j), i < j, in row-major order, has
+    1 at column i n + j and -1 at column j n + i.  The rest of Phi(M) is
+    the negation of these entries (below the diagonal) or zero (on it)."""
+    minus = field.neg(field.one)
+    rows = [[field.zero] * (n * n) for _ in range(n * (n - 1) // 2)]
+    for row, (i, j) in zip(rows, combinations(range(n), 2)):
+        row[i * n + j], row[j * n + i] = field.one, minus
+    return Matrix._shaped(field, rows, n * n)
 
 
 def phi_qpoly(poly: QPoly, u: int) -> QPoly:
@@ -194,42 +195,32 @@ def matrix_code_of(code: GabCode, setup: SymSetup) -> MatrixCode:
 class LowRateDecoder:
     """Worst-case decoder for symmetric errors of any rank, 0 through n.
 
-    Requires C intersect Sym = 0.  One solver is factored per code, with a
-    row per generator holding Phi of it above the diagonal; its rank is dim
-    exactly when C intersect Sym = 0, so that one elimination is also the
-    check, and its solves on the dim unit vectors are the rows of the left
-    inverse G.  The solver has N = n(n-1)/2 columns, so a code of dimension
-    above N always meets Sym and is refused by that count, with no
-    elimination.  The n^2 x N matrix P = (coefficients -> word) G sends Phi(Y)
-    above the diagonal to the codeword.  Phi is folded into it: the n^2 x n^2
-    map M: unfold(Y) -> unfold(C) has column i n + j equal to column (i, j)
-    of P for i < j, to its negation for i > j, and zero for i = j.  The
-    decoder keeps one precomputed map per code, M stacked on I - M, which
-    gives the codeword and the residual Y - C of a word in one
+    Requires C intersect Sym = 0.  Phi above the diagonal is the N x n^2
+    matrix ``_phi_matrix``, N = n(n-1)/2, and B = ``code._columns`` sends
+    coefficients to words.  One solver is factored per code, on (Phi B)^T,
+    a row per generator holding Phi of it above the diagonal; its rank is
+    dim exactly when C intersect Sym = 0, so that one elimination is also
+    the check, and its solves on the dim unit vectors are the rows of the
+    left inverse G.  The solver has N columns, so a code of dimension above
+    N always meets Sym and is refused by that count, with no elimination.
+    The n^2 x n^2 map M = B G Phi: unfold(Y) -> unfold(C) is two matrix
+    products.  The decoder keeps one precomputed map per code, M stacked on
+    I - M, which gives the codeword and the residual Y - C of a word in one
     ``Matrix.apply``.  A decode is the range check, that apply and the
     check that the residual is symmetric.
     """
 
     def __init__(self, code: MatrixCode):
         f, n = code.field, code.n
-        solver = (LinearSolver(Matrix(f, [_phi_upper(g) for g in code.generators]))
+        phi = _phi_matrix(f, n)
+        solver = (LinearSolver((phi @ code._columns).transpose())
                   if code.dim <= n * (n - 1) // 2 else None)
         if solver is None or solver.rank != code.dim:
             raise ValueError("code contains a nonzero symmetric matrix; "
                              "the symmetric-error decoder cannot apply")
         left_inverse = Matrix(f, [solver.solve(unit)
                                   for unit in Matrix.identity(f, code.dim).data])
-        projection = code._columns @ left_inverse
-        # entry i n + j of a row of M is entry k of (P row, -P row, 0): k is
-        # the place of (i, j) in _phi_upper's order, N more for (j, i)
-        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        size = len(upper)
-        place = {pair: k for k, pair in enumerate(upper)}
-        place.update({(j, i): size + k for k, (i, j) in enumerate(upper)})
-        picks = [place.get((i, j), 2 * size) for i in range(n) for j in range(n)]
-        negate = partial(_sub_rows_of(f), [f.zero] * size)
-        folded = Matrix(f, [[src[k] for k in picks] for src in (
-            (*row, *negate(row), f.zero) for row in projection.data)])
+        folded = code._columns @ left_inverse @ phi
         self.code = code
         self._map = Matrix(f, folded.data + (Matrix.identity(f, n * n) - folded).data)
 

@@ -158,11 +158,11 @@ def phi_upper_reference(mat) -> tuple:
 
 
 def low_rate_projection(code):
-    """The n^2 x N projection P of the low-rate decoder before Phi was
-    folded into it: P Phi(Y) above the diagonal is the codeword part of Y.
-    Built on the oracles alone: the left inverse G of the rows Phi(g) above
-    the diagonal, one ``ref_solve`` per unit vector, then P = (columns of
-    the code) G by ``ref_apply``."""
+    """The n^2 x N projection P = B G of the low-rate decoder, its map
+    without the factor Phi: P Phi(Y) above the diagonal is the codeword
+    part of Y.  Built on the oracles alone: the left inverse G of the rows
+    Phi(g) above the diagonal, one ``ref_solve`` per unit vector, then
+    P = (columns of the code) G by ``ref_apply``."""
     f = code.field
     system = Matrix(f, [phi_upper_reference(g) for g in code.generators])
     units = Matrix.identity(f, code.dim).data

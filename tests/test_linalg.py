@@ -10,7 +10,7 @@ from symrank import BaseField, LinearSolver, Matrix, linalg
 from helpers import (get_field, phi_matrix, rand_elt, ref_add, ref_apply, ref_rank,
                      ref_solve, ref_sub)
 from symrank.channel import RngStream
-from symrank.symdec import _phi_upper
+from symrank.symdec import _phi_matrix, unfold
 
 
 def rand_matrix(field, nrows, ncols, rng):
@@ -176,8 +176,8 @@ def test_entrywise_dot_and_symmetry_match_field_op_oracle(p, e, n, widths):
         symmetric.add(want)
         if size == a.ncols:
             ph = phi_matrix(a).data
-            assert _phi_upper(a) == tuple(ph[i][j] for i in range(size)
-                                          for j in range(i + 1, size))
+            assert _phi_matrix(a.field, size).apply(unfold(a)) == tuple(
+                ph[i][j] for i in range(size) for j in range(i + 1, size))
     assert symmetric == {True, False}
     assert seen == widths
 

@@ -30,8 +30,9 @@ from symrank import (
     wb_decode,
 )
 from helpers import (get_field, get_setup, high_rate_reference, low_rate_projection,
-                     low_rate_reference, phi_matrix, planted_alternating, rand_elt,
-                     rand_qpoly, random_matrix_code, ref_rank, ref_solve)
+                     low_rate_reference, phi_matrix, phi_upper_reference,
+                     planted_alternating, rand_elt, rand_qpoly, random_matrix_code,
+                     ref_apply, ref_rank, ref_solve, ref_sub)
 from symrank.channel import (RngStream, random_codeword, random_matrix,
                              random_selfadjoint_qpoly, random_symmetric_matrix)
 
@@ -210,9 +211,9 @@ def test_low_rate_rejects_wrong_shape_or_field():
 
 
 def test_low_rate_f2_decode_makes_no_field_products(monkeypatch):
-    # no field method per entry: over F_2 the projection runs on packed rows
-    # and Phi, the residual and its check on xor; over F_3 on one % 3 per
-    # entry or per dot product
+    # no field method per entry: the stacked map runs on slot-packed columns
+    # (a sum and a byte translation) and the symmetry check compares rows
+    # with columns, over F_2 and over F_3 alike
     cases = []
     for p, n, k in [(2, 8, 3), (3, 5, 2)]:
         st = get_setup(p, 1, n)
@@ -270,7 +271,7 @@ LOW_RATE_CODES = [(2, 1, 8, 3), (3, 1, 5, 2), (2, 1, 10, 4), (7, 1, 6, 2),
 @pytest.mark.parametrize("p,e,n,k", LOW_RATE_CODES,
                          ids=[f"q{p**e}n{n}k{k}" for p, e, n, k in LOW_RATE_CODES])
 def test_low_rate_matches_projection_reference(p, e, n, k):
-    # the one stacked map with Phi folded in against Phi above the
+    # the one stacked map built from M = B G Phi against Phi above the
     # diagonal, the n^2 x N projection and the difference, on three words
     # per error rank and on 30 random words
     st = get_setup(p, e, n)
@@ -295,6 +296,28 @@ def test_low_rate_matches_projection_reference(p, e, n, k):
     # Phi maps C onto the whole upper triangle when dim = n(n-1)/2, and then
     # every word decomposes
     assert (invalid == 0) == (code.dim == n * (n - 1) // 2)
+
+
+MAP_CODES = [(2, 1, 8, 3), (3, 1, 5, 2), (2, 2, 5, 2), (3, 2, 5, 2), (7, 1, 6, 2)]
+
+
+@pytest.mark.parametrize("p,e,n,k", MAP_CODES,
+                         ids=[f"q{p**e}n{n}k{k}" for p, e, n, k in MAP_CODES])
+def test_low_rate_map_matches_projection_of_phi(p, e, n, k):
+    # the stacked map itself, so every word is covered, not only sampled
+    # ones: column i n + j of the top block is the projection (the oracle's
+    # left inverse) of Phi above the diagonal of the unit matrix E_ij, and
+    # the bottom block is I minus the top one
+    st = get_setup(p, e, n)
+    base = st.field.base
+    code = matrix_code_of(GabCode(st.field, k, 1), st)
+    projection = low_rate_projection(code)
+    units = Matrix.identity(base, n * n)
+    top = Matrix(base, [ref_apply(projection, phi_upper_reference(
+        Matrix(base, [unit[i * n:(i + 1) * n] for i in range(n)])))
+        for unit in units.data]).transpose()
+    want = top.data + ref_sub(units, top).data
+    assert LowRateDecoder(code)._map == Matrix(base, want)
 
 
 def test_low_rate_refuses_non_sym_free_code():
@@ -736,7 +759,12 @@ def _degenerate(dec, y) -> bool:
     and every one passes ``_outer_pair``.  Each member divides into a
     candidate of its own (the lemma in ``gabidulin``), and a nonzero
     outer-pair quadratic passes at most 2 members (the ``symdec``
-    docstring), so on such a word the quadratic vanishes identically."""
+    docstring), so on such a word the quadratic vanishes identically.  The
+    threshold of 4 members is a convention of these tests, a sufficient
+    sign, not the exact notion: a word is degenerate exactly when its
+    quadratic (``HighRateDecoder._outer_quadratic``) vanishes, as it does on
+    every planted word of ``test_high_rate_planted_rank_four_words``, 1 to
+    7 members each."""
     rep = wb_decode(dec.reduced, y - dec._preimage(y), dec.radius)
     return rep.diagnostics["walked"] >= 4 and all(
         _outer_pair(dec, c) for c in rep.candidates)
@@ -844,20 +872,30 @@ def test_high_rate_planted_rank_four_words():
     # at (2,10,6), t = n-k = 4: a codeword plus an alternating error of rank
     # 4, against the unfiltered composition.  The oracle shares the key
     # kernel and the pencil with the decoder (it runs ``wb_decode`` too), so
-    # this checks the outer-pair test, not the walk.  Both a non-degenerate
-    # word with 3 candidates and a degenerate word (``_degenerate``) arise
+    # this checks the outer-pair test, not the walk.  A word with 3
+    # candidates that ``_degenerate`` does not count (fewer than 4 walked
+    # members) and one that it counts both arise.  On every planted word the
+    # outer-pair quadratic vanishes identically, so every full member of the
+    # walked pencil passes and gives a candidate
     st = get_setup(2, 1, 10)
     dec = HighRateDecoder(st, 6)
+    t = dec.radius
     rng = RngStream(7)
     seen = Counter()
     for _ in range(40):
         cw = random_codeword(dec.code, rng)
         err = planted_alternating(st, rng, 4)
         assert err.is_self_adjoint(st.u) and qpoly_rank(err) == 4
-        rep = dec.decode(cw + err)
-        assert rep.to_json() == high_rate_reference(dec, cw + err).to_json()
+        y = cw + err
+        rep = dec.decode(y)
+        assert rep.to_json() == high_rate_reference(dec, y).to_json()
         assert cw in rep.candidates
-        seen[_degenerate(dec, cw + err), rep.status, len(rep.candidates)] += 1
+        y0 = (y - dec._preimage(y)).compose_monomial(dec.n - dec.reduced.s)
+        kern = gabidulin._key_kernel(y0, dec.reduced.k, t)
+        assert len(kern) == 2
+        assert dec._outer_quadratic(kern, y0, t) == (0, 0, 0)
+        assert len(rep.candidates) == len(gabidulin._pencil_roots(st.field, kern, t))
+        seen[_degenerate(dec, y), rep.status, len(rep.candidates)] += 1
     assert seen[False, "ambiguous", 3]
     assert sum(count for (degenerate, *_), count in seen.items() if degenerate)
 
