@@ -1,15 +1,17 @@
 """Instance-generation tests: deterministic streams, exact-rank symmetric
 sampling (with a 2000-sample sweep), self-adjoint pullbacks, random codes,
-and the pinned streams of every sampler."""
+the pinned streams of every sampler, and every sampler's rank against an
+elimination oracle (the samplers do not rank their own output)."""
 
 import hashlib
 
 import pytest
 
 from symrank import BaseField, ExtField, Matrix, SymSetup, matrix_of, qpoly_rank, unfold
-from helpers import (get_field, get_setup, phi_matrix, random_matrix_code, ref_rank,
-                     sample_independent_reference, selfadjoint_reference)
+from helpers import (endo_matrix, get_field, get_setup, phi_matrix, random_matrix_code,
+                     ref_rank, sample_independent_reference, selfadjoint_reference)
 from symrank.channel import (
+    _RESAMPLE_CAP,
     RngStream,
     random_codeword,
     random_matrix,
@@ -95,6 +97,51 @@ def test_random_selfadjoint_qpoly():
                 assert poly.is_self_adjoint(st.u)
                 assert (r == 0 and poly.is_zero()) or qpoly_rank(poly) == r
                 assert matrix_of(poly, st).is_symmetric()
+
+
+@pytest.mark.parametrize("p,e,n,tables", [
+    (2, 1, 6, True), (2, 1, 6, False), (2, 2, 3, True), (3, 1, 4, True),
+    (3, 2, 2, True), (5, 1, 3, True)])
+def test_sampler_ranks_match_oracle(p, e, n, tables):
+    # every sampler's output ranked by elimination on field calls alone, at
+    # every rank 0..n, on prime and extension F_q and a table-free field;
+    # (3,1,4) and (3,2,2) are odd q with even n, so their twist u != 1
+    fld = _sample_field(p, e, n, tables)
+    st = SymSetup(fld)
+    rng = RngStream(61)
+    for r in range(n + 1):
+        for _ in range(3):
+            assert ref_rank(endo_matrix(random_error(fld, r, rng))) == r
+            poly = random_selfadjoint_qpoly(r, st, rng)
+            assert poly.is_self_adjoint(st.u)
+            assert ref_rank(endo_matrix(poly)) == r
+            m = random_symmetric_matrix(fld.base, n, r, rng)
+            assert m.is_symmetric() and ref_rank(m) == r
+
+
+class _ZeroStream:
+    """A stream whose every draw is 0, so every sampled M has rank 0."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def randbelow(self, n: int) -> int:
+        self.draws += 1
+        return 0
+
+
+def test_symmetric_factors_resample_cap():
+    # _symmetric_factors gives up after _RESAMPLE_CAP rejected M, each one
+    # r x n draws; rank 0 needs no draw and returns at once
+    st = get_setup(2, 1, 4)
+    for sample in (lambda r, rng: random_symmetric_matrix(BaseField(2), 4, r, rng),
+                   lambda r, rng: random_selfadjoint_qpoly(r, st, rng)):
+        stub = _ZeroStream()
+        with pytest.raises(ArithmeticError, match="resample cap"):
+            sample(2, stub)
+        assert stub.draws == _RESAMPLE_CAP * 2 * 4
+        stub = _ZeroStream()
+        assert sample(0, stub).is_zero() and stub.draws == 0
 
 
 def test_random_codeword_in_support():

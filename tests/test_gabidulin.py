@@ -536,7 +536,8 @@ def test_error_rank_high_rate(monkeypatch, p, e, n, k):
               + random_selfadjoint_qpoly(rank, st, rng))
              for rank in range(n + 1) for _ in range(4)]
     calls = Counter()
-    for owner in (qpoly, gabidulin, symdec):
+    assert not hasattr(gabidulin, "qpoly_rank")
+    for owner in (qpoly, symdec):
         _count_calls(monkeypatch, calls, owner, "qpoly_rank")
     ranks = set()
     for rank, y in words:
@@ -564,8 +565,9 @@ def test_unique_radius_solves_one_key_equation(monkeypatch, p, n, k, s):
     words = [(t, rand_codeword(code, rng) + random_error(f, r, rng))
              for t in range((n - k + 1) // 2 + 1) for r in sorted({1, min(t, half)})]
     calls = Counter()
+    assert not hasattr(gabidulin, "qpoly_rank")
     for owner, name in ((Matrix, "kernel"), (qpoly, "qpoly_rank"),
-                        (gabidulin, "qpoly_rank"), (gabidulin, "_pencil_points")):
+                        (gabidulin, "_pencil_points")):
         _count_calls(monkeypatch, calls, owner, name)
     for t, y in words:
         calls.clear()
