@@ -31,8 +31,8 @@ v_r += v_c has norm 2 <v_r, v_c> != 0; for even q, v_c is scaled to
 and r, c are merged with an earlier element w of norm d into r + w,
 d c + w and w + r' + c', pairwise orthogonal and each of norm d.
 
-Two branches of the matrix route cannot be reached by the trace form, and
-raise ``ArithmeticError`` as impossible:
+Two branches of the matrix route cannot be reached by the trace form, so
+they are not coded; the proofs follow:
 
   * an unfinished block that is identically zero.  Its elements are
     orthogonal to the finished ones too, so they would lie in the radical
@@ -48,6 +48,7 @@ raise ``ArithmeticError`` as impossible:
 
 So every element of the orthogonal basis is finished by a pivot, at a
 nonzero norm, and ``_rescale_to_orthonormal`` needs no check for a zero one.
+``orthonormal_basis`` verifies the Gram matrix of what it returns, once.
 """
 
 from __future__ import annotations
@@ -83,14 +84,13 @@ def select_twist(field: ExtField) -> int:
 
     u = 1 works except when q is odd and n is even; there the form needs
     N(u) to be a non-square in F_q, and the scan picks the first such u.
+    It finds one: the norm maps F_{q^n}^* onto F_q^*, and for odd q half
+    of F_q^* are non-squares.
     """
     if field.base.p == 2 or field.n % 2 == 1:
         return field.one
     base = field.base
-    for u in field.units():
-        if not base.is_square(field.norm(u)):
-            return u
-    raise OrthonormalBasisError("no usable twist exists (impossible)")
+    return next(u for u in field.units() if not base.is_square(field.norm(u)))
 
 
 def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -> list[int]:
@@ -99,7 +99,10 @@ def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -
 
     Each v_i with d_i a square is scaled by 1/sqrt(d_i); in characteristic 2
     squaring is onto, so that is every v_i and no pair is left.  For odd q
-    the non-square norms are paired up and each pair rotated to norm 1."""
+    the non-square norms are paired up and each pair rotated to norm 1.
+    The rotation needs 1/d = alpha^2 + beta^2 in F_q, and the scan for
+    alpha finds one: over odd q the sets {a^2} and {1/d - b^2} each have
+    (q+1)/2 of the q elements, so they meet."""
     base = field.base
     n = len(vecs)
     out = list(vecs)
@@ -118,14 +121,9 @@ def _rescale_to_orthonormal(field: ExtField, vecs: list[int], diag: list[int]) -
         out[j] = field.mul(out[j], s)
         d = diag[i]
         target = base.inv(d)
-        alpha = beta = None
-        for a in base.elements():
-            rem = base.sub(target, base.mul(a, a))
-            if base.is_square(rem):
-                alpha, beta = a, base.sqrt(rem)
-                break
-        if alpha is None:
-            raise ArithmeticError("sum of two squares search failed (impossible)")
+        alpha = next(a for a in base.elements()
+                     if base.is_square(base.sub(target, base.mul(a, a))))
+        beta = base.sqrt(base.sub(target, base.mul(alpha, alpha)))
         # rotate: both images get norm d*(alpha^2+beta^2) = 1, cross term 0
         vi, vj = out[i], out[j]
         out[i] = field.add(field.mul(alpha, vi), field.mul(beta, vj))
@@ -165,11 +163,10 @@ def _orthogonal_basis(field: ExtField, u: int) -> list[int]:
                 addmul(j, done, base.mul(s, form(done, j)))
             done += 1
             continue
-        # every unfinished norm is zero: take the first nonzero pairing
-        r, c = next(((i, j) for i in range(done, n) for j in range(i + 1, n)
-                     if form(i, j)), (-1, -1))
-        if r < 0:
-            raise ArithmeticError("trace form has a radical (impossible)")
+        # every unfinished norm is zero: take the first nonzero pairing,
+        # which exists since the form has no radical (module docstring)
+        r, c = next((i, j) for i in range(done, n) for j in range(i + 1, n)
+                    if form(i, j))
         if base.p != 2:
             # the new norm of v_r is 2 <v_r, v_c> != 0
             addmul(r, c, 1)
@@ -180,8 +177,6 @@ def _orthogonal_basis(field: ExtField, u: int) -> list[int]:
         # element keeps a nonzero norm: r' = r + w, c' = d c + w and
         # w' = w + r' + c' = w + r + d c are pairwise orthogonal and each
         # has norm d
-        if done == 0:
-            raise ArithmeticError("no earlier non-isotropic element (impossible)")
         v[c] = mul(base.inv(form(r, c)), v[c])
         for j in range(done, n):
             if j != r and j != c:

@@ -210,11 +210,11 @@ def _fq_is_irreducible(base, poly) -> bool:
 
 
 def _find_irreducible_fq(base, n: int) -> tuple[int, ...]:
-    for packed in range(base.order**n):
-        cand = _digits(packed, base.order, n) + [1]
-        if _fq_is_irreducible(base, cand):
-            return tuple(cand)
-    raise ArithmeticError("no irreducible polynomial found (impossible)")
+    """The first monic irreducible of degree n over K = ``base`` in
+    ascending packed order.  One exists in every degree: Gauss's count
+    (1/n) sum_{d | n} mu(d) q^(n/d) of them is positive."""
+    cands = (_digits(packed, base.order, n) + [1] for packed in range(base.order**n))
+    return tuple(next(c for c in cands if _fq_is_irreducible(base, c)))
 
 
 def _modulus(coef, order: int, degree: int, modulus, name: str) -> tuple[int, ...]:
@@ -651,11 +651,9 @@ class ExtField(_Field):
                       for row in self._trace_rows], p)
 
     def norm(self, a: int) -> int:
-        """N(a) = a * a^q * ... * a^(q^(n-1)) = a^((q^n-1)/(q-1))."""
-        m = self.pow(a, (self.order - 1) // (self.q - 1))
-        if m >= self.q:
-            raise ArithmeticError("norm landed outside the base field")
-        return m
+        """N(a) = a * a^q * ... * a^(q^(n-1)) = a^((q^n-1)/(q-1)), in F_q
+        since N(a)^(q-1) = a^(q^n-1) = 1 for a != 0 (and N(0) = 0)."""
+        return self.pow(a, (self.order - 1) // (self.q - 1))
 
 
 def make_field(p: int, e: int, n: int, g=None, f=None) -> ExtField:

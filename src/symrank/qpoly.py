@@ -99,10 +99,6 @@ class QPoly:
         return poly
 
     @classmethod
-    def zero(cls, field: ExtField) -> "QPoly":
-        return cls._of(field, [field.zero] * field.n)
-
-    @classmethod
     def monomial(cls, field: ExtField, i: int, c: int | None = None) -> "QPoly":
         """c * X^(q^i), defaulting to the monic monomial."""
         if c is None:

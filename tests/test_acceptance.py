@@ -225,7 +225,7 @@ def test_criterion_4_exhaustive_small_field(capsys):
         assert len(selfadj_rank1) == 16
 
         # every rank <= 1 q-polynomial: a * b^(q^i) coefficient patterns
-        rank_le1 = {QPoly.zero(f).coeffs}
+        rank_le1 = {QPoly(f).coeffs}
         for a in f.units():
             for b in f.units():
                 rank_le1.add(tuple(f.mul(a, f.frobenius(b, i)) for i in range(n)))
@@ -235,7 +235,7 @@ def test_criterion_4_exhaustive_small_field(capsys):
         for k in (1, 2, 3):
             code = GabCode(f, k)
             t = (n - k) // 2
-            errors = [QPoly.zero(f)] if t == 0 else selfadj_rank1
+            errors = [QPoly(f)] if t == 0 else selfadj_rank1
             # y - e lies in Gab_k exactly when e agrees with y outside
             # degrees 0..k-1, so the patterns bucketed by those coefficients
             # give the whole candidate set at distance <= t in one lookup

@@ -6,6 +6,8 @@ import json
 import pytest
 
 from symrank import (
+    BaseField,
+    ExtField,
     Matrix,
     OrthonormalBasisError,
     SymSetup,
@@ -18,18 +20,38 @@ from helpers import get_field, get_setup, rand_elt
 from symrank.channel import RngStream
 
 
-def test_select_twist_branches():
-    assert select_twist(get_field(2, 1, 4)) == 1   # q even
-    assert select_twist(get_field(2, 1, 5)) == 1
-    assert select_twist(get_field(3, 1, 3)) == 1   # q and n odd
-    assert select_twist(get_field(5, 1, 3)) == 1
-    # q odd, n even: smallest unit whose norm is a non-square
-    assert select_twist(get_field(3, 1, 2)) == 4
-    f = get_field(5, 1, 2)
+@pytest.mark.parametrize("p,e,n,tables", [
+    (2, 1, 4, None), (2, 1, 5, None),                      # q even
+    (3, 1, 3, None), (5, 1, 3, None),                      # q and n odd
+    (3, 1, 2, None), (5, 1, 2, None), (3, 1, 4, None), (5, 1, 4, None),
+    (7, 1, 2, None), (3, 2, 2, None), (5, 2, 2, None), (3, 1, 4, False),
+])
+def test_select_twist_branches(p, e, n, tables):
+    f = ExtField(BaseField(p, e), n, use_tables=tables)
+    base = f.base
+    squares = {base.mul(a, a) for a in base.elements()}
+    # every element of F_q is a sum of two squares, as the rotation in
+    # orthonormal_basis needs
+    assert {base.add(s, t) for s in squares for t in squares} == set(base.elements())
     u = select_twist(f)
-    assert not f.base.is_square(f.norm(u))
-    for v in range(1, u):
-        assert f.base.is_square(f.norm(v))
+    if p == 2 or n % 2 == 1:
+        assert u == 1
+        return
+
+    # q odd, n even: the smallest unit whose norm, the product of its n
+    # conjugates, is not in the exhaustive list of squares of F_q
+    def norm(a):
+        out = f.one
+        for i in range(f.n):
+            out = f.mul(out, f.frobenius(a, i))
+        return out
+
+    norms = [norm(v) for v in f.units()]
+    assert norms == [f.norm(v) for v in f.units()]
+    assert set(norms) == set(base.units())          # onto F_q^*
+    assert u == next(v for v, m in zip(f.units(), norms) if m not in squares)
+    if (p, e, n) == (3, 1, 2):
+        assert u == 4
 
 
 def test_trace_form_symmetric_bilinear():

@@ -428,7 +428,7 @@ def test_high_rate_kernel_is_inner_shifted_code():
         kernel = system.kernel()
         assert len(kernel) == k * n - n * (n - 1) // 2
         for vec in kernel:
-            poly = QPoly.zero(f)
+            poly = QPoly(f)
             for c, g in zip(vec, gens):
                 if c:
                     poly = poly + QPoly.monomial(f, 0, c).compose(g)
