@@ -45,14 +45,19 @@ with no method call per entry), and ``div_many`` divides two lists entry by
 entry as exp[log a - log b].  Callers get whole lists and never see the
 table format.
 
-A caller that loops over many entries takes its callables from here and
-never tests the field itself.  ``_add_of`` and ``_sub_of`` give one
-element's sum or difference: the builtin xor in characteristic 2, else the
-method (the q-polynomial loops).  ``_add_rows_of`` and ``_sub_rows_of``
-give the entrywise sum and difference of two sequences, ``map(xor)`` in
-characteristic 2 and plain int sums or differences with one ``% p`` per
-entry on a prime field.  Every other field runs on its methods.
-``linalg.Matrix`` adds and subtracts with these.
+A caller that loops over many entries takes its sums and differences from
+here.  ``_add_of`` and ``_sub_of`` give one element's sum or difference:
+the builtin xor in characteristic 2, else the method (the q-polynomial
+loops).  ``_add_rows_of`` and ``_sub_rows_of`` give the entrywise sum and
+difference of two sequences, ``map(xor)`` in characteristic 2 and plain
+int sums or differences with one ``% p`` per entry on a prime field.  Every
+other field runs on its methods.  ``linalg.Matrix`` adds and subtracts with
+these.  Four loops still test the field for a path of their own:
+``QPoly.compose`` reads ``_char2`` to accumulate by xor in place;
+``qpoly.qpoly_rank`` and ``gabidulin._sample_independent`` test q == 2,
+where a packed element of F_(2^n) is its own coordinate row; and
+``linalg.Matrix.apply`` sums its packed columns with no product when
+p == 2.
 
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
@@ -430,10 +435,7 @@ class _Field:
         return self._inv_raw(a)
 
     def div(self, a: int, b: int) -> int:
-        if self._exp is None or not b:
-            return self.mul(a, self.inv(b))
-        log = self._log
-        return self._exp[log[a] - log[b] + self.order - 1] if a else 0
+        return self.mul(a, self.inv(b))
 
     # -- list-wise operations, for passes over many elements -------------------
 

@@ -25,23 +25,10 @@ Fields without tables run the same jobs on ``mul`` and ``frobenius``, and so
 does ``evaluate`` on every field: with tables, only ``matrix_of`` (sym-low
 set-up and the CLI's sym-low picture) and tests evaluate at a single point.
 
-A boundary decode composes one received word Y several times: with the
-first vector of the unique-radius kernel, with the two vectors K1, K2 of
-the walked kernel, and with each pencil member it divides (the members
-that fail the outer-pair quadratic are never composed).  So on a field
-with tables a right operand of ``compose`` keeps the rows it is composed
-through: row i lists (i + j mod n, log y_j * q^i mod (q^n - 1))
-over the nonzero y_j, built the first time a left operand with p_i != 0
-needs it, after which each product is exp[log p_i + entry].  The rows are
-built only from an operand's second composition on.  Building them costs
-1.2-1.3 times a plain composition, which a word composed once (a standard
-or below-boundary decode) would pay for nothing; reading them costs about
-half of one.  In process, one Xeon vCPU, Python 3.11, a localiser of
-q-degree t composed with a full Y: plain 5.9, 8.7, 7.1 and 14.1 us, rows
-read 2.6, 4.2, 4.5 and 6.6 us at (q, n, t) = (2, 8, 2), (2, 10, 3), (3, 6, 2)
-and (2, 16, 4).  The coefficient tuple never changes, so the rows cannot go
-stale, and two builds of a row are equal, so threads that share an operand
-can only repeat work; the rows take no part in equality, hashing or JSON.
+``compose`` keeps no state: the one operand composed repeatedly, the
+received word at the boundary, is composed once per member divided, which
+is more than twice only on the degenerate words (``symdec``), too rare for
+a per-operand cache to be worth its code.
 
 The images P(x^j), j < n, of the polynomial basis (``_basis_images``, for
 the rank and the localiser pencil) take log((x^j)^(q^i)) from a table the
@@ -73,7 +60,7 @@ NEG_INF = float("-inf")
 class QPoly:
     """A q-polynomial in canonical form: exactly n coefficients."""
 
-    __slots__ = ("field", "coeffs", "_rows")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: ExtField, coeffs=()):
         n = field.n
@@ -86,7 +73,6 @@ class QPoly:
                 folded[j] = field.add(folded[j], c) if folded[j] else c
         self.field = field
         self.coeffs = tuple(folded)
-        self._rows = None
 
     @classmethod
     def _of(cls, field: ExtField, coeffs) -> "QPoly":
@@ -95,7 +81,6 @@ class QPoly:
         poly = cls.__new__(cls)
         poly.field = field
         poly.coeffs = tuple(coeffs)
-        poly._rows = None
         return poly
 
     @classmethod
@@ -151,9 +136,7 @@ class QPoly:
         return acc
 
     def compose(self, other: "QPoly") -> "QPoly":
-        """Ring product: (P o Q)(x) = P(Q(x)), exponents folded mod n.  On a
-        field with tables, Q keeps the rows of its products from its second
-        composition as the right operand on (module docstring)."""
+        """Ring product: (P o Q)(x) = P(Q(x)), exponents folded mod n."""
         fld = self.field
         n = fld.n
         add, exp, log = _add_of(fld), fld._exp, fld._log
@@ -169,39 +152,23 @@ class QPoly:
                                 k -= n
                             out[k] = add(out[k], mul(p, frob(q, i)))
             return QPoly._of(fld, out)
-        units = fld.order - 1
-        frob_exp = fld._frob_exp
-        rows = other._rows
-        if rows is None:
-            # first use as a right operand: the plain loop, and room for the
-            # rows that later uses build
-            other._rows = [None] * n
-            q_logs = [(j, log[q]) for j, q in enumerate(other.coeffs) if q]
-            for i, p in enumerate(self.coeffs):
-                if p:
-                    lp, fe = log[p], frob_exp[i]
+        units, frob_exp, char2 = fld.order - 1, fld._frob_exp, fld._char2
+        q_logs = [(j, log[q]) for j, q in enumerate(other.coeffs) if q]
+        for i, p in enumerate(self.coeffs):
+            if p:
+                lp, fe = log[p], frob_exp[i]
+                if char2:
+                    for j, lq in q_logs:
+                        k = i + j
+                        if k >= n:
+                            k -= n
+                        out[k] ^= exp[lp + lq * fe % units]
+                else:
                     for j, lq in q_logs:
                         k = i + j
                         if k >= n:
                             k -= n
                         acc, term = out[k], exp[lp + lq * fe % units]
-                        out[k] = add(acc, term) if acc else term
-            return QPoly._of(fld, out)
-        char2 = fld._char2
-        for i, p in enumerate(self.coeffs):
-            if p:
-                row = rows[i]
-                if row is None:
-                    fe = frob_exp[i]
-                    row = rows[i] = [(k - n if k >= n else k, log[q] * fe % units)
-                                     for k, q in enumerate(other.coeffs, i) if q]
-                lp = log[p]
-                if char2:
-                    for k, lr in row:
-                        out[k] ^= exp[lp + lr]
-                else:
-                    for k, lr in row:
-                        acc, term = out[k], exp[lp + lr]
                         out[k] = add(acc, term) if acc else term
         return QPoly._of(fld, out)
 

@@ -77,13 +77,15 @@ N2 = K2 o Y, so on the member L = K1 + c K2 the two sides differ by
 and the member K2 (c = infinity) passes exactly when a2 = 0.  This is the
 same equation as the test on the composed member, in every field, so no
 member passes or fails that did not before.  ``HighRateDecoder._members``
-composes K1 and K2 once each, evaluates the quadratic at the c of every
-full member of the pencil and composes only the members that pass.  When
-the quadratic vanishes identically (degenerate words, which occur in
-characteristic 2) every member passes.  Otherwise at most two do: with
-a2 != 0 the two roots at most, and with a2 = 0 one root at most and K2,
-since a binary quadratic form a2 c^2 + a1 c d + a0 d^2 that is not zero
-has at most two projective roots (c : d).
+reads the four ends N1_0, N1_top, N2_0 and N2_top as sums of t+1 terms,
+(L o Y)_j = sum_i l_i Y_(j-i)^(q^i) (indices mod n), with no composition,
+evaluates the quadratic at the c of every full member of the pencil and
+composes only the members that pass.  When the quadratic vanishes
+identically (degenerate words, which occur in characteristic 2) every
+member passes.  Otherwise at most two do: with a2 != 0 the two roots at
+most, and with a2 = 0 one root at most and K2, since a binary quadratic
+form a2 c^2 + a1 c d + a0 d^2 that is not zero has at most two projective
+roots (c : d).
 
 The survivors get their status from ``DecodeReport.of``, the same rule as
 ``wb_decode``.  The diagnostics are the walk's own, with the test, plus
@@ -107,6 +109,7 @@ found, and a word that has none reports 'fail'.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, combinations
 
 from .bilinear import SymSetup
@@ -294,16 +297,19 @@ class HighRateDecoder:
     def _outer_quadratic(self, kern, y0: QPoly, t: int) -> tuple:
         """(a0, a1, a2) for the walked kernel [K1, K2]: the member
         K1 + c K2 passes the outer pair exactly when a2 c^2 + a1 c + a0 = 0,
-        and K2 exactly when a2 = 0 (module docstring).  Two compositions,
-        N1 = K1 o y0 and N2 = K2 o y0."""
+        and K2 exactly when a2 = 0 (module docstring).  Only the ends N_0
+        and N_top of N1 = K1 o y0 and N2 = K2 o y0 enter, each a sum of t+1
+        terms (L o y0)_j = sum_i l_i y0_(j-i)^(q^i), indices mod n, so
+        nothing is composed."""
         fld = self.setup.field
-        mul, add, sub = fld.mul, fld.add, fld.sub
-        tau, top = self._tau, self.reduced.k - 1 + t
+        mul, add, sub, frob = fld.mul, fld.add, fld.sub, fld.frobenius
+        tau, top, n, ys = self._tau, self.reduced.k - 1 + t, fld.n, y0.coeffs
+        powers = [[frob(ys[(j - i) % n], i) for i in range(t + 1)] for j in (0, top)]
         k1, k2 = kern
-        n1, n2 = (_composed(vec, y0)[1].coeffs for vec in kern)
+        n1, n2 = ([reduce(add, map(mul, vec, row)) for row in powers] for vec in kern)
 
-        def cross(num, loc):    # N_top l_0 - tau N_0 l_t
-            return sub(mul(num[top], loc[0]), mul(tau, mul(num[0], loc[t])))
+        def cross(ends, loc):    # N_top l_0 - tau N_0 l_t
+            return sub(mul(ends[1], loc[0]), mul(tau, mul(ends[0], loc[t])))
 
         return cross(n1, k1), add(cross(n1, k2), cross(n2, k1)), cross(n2, k2)
 

@@ -601,6 +601,33 @@ def test_high_rate_matches_unfiltered_composition(p, e, n, k, tables):
         assert rep.diagnostics["walked"] or kind != "boundary"
 
 
+@pytest.mark.parametrize("p,n,k,tables", [
+    (2, 8, 6, True), (3, 6, 4, True), (2, 10, 7, True), (2, 5, 3, False)],
+    ids=["2-8-6", "3-6-4", "2-10-7", "2-5-3-table-free"])
+def test_high_rate_boundary_composes_once_per_divided_member(monkeypatch, p, n, k,
+                                                             tables):
+    # the outer-pair quadratic reads its coefficients without composing, so
+    # a boundary decode composes the received word once per member it
+    # divides and nothing else
+    st = (get_setup(p, 1, n) if tables else
+          SymSetup(ExtField(BaseField(p, 1), n, use_tables=False)))
+    dec = HighRateDecoder(st, k)
+    compose = QPoly.compose
+    calls = []
+
+    def counted(self, other):
+        calls.append(None)
+        return compose(self, other)
+
+    monkeypatch.setattr(QPoly, "compose", counted)
+    rng = RngStream(29)
+    for _ in range(6):
+        y = random_codeword(dec.code, rng) + random_selfadjoint_qpoly(dec.radius, st, rng)
+        calls.clear()
+        rep = dec.decode(y)
+        assert rep.diagnostics["walked"] and len(calls) == rep.diagnostics["walked"]
+
+
 @pytest.mark.parametrize("members", [1, 2])
 def test_high_rate_short_walk_matches_unfiltered_composition(monkeypatch, members):
     # ``walked`` counts the members divided, those that pass the pair
@@ -830,18 +857,28 @@ def _boundary_tally(st, k: int) -> Counter:
     count).  The candidate sets are translation-covariant (Y + C has those
     of Y shifted by C, for C in the code), so this covers the candidate set
     of every word.  Over F_2 a symmetric matrix is alternating when its
-    diagonal is zero."""
+    diagonal is zero.  On each error of rank 2 the outer-pair quadratic of
+    the residual's walked kernel has a1 = 0, and it vanishes exactly when
+    the error is alternating: observed on every such error of the censuses,
+    not proved."""
     n = st.field.n
     dec = HighRateDecoder(st, k)
-    buckets = _selfadjoint_buckets(st, k, dec.radius)
+    t = dec.radius
+    buckets = _selfadjoint_buckets(st, k, t)
     tally = Counter()
-    for mat in _symmetric_rank_at_most(st.field.base, n, dec.radius):
+    for mat in _symmetric_rank_at_most(st.field.base, n, t):
         err = matrix_to_qpoly(mat, st)
         rep = dec.decode(err)
         want = {(err - other).coeffs for other in buckets[_outside(err, k)]}
         assert {c.coeffs for c in rep.candidates} == want
         rank = mat.rank()
         alternating = rank == 2 and not any(row[i] for i, row in enumerate(mat.data))
+        if rank == 2:
+            y0 = (err - dec._preimage(err)).compose_monomial(n - dec.reduced.s)
+            kern = gabidulin._key_kernel(y0, dec.reduced.k, t)
+            a0, a1, a2 = dec._outer_quadratic(kern, y0, t)
+            assert a1 == 0
+            assert ((a0, a1, a2) == (0, 0, 0)) == alternating
         tally[rank, alternating, rep.status, len(want)] += 1
     return tally
 
