@@ -47,17 +47,15 @@ table format.
 
 A caller that loops over many entries takes its sums and differences from
 here.  ``_add_of`` and ``_sub_of`` give one element's sum or difference:
-the builtin xor in characteristic 2, else the method (the q-polynomial
-loops).  ``_add_rows_of`` and ``_sub_rows_of`` give the entrywise sum and
-difference of two sequences, ``map(xor)`` in characteristic 2 and plain
-int sums or differences with one ``% p`` per entry on a prime field.  Every
-other field runs on its methods.  ``linalg.Matrix`` adds and subtracts with
-these.  Four loops still test the field for a path of their own:
-``QPoly.compose`` reads ``_char2`` to accumulate by xor in place;
+the builtin xor in characteristic 2, else the method.  The q-polynomial
+loops use them, and ``linalg.Matrix`` maps them over each pair of rows for
+its ``+`` and ``-``.  Five loops still test the field for a path of their
+own: ``QPoly.compose`` reads ``_char2`` to accumulate by xor in place;
 ``qpoly.qpoly_rank`` and ``gabidulin._sample_independent`` test q == 2,
-where a packed element of F_(2^n) is its own coordinate row; and
+where a packed element of F_(2^n) is its own coordinate row;
 ``linalg.Matrix.apply`` sums its packed columns with no product when
-p == 2.
+p == 2; and ``linalg.Matrix.rank`` packs each row of a matrix over the
+field of order 2 into one int for an xor basis.
 
 Moduli may be user supplied or auto-generated by scanning monic polynomials
 in ascending packed-coefficient order.  Generation is deterministic, so a
@@ -72,7 +70,6 @@ table-free product and inverse.
 from __future__ import annotations
 
 import operator
-from functools import partial
 from operator import xor
 
 
@@ -513,29 +510,6 @@ def _add_of(field):
 def _sub_of(field):
     """``field.sub`` as a callable for inner loops (see ``_add_of``)."""
     return xor if field._char2 else field.sub
-
-
-def _rows_of(field, op, method):
-    """(a, b) -> iterator of the entrywise ``op`` of two sequences of equal
-    length: ``map(xor)`` in characteristic 2, ``op`` on the residues then
-    one ``% p`` on a prime field, ``method`` per entry otherwise."""
-    if field._char2:
-        return partial(map, xor)
-    p = field.p
-    if field.order == p:
-        mod = p.__rmod__
-        return lambda a, b: map(mod, map(op, a, b))
-    return partial(map, method)
-
-
-def _add_rows_of(field):
-    """(a, b) -> iterator of a_i + b_i (``_rows_of``)."""
-    return _rows_of(field, operator.add, field.add)
-
-
-def _sub_rows_of(field):
-    """(a, b) -> iterator of a_i - b_i (``_rows_of``)."""
-    return _rows_of(field, operator.sub, field.sub)
 
 
 class BaseField(_Field):

@@ -2,12 +2,12 @@
 
 Matrices are immutable tuples of tuples of packed field elements over one
 field object; a sum, difference or product with a matrix over another field
-object raises ValueError.  Sums and differences take the field's inner-loop
-operations from ``gf`` (``_add_rows_of``, ``_sub_rows_of``): ``map(xor)``
-in characteristic 2, one ``% p`` per entry on a prime field F_p, and the
-field methods on every other field.  The symmetry test compares the rows
-with the columns, the same on every field.  Elimination (rank, kernel,
-solve) runs on the field methods.
+object raises ValueError.  Sums and differences map the field's scalar
+operation from ``gf`` (``_add_of``, ``_sub_of``) over each pair of rows:
+``map(xor)`` in characteristic 2, the field's ``add`` or ``sub`` on every
+other field.  The symmetry test compares the rows with the columns, the
+same on every field.  Elimination (rank, kernel, solve) runs on the field
+methods.
 
 A matrix-vector product runs on slot-packed columns, one path for every
 field of order q = p^d (the simultaneous reduction of Dumas, Fousse and
@@ -46,10 +46,10 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import add, mul
 
-from .gf import _add_rows_of, _sub_rows_of
+from .gf import _add_of, _sub_of
 
 
 def _rref(field, rows: list[list[int]], pivot_cols: int) -> list[tuple[int, int]]:
@@ -255,21 +255,21 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
-    def _entrywise(self, other: "Matrix", rows_of, what: str) -> "Matrix":
-        """The matrix of entrywise ``rows_of(field)`` of two matrices of one
+    def _entrywise(self, other: "Matrix", op_of, what: str) -> "Matrix":
+        """The matrix of entrywise ``op_of(field)`` of two matrices of one
         shape over one field; ValueError for any other operand."""
         if other.field is not self.field:
             raise ValueError(f"matrix {what} over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"dimension mismatch in matrix {what}")
-        return Matrix._shaped(self.field, map(rows_of(self.field), self.data,
-                                              other.data), self.ncols)
+        return Matrix._shaped(self.field, map(map, repeat(op_of(self.field)),
+                                              self.data, other.data), self.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, _add_rows_of, "sum")
+        return self._entrywise(other, _add_of, "sum")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._entrywise(other, _sub_rows_of, "difference")
+        return self._entrywise(other, _sub_of, "difference")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if other.field is not self.field:

@@ -51,7 +51,7 @@ calls it once per answer, in its final verification.
 
 from __future__ import annotations
 
-from .gf import ExtField, _add_of, _add_rows_of, _sub_of, ext_from_json, ext_to_json
+from .gf import ExtField, _add_of, _sub_of, ext_from_json, ext_to_json
 from .linalg import Matrix, xor_rank
 
 NEG_INF = float("-inf")
@@ -328,17 +328,16 @@ def trace_sum(field: ExtField, avec, bvec) -> QPoly:
     (q^n - 1))] to coefficient l: one list of n lookups per term, with no
     ``mul`` or ``frobenius`` call, and the lists summed entrywise."""
     terms = [(a, b) for a, b in zip(avec, bvec, strict=True) if a and b]
-    exp = field._exp
+    exp, add = field._exp, _add_of(field)
     if exp is not None and terms:
-        add_rows, log = _add_rows_of(field), field._log
-        frob, units = field._frob_exp, field.order - 1
+        log, frob, units = field._log, field._frob_exp, field.order - 1
         coeffs = None
         for a, b in terms:
             la, lb = log[a], log[b]
             row = [exp[la + lb * fe % units] for fe in frob]
-            coeffs = row if coeffs is None else list(add_rows(coeffs, row))
+            coeffs = row if coeffs is None else list(map(add, coeffs, row))
         return QPoly._of(field, coeffs)
-    add, mul, frob = _add_of(field), field.mul, field.frobenius
+    mul, frob = field.mul, field.frobenius
     coeffs = [field.zero] * field.n
     for a, b in terms:
         for l in range(field.n):

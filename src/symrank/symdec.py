@@ -51,6 +51,19 @@ dimension 2k-n+1 and minimum rank distance 2(n-k):
 Every candidate that reaches the decoder is therefore self-adjoint, and
 each gives a survivor.
 
+The adjoint also pairs off the candidates that the outer pair removes.  The
+candidates of the unfiltered ``wb_decode`` of R at radius n-k are exactly
+the codewords c of the reduced code with rank(R - c) <= n-k (``gabidulin``:
+the one codeword of the unique stage, or one per full member of the walk).
+For such a c, (R - c)^adj = R - c^adj, since R is self-adjoint, and it has
+the rank of R - c, as the adjoint of a nondegenerate form keeps the rank.
+Also c^adj lies in the reduced code, because its support n-k..k is
+symmetric under j -> n-j.  So the adjoint, an involution, permutes the
+unfiltered candidates, and its fixed points, the self-adjoint ones, are the
+decoder's candidates.  The other candidates come in pairs {c, c^adj}, so
+the decoder's count has the parity of the unfiltered count, which on a
+walked decode is the number of full members of the pencil.
+
 The outer pair is tested in cleared form (``HighRateDecoder._members``).
 ``wb_decode`` divides N = L o Y by L in the frame where the reduced code,
 of dimension k' = 2k-n+1, has support 0..k'-1, so the quotient Q has

@@ -147,10 +147,11 @@ ORACLE_FIELDS = {
 
 @pytest.mark.parametrize("p,e,n,widths", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS)
 def test_entrywise_dot_and_symmetry_match_field_op_oracle(p, e, n, widths):
-    # xor in characteristic 2, one % p on a prime field and the field
-    # methods elsewhere (F_4, F_9, F_27 with tables) against one field call
-    # per entry; apply, @ and LinearSolver.solve on the slot-packed columns
-    # at every slot width, with the all-(q-1) vector too
+    # + and - map the field's scalar add and sub over the rows, xor in
+    # characteristic 2 and the field methods elsewhere (F_p, F_4, F_9, F_27
+    # with tables), against one field call per entry; apply, @ and
+    # LinearSolver.solve on the slot-packed columns at every slot width,
+    # with the all-(q-1) vector too
     f = BaseField(p, e) if n is None else get_field(p, e, n)
     rng = RngStream(37)
     symmetric = set()

@@ -590,7 +590,9 @@ def test_high_rate_matches_unfiltered_composition(p, e, n, k, tables):
     # report, candidates, status, walked and survivors alike; error_rank is
     # on 'ok' only, the rank of the one error.  The table-free fields run
     # the same member hook on polynomial arithmetic, (3,4,3) with a twist
-    # u != 1
+    # u != 1.  The adjoint permutes the unfiltered candidates (symdec
+    # docstring), so their set is closed under it and the ones it moves
+    # come in pairs; the reference pins its fixed points as the decoder's
     st = (get_setup(p, e, n) if tables else
           SymSetup(ExtField(BaseField(p, e), n, use_tables=False)))
     dec = HighRateDecoder(st, k)
@@ -599,6 +601,9 @@ def test_high_rate_matches_unfiltered_composition(p, e, n, k, tables):
         assert rep.to_json() == high_rate_reference(dec, y).to_json()
         # a boundary word has nothing within n-k-1, so it always walks
         assert rep.diagnostics["walked"] or kind != "boundary"
+        unfiltered = wb_decode(dec.reduced, y - dec._preimage(y), dec.radius).candidates
+        assert {c.adjoint(st.u) for c in unfiltered} == set(unfiltered)
+        assert len(unfiltered) % 2 == len(rep.candidates) % 2
 
 
 @pytest.mark.parametrize("p,n,k,tables", [
